@@ -19,13 +19,20 @@ state pairs directly from the flat semantics:
 relations coinductively, by deleting violating pairs from the satisfaction
 grid until a fixpoint; ``strong_relation`` instead checks the projection of
 the reachable steady states, which carries strong adaptability of the whole
-system.
+system.  Both greatest relations share one worklist: a deleted pair queues
+the pairs whose clauses mention it.  A clause only becomes more violated as
+pairs leave, so the fixpoint reached does not depend on deletion order.
+
+The relational route explores adaptation phases with the primitives of
+``graph`` and never calls the CTL checker; the CTL verdicts never call the
+relation code.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Literal, Optional
+from typing import Iterable, Iterator, Literal, Optional
 
 from .ctl import (
     CtlAtom,
@@ -37,6 +44,7 @@ from .ctl import (
     witness_eg,
 )
 from .flatten import AdaptPhase, FlatState, SteadyIn, build_flat, flat_successors
+from .graph import cyclic_states, reach
 from .kripke import Kripke, to_kripke
 from .model import SBSystem
 
@@ -126,14 +134,6 @@ class _PairFacts:
     phases: tuple[_PhaseFacts, ...]
 
     @property
-    def has_steady(self) -> bool:
-        return bool(self.steady_pairs)
-
-    @property
-    def has_adapt(self) -> bool:
-        return bool(self.phases)
-
-    @property
     def weak_endpoints(self) -> frozenset[Pair]:
         out: frozenset[Pair] = frozenset()
         for ph in self.phases:
@@ -155,85 +155,33 @@ class _Analysis:
             self._succ[f] = hit
         return hit
 
-    def _explore_phase(self, entries):
-        """Endpoints, dead-state and cycle facts of the adapting subgraph
-        reachable from ``entries``."""
-        endpoints: set[Pair] = set()
-        has_dead = False
-        edges: dict[FlatState, list[FlatState]] = {}
-        stack = list(entries)
-        nodes = set(entries)
-        while stack:
-            x = stack.pop()
-            succs = self.successors(x)
-            if not succs:
-                has_dead = True
-            mids = []
-            for _lab, y in succs:
-                if y.is_steady:
-                    endpoints.add((y.q, y.r))
-                else:
-                    mids.append(y)
-                    if y not in nodes:
-                        nodes.add(y)
-                        stack.append(y)
-            edges[x] = mids
-        return frozenset(endpoints), has_dead, _has_cycle(nodes, edges)
+    def _adapting(self, f: FlatState) -> list[FlatState]:
+        return [y for _lab, y in self.successors(f) if not y.is_steady]
 
     def facts(self, q: str, r: str) -> _PairFacts:
-        f = FlatState(q, r, None)
-        succs = self.successors(f)
+        succs = self.successors(FlatState(q, r, None))
         steady_pairs = frozenset(
             (y.q, y.r) for lab, y in succs if isinstance(lab, SteadyIn))
-        groups: dict[tuple, dict] = {}
+        starts: dict[AdaptPhase, list[FlatState]] = {}
         for lab, y in succs:
-            if not isinstance(lab, AdaptPhase):
-                continue
-            g = groups.setdefault((lab.inv, lab.target),
-                                  {"ends": set(), "entries": []})
-            if y.is_steady:
-                g["ends"].add((y.q, y.r))
-            else:
-                g["entries"].append(y)
+            if isinstance(lab, AdaptPhase):
+                starts.setdefault(lab, []).append(y)
         phases = []
-        for (inv, target), g in groups.items():
-            ends, dead, cyc = self._explore_phase(g["entries"])
+        for lab, firsts in starts.items():
+            # the adapting subgraph this phase can run through
+            nodes = reach(self._adapting, [y for y in firsts if not y.is_steady])
+            landed = firsts + [y for x in nodes for _lab, y in self.successors(x)]
             phases.append(_PhaseFacts(
-                label=f"{r} -> {target}",
-                endpoints=frozenset(g["ends"]) | ends,
-                has_dead=dead,
-                has_cycle=cyc,
+                label=f"{r} -> {lab.target}",
+                endpoints=frozenset((y.q, y.r) for y in landed if y.is_steady),
+                has_dead=any(not self.successors(x) for x in nodes),
+                has_cycle=bool(cyclic_states(self._adapting, nodes)),
             ))
         return _PairFacts(
             progress=bool(succs),
             steady_pairs=steady_pairs,
             phases=tuple(phases),
         )
-
-
-def _has_cycle(nodes, edges) -> bool:
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {n: WHITE for n in nodes}
-    for start in nodes:
-        if color[start] != WHITE:
-            continue
-        color[start] = GRAY
-        stack = [(start, iter(edges[start]))]
-        while stack:
-            v, it = stack[-1]
-            advanced = False
-            for y in it:
-                if color[y] == GRAY:
-                    return True
-                if color[y] == WHITE:
-                    color[y] = GRAY
-                    stack.append((y, iter(edges[y])))
-                    advanced = True
-                    break
-            if not advanced:
-                color[v] = BLACK
-                stack.pop()
-    return False
 
 
 def _grid_facts(sys: SBSystem):
@@ -251,6 +199,51 @@ def _grid_facts(sys: SBSystem):
 # Relation construction
 
 
+def _weak_violations(pf: _PairFacts, rel) -> Iterator[tuple[str, str]]:
+    """Weak clauses (ii) and (iii) that a pair with facts ``pf`` breaks."""
+    if pf.steady_pairs and not (pf.steady_pairs & rel):
+        yield "ii", "no steady successor lands on a related pair"
+    if pf.phases and not (pf.weak_endpoints & rel):
+        yield "iii", "no adaptation phase completes on a related pair"
+
+
+def _strong_violations(pf: _PairFacts, rel) -> Iterator[tuple[str, str]]:
+    """Strong clauses (ii) and (iii) that a pair with facts ``pf`` breaks."""
+    missing = pf.steady_pairs - rel
+    if missing:
+        yield "ii", f"steady successors {sorted(missing)} unrelated"
+    for ph in pf.phases:
+        if ph.has_dead:
+            yield "iii", f"phase {ph.label} can dead-end while adapting"
+        if ph.has_cycle:
+            yield "iii", f"phase {ph.label} admits an infinite adaptation path"
+        missing = ph.endpoints - rel
+        if missing:
+            yield "iii", f"phase {ph.label} ends on unrelated pairs {sorted(missing)}"
+
+
+def _greatest(sys: SBSystem, violations) -> AdaptRelation:
+    """Greatest relation of progressing grid pairs breaking no clause.
+
+    Deletes violating pairs through a worklist; a deleted pair queues the
+    pairs whose steady successors or phase endpoints contain it, since only
+    their clauses can change.
+    """
+    facts = _grid_facts(sys)
+    rel = {pair for pair, pf in facts.items() if pf.progress}
+    mentioned_by: defaultdict[Pair, list[Pair]] = defaultdict(list)
+    for pair in rel:
+        for other in facts[pair].steady_pairs | facts[pair].weak_endpoints:
+            mentioned_by[other].append(pair)
+    work = list(rel)
+    while work:
+        pair = work.pop()
+        if pair in rel and next(violations(facts[pair], rel), None):
+            rel.remove(pair)
+            work.extend(mentioned_by[pair])
+    return AdaptRelation(frozenset(rel))
+
+
 def weak_relation(sys: SBSystem) -> AdaptRelation:
     """Greatest weak adaptation relation over the whole state grid.
 
@@ -259,38 +252,12 @@ def weak_relation(sys: SBSystem) -> AdaptRelation:
     leave the relation or whose adaptation phases never complete on a related
     pair, until nothing changes.
     """
-    facts = _grid_facts(sys)
-    cand = {pair for pair, pf in facts.items() if pf.progress}
-    changed = True
-    while changed:
-        changed = False
-        for pair in sorted(cand):
-            pf = facts[pair]
-            if pf.has_steady and not (pf.steady_pairs & cand):
-                cand.discard(pair)
-                changed = True
-            elif pf.has_adapt and not (pf.weak_endpoints & cand):
-                cand.discard(pair)
-                changed = True
-    return AdaptRelation(frozenset(cand))
+    return _greatest(sys, _weak_violations)
 
 
 def greatest_strong_relation(sys: SBSystem) -> AdaptRelation:
     """Greatest strong adaptation relation over the whole state grid."""
-    facts = _grid_facts(sys)
-    cand = {pair for pair, pf in facts.items() if pf.progress}
-    changed = True
-    while changed:
-        changed = False
-        for pair in sorted(cand):
-            pf = facts[pair]
-            bad = (pf.has_steady and not (pf.steady_pairs <= cand)) or any(
-                ph.has_dead or ph.has_cycle or not (ph.endpoints <= cand)
-                for ph in pf.phases)
-            if bad:
-                cand.discard(pair)
-                changed = True
-    return AdaptRelation(frozenset(cand))
+    return _greatest(sys, _strong_violations)
 
 
 def strong_relation(sys: SBSystem) -> Optional[AdaptRelation]:
@@ -309,65 +276,36 @@ def strong_relation(sys: SBSystem) -> Optional[AdaptRelation]:
 # Relation verification
 
 
-def _check_ids(sys: SBSystem, rel: AdaptRelation):
+def _check(sys: SBSystem, rel: AdaptRelation, violations) -> RelationCheck:
+    """Clause (i) for every pair of ``rel``, then the mode's ``violations``."""
     for q, r in rel.pairs:
         if q not in sys.b.states:
             raise ValueError(f"unknown behaviour state {q!r} in relation")
         if r not in sys.s.states:
             raise ValueError(f"unknown structure state {r!r} in relation")
+    an = _Analysis(sys)
+    found: list[Violation] = []
+    for q, r in sorted(rel.pairs):
+        if not sys.sat(q, sys.s.label(r)):
+            found.append(Violation((q, r), "i", "constraints not satisfied"))
+            continue
+        pf = an.facts(q, r)
+        if not pf.progress:
+            found.append(Violation((q, r), "i", "no flat successor (progress fails)"))
+            continue
+        found.extend(Violation((q, r), clause, message)
+                     for clause, message in violations(pf, rel.pairs))
+    return RelationCheck(not found, tuple(found))
 
 
 def is_weak_adaptation(sys: SBSystem, rel: AdaptRelation) -> RelationCheck:
     """Check the weak adaptation clauses for every pair of ``rel``."""
-    _check_ids(sys, rel)
-    an = _Analysis(sys)
-    violations: list[Violation] = []
-    for q, r in sorted(rel.pairs):
-        if not sys.sat(q, sys.s.label(r)):
-            violations.append(Violation((q, r), "i", "constraints not satisfied"))
-            continue
-        pf = an.facts(q, r)
-        if not pf.progress:
-            violations.append(Violation((q, r), "i", "no flat successor (progress fails)"))
-            continue
-        if pf.has_steady and not (pf.steady_pairs & rel.pairs):
-            violations.append(Violation(
-                (q, r), "ii", "no steady successor lands on a related pair"))
-        if pf.has_adapt and not (pf.weak_endpoints & rel.pairs):
-            violations.append(Violation(
-                (q, r), "iii", "no adaptation phase completes on a related pair"))
-    return RelationCheck(not violations, tuple(violations))
+    return _check(sys, rel, _weak_violations)
 
 
 def is_strong_adaptation(sys: SBSystem, rel: AdaptRelation) -> RelationCheck:
     """Check the strong adaptation clauses for every pair of ``rel``."""
-    _check_ids(sys, rel)
-    an = _Analysis(sys)
-    violations: list[Violation] = []
-    for q, r in sorted(rel.pairs):
-        if not sys.sat(q, sys.s.label(r)):
-            violations.append(Violation((q, r), "i", "constraints not satisfied"))
-            continue
-        pf = an.facts(q, r)
-        if not pf.progress:
-            violations.append(Violation((q, r), "i", "no flat successor (progress fails)"))
-            continue
-        missing = pf.steady_pairs - rel.pairs
-        if missing:
-            violations.append(Violation(
-                (q, r), "ii", f"steady successors {sorted(missing)} unrelated"))
-        for ph in pf.phases:
-            if ph.has_dead:
-                violations.append(Violation(
-                    (q, r), "iii", f"phase {ph.label} can dead-end while adapting"))
-            if ph.has_cycle:
-                violations.append(Violation(
-                    (q, r), "iii", f"phase {ph.label} admits an infinite adaptation path"))
-            missing = ph.endpoints - rel.pairs
-            if missing:
-                violations.append(Violation(
-                    (q, r), "iii", f"phase {ph.label} ends on unrelated pairs {sorted(missing)}"))
-    return RelationCheck(not violations, tuple(violations))
+    return _check(sys, rel, _strong_violations)
 
 
 # ---------------------------------------------------------------------------
@@ -402,29 +340,26 @@ def _failing_evidence(k: Kripke, inner, t0: int) -> Evidence:
                     _as_states(k, lasso.cycle))
 
 
-def check_weak(sys: SBSystem) -> Verdict:
-    """Whether the system is weak adaptable, with a witness or counterexample."""
+def _verdict(sys: SBSystem, formula, inner) -> Verdict:
     k = to_kripke(build_flat(sys))
-    holds = k.initial in sat_set(k, WEAK_FORMULA)
+    holds = k.initial in sat_set(k, formula)
     if holds:
-        lasso = witness_eg(k, WEAK_INNER, k.initial)
+        # a sample run; under AG every run is good, so EG of the inner holds too
+        lasso = witness_eg(k, inner, k.initial)
         evidence = Evidence(_as_states(k, lasso.prefix), _as_states(k, lasso.cycle))
     else:
-        evidence = _failing_evidence(k, WEAK_INNER, k.initial)
+        evidence = _failing_evidence(k, inner, k.initial)
     return Verdict(holds, evidence)
+
+
+def check_weak(sys: SBSystem) -> Verdict:
+    """Whether the system is weak adaptable, with a witness or counterexample."""
+    return _verdict(sys, WEAK_FORMULA, WEAK_INNER)
 
 
 def check_strong(sys: SBSystem) -> Verdict:
     """Whether the system is strong adaptable, with supporting evidence."""
-    k = to_kripke(build_flat(sys))
-    holds = k.initial in sat_set(k, STRONG_FORMULA)
-    if holds:
-        # a sample run; AG makes every run good, EG of the inner then holds
-        lasso = witness_eg(k, STRONG_INNER, k.initial)
-        evidence = Evidence(_as_states(k, lasso.prefix), _as_states(k, lasso.cycle))
-    else:
-        evidence = _failing_evidence(k, STRONG_INNER, k.initial)
-    return Verdict(holds, evidence)
+    return _verdict(sys, STRONG_FORMULA, STRONG_INNER)
 
 
 def state_adaptable(sys: SBSystem, q: str, r: str,

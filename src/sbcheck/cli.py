@@ -1,7 +1,8 @@
 """Command-line front end and the seeded random system generator.
 
 Exit codes: 0 when the checked property holds (or the command just
-succeeds), 1 when it fails, 2 for usage, parse or validation errors.
+succeeds), 1 when it fails, 2 for usage, parse, validation or file errors,
+3 for an internal error, reported with the exception's name.
 """
 
 from __future__ import annotations
@@ -256,7 +257,13 @@ def _cmd_verify_relation(args) -> int:
     sys_ = _load_valid(args.file)
     with open(args.relation, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    rel = adapt.AdaptRelation.of((q, r) for q, r in doc["pairs"])
+    pairs = doc.get("pairs") if isinstance(doc, dict) else None
+    if not isinstance(pairs, list) or not all(
+            isinstance(p, list) and len(p) == 2
+            and all(isinstance(x, str) for x in p) for p in pairs):
+        raise ValueError(f"{args.relation}: expected an object whose 'pairs' "
+                         "is a list of [behaviour state, structure state] pairs")
+    rel = adapt.AdaptRelation.of((q, r) for q, r in pairs)
     checker = adapt.is_weak_adaptation if args.mode == "weak" else adapt.is_strong_adaptation
     result = checker(sys_, rel)
     word = "is" if result.ok else "is not"
@@ -388,9 +395,13 @@ def run(argv) -> int:
     try:
         return args.func(args)
     except (ModelError, FormulaError, CtlError, GenerationError,
-            adapt.PreconditionError, FileNotFoundError, ValueError) as exc:
+            adapt.PreconditionError, OSError, ValueError) as exc:
         print(f"sbcheck: error: {exc}", file=_sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"sbcheck: internal error: {type(exc).__name__}: {exc}",
+              file=_sys.stderr)
+        return 3
 
 
 def main() -> None:

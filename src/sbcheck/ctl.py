@@ -9,7 +9,11 @@ parse time:
 
 Satisfaction sets are computed bottom-up; the until operators by least
 fixpoints over the predecessor relation, each pass linear in states plus
-edges.
+edges.  E[a U b] is backward reachability from b inside a; A[a U b] counts,
+per state, the successors not yet known to reach b.  Witnesses and
+counterexamples are built from shortest paths and cycle states.  Every
+traversal except the A-until counter runs through the primitives of
+``graph``, which know nothing of CTL.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
+from .graph import cyclic_states, reach, shortest_path
 from .kripke import AP, Kripke
 
 
@@ -262,7 +267,8 @@ def sat_set(k: Kripke, phi: CtlFormula) -> frozenset[int]:
                 res = frozenset(t for t in everything
                                 if any(y in target for y in succ[t]))
             case CtlEU(left=l, right=r):
-                res = _eu(k, visit(l), visit(r))
+                res = frozenset(reach(k.pred.__getitem__, visit(r),
+                                      within=visit(l)))
             case CtlAU(left=l, right=r):
                 res = _au(k, visit(l), visit(r))
             case _:
@@ -271,19 +277,6 @@ def sat_set(k: Kripke, phi: CtlFormula) -> frozenset[int]:
         return res
 
     return visit(phi)
-
-
-def _eu(k: Kripke, sat_a: frozenset[int], sat_b: frozenset[int]) -> frozenset[int]:
-    result = set(sat_b)
-    stack = list(sat_b)
-    pred = k.pred
-    while stack:
-        y = stack.pop()
-        for x in pred[y]:
-            if x not in result and x in sat_a:
-                result.add(x)
-                stack.append(x)
-    return frozenset(result)
 
 
 def _au(k: Kripke, sat_a: frozenset[int], sat_b: frozenset[int]) -> frozenset[int]:
@@ -302,11 +295,6 @@ def _au(k: Kripke, sat_a: frozenset[int], sat_b: frozenset[int]) -> frozenset[in
     return frozenset(result)
 
 
-def holds_at(k: Kripke, phi: CtlFormula, t: int) -> bool:
-    """Whether state index ``t`` satisfies ``phi``."""
-    return t in sat_set(k, phi)
-
-
 # ---------------------------------------------------------------------------
 # Witnesses and counterexamples
 
@@ -322,34 +310,6 @@ class Lasso:
         return self.prefix + self.cycle
 
 
-def _bfs_nearest(k: Kripke, start: int, goal, allowed=None) -> list[int] | None:
-    """Shortest path from ``start`` to a goal state, lowest index tie-break.
-
-    ``allowed`` optionally restricts the explored states.  The start state
-    itself is a candidate when it satisfies the goal.
-    """
-    if allowed is not None and start not in allowed:
-        return None
-    parent = {start: None}
-    frontier = [start]
-    while frontier:
-        hits = sorted(t for t in frontier if goal(t))
-        if hits:
-            path = [hits[0]]
-            while parent[path[-1]] is not None:
-                path.append(parent[path[-1]])
-            return list(reversed(path))
-        nxt = []
-        for t in sorted(frontier):
-            for y in k.succ[t]:
-                if y in parent or (allowed is not None and y not in allowed):
-                    continue
-                parent[y] = t
-                nxt.append(y)
-        frontier = nxt
-    return None
-
-
 def witness_eg(k: Kripke, inner: CtlFormula, t: int) -> Lasso:
     """A lasso from ``t`` whose states all satisfy ``inner``.
 
@@ -360,84 +320,20 @@ def witness_eg(k: Kripke, inner: CtlFormula, t: int) -> Lasso:
     good = sat_set(k, eg(inner))
     if t not in good:
         raise CtlWitnessError("state does not satisfy EG of the given formula")
-
-    # cycle states inside the EG region, restricted to what t can reach
-    reach = {t}
-    stack = [t]
-    while stack:
-        x = stack.pop()
-        for y in k.succ[x]:
-            if y in good and y not in reach:
-                reach.add(y)
-                stack.append(y)
-    cyc = _cycle_states(k, reach)
-
-    prefix_path = _bfs_nearest(k, t, lambda s: s in cyc, allowed=reach)
+    succ = k.succ.__getitem__
+    region = reach(succ, [t], within=good)
+    prefix_path = shortest_path(succ, t, cyclic_states(succ, region), within=region)
     if prefix_path is None:  # cannot happen: every good state has a good successor
         raise CtlWitnessError("no cycle reachable inside the EG region")
     head = prefix_path[-1]
     best = None
     for y in sorted(k.succ[head]):
-        if y not in reach:
-            continue
-        back = _bfs_nearest(k, y, lambda s: s == head, allowed=reach)
+        back = shortest_path(succ, y, (head,), within=region)
         if back is not None and (best is None or len(back) < len(best)):
             best = back
     assert best is not None
     cycle = [head] + best[:-1]
     return Lasso(tuple(prefix_path[:-1]), tuple(cycle))
-
-
-def _cycle_states(k: Kripke, region: set[int]) -> set[int]:
-    """States of ``region`` lying on a cycle of the induced subgraph."""
-    index: dict[int, int] = {}
-    low: dict[int, int] = {}
-    on_stack: set[int] = set()
-    stack: list[int] = []
-    counter = [0]
-    cyc: set[int] = set()
-
-    def strongconnect(v0: int):
-        work = [(v0, iter([y for y in k.succ[v0] if y in region]))]
-        index[v0] = low[v0] = counter[0]
-        counter[0] += 1
-        stack.append(v0)
-        on_stack.add(v0)
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for y in it:
-                if y not in index:
-                    index[y] = low[y] = counter[0]
-                    counter[0] += 1
-                    stack.append(y)
-                    on_stack.add(y)
-                    work.append((y, iter([z for z in k.succ[y] if z in region])))
-                    advanced = True
-                    break
-                if y in on_stack:
-                    low[v] = min(low[v], index[y])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                if len(comp) > 1 or (comp and comp[0] in k.succ[comp[0]]):
-                    cyc.update(comp)
-
-    for v in region:
-        if v not in index:
-            strongconnect(v)
-    return cyc
 
 
 def counterexample_ag(k: Kripke, inner: CtlFormula, t: int) -> tuple[int, ...]:
@@ -447,7 +343,7 @@ def counterexample_ag(k: Kripke, inner: CtlFormula, t: int) -> tuple[int, ...]:
     break on the state index.
     """
     bad = frozenset(range(k.n_states)) - sat_set(k, inner)
-    path = _bfs_nearest(k, t, lambda s: s in bad)
+    path = shortest_path(k.succ.__getitem__, t, bad)
     if path is None:
         raise CtlWitnessError("AG of the given formula holds; no counterexample")
     return tuple(path)

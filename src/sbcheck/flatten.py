@@ -118,11 +118,6 @@ def flat_successors(sys: SBSystem, f: FlatState) -> list[tuple[FlatLabel, FlatSt
     return sorted(out, key=lambda p: (_label_key(p[0]), _state_key(p[1])))
 
 
-def progress(sys: SBSystem, q: str, r: str) -> bool:
-    """Whether the steady state (q, r, {}) has at least one flat successor."""
-    return bool(flat_successors(sys, FlatState(q, r, None)))
-
-
 class FlatLts:
     """Reachable flat transition system, with canonical state ordering."""
 
@@ -133,14 +128,14 @@ class FlatLts:
         self.initial = initial
         self.states = tuple(sorted(states, key=_state_key))
         self.index = {f: i for i, f in enumerate(self.states)}
-        self.transitions = tuple(sorted(
-            transitions,
-            key=lambda t: (_state_key(t[0]), _label_key(t[1]), _state_key(t[2]))))
+        # each state's transitions arrive in canonical (label, target) order
         succ: dict[FlatState, list[tuple[FlatLabel, FlatState]]] = {
             f: [] for f in self.states}
-        for src, lab, dst in self.transitions:
+        for src, lab, dst in transitions:
             succ[src].append((lab, dst))
         self._succ = {f: tuple(ts) for f, ts in succ.items()}
+        self.transitions = tuple((f, lab, g) for f in self.states
+                                 for lab, g in self._succ[f])
 
     def successors(self, f: FlatState) -> tuple[tuple[FlatLabel, FlatState], ...]:
         return self._succ[f]

@@ -73,11 +73,6 @@ def to_kripke(flat: FlatLts) -> Kripke:
                   frozenset(looped))
 
 
-def labels_of(k: Kripke, t: int) -> frozenset[str]:
-    """Atomic propositions holding at state index ``t``."""
-    return k.labels[t]
-
-
 def to_dot(k: Kripke) -> str:
     lines = ["digraph kripke {", "  rankdir=LR;"]
     for i, f in enumerate(k.states):

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from sbcheck import models
+from sbcheck import adapt, models
 from sbcheck.cli import gen_random, run, system_to_dsl
 from sbcheck.flatten import build_flat
 from sbcheck.model import parse_model, validate
@@ -74,6 +74,36 @@ def test_verify_relation(tmp_path, capsys):
                 "--relation", str(rel), "--mode", "strong"]) == 1
     out = capsys.readouterr().out
     assert "(3, r0)" in out and "iii" in out
+
+
+def test_verify_relation_without_pairs_key(tmp_path, capsys):
+    rel = tmp_path / "rel.json"
+    rel.write_text(json.dumps({"relation": [["0", "r0"]]}))
+    assert run(["verify-relation", model_path("atv_s1"),
+                "--relation", str(rel), "--mode", "weak"]) == 2
+    assert "'pairs'" in capsys.readouterr().err
+
+
+def test_verify_relation_with_bare_pair_list(tmp_path, capsys):
+    rel = tmp_path / "rel.json"
+    rel.write_text(json.dumps([["0", "r0"], ["1", "r0"]]))
+    assert run(["verify-relation", model_path("atv_s1"),
+                "--relation", str(rel), "--mode", "weak"]) == 2
+    assert "'pairs'" in capsys.readouterr().err
+
+
+def test_directory_as_model(tmp_path, capsys):
+    assert run(["check", str(tmp_path), "--mode", "weak"]) == 2
+    assert "sbcheck: error:" in capsys.readouterr().err
+
+
+def test_internal_error_exits_3(monkeypatch, capsys):
+    def broken(sys_):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(adapt, "check_weak", broken)
+    assert run(["check", model_path("atv_s0"), "--mode", "weak"]) == 3
+    assert "internal error: RuntimeError: boom" in capsys.readouterr().err
 
 
 def test_ctl_subcommand(capsys):

@@ -3,7 +3,7 @@ import random
 from sbcheck.cli import gen_random
 from sbcheck.constraints import parse_formula
 from sbcheck.flatten import FlatState, build_flat
-from sbcheck.kripke import labels_of, to_dot, to_kripke
+from sbcheck.kripke import to_dot, to_kripke
 
 
 def idx(k, q, r, ph=None):
@@ -15,32 +15,32 @@ def test_dead_state_gets_plain_self_loop(bone_s1, kripkes):
     ph = (parse_formula("Ob>0 && Oy==0", bone_s1.sig), "r5")
     t = idx(k, "0_1_0", "r4", ph)
     assert k.succ[t] == (t,)
-    assert labels_of(k, t) == frozenset()
+    assert k.labels[t] == frozenset()
     assert t in k.self_looped
 
 
 def test_purely_steady_state_labels(kripkes):
     k = kripkes["atv_s0"]
     t = idx(k, "0", "r0")
-    assert labels_of(k, t) == {"steady", "progress"}
+    assert k.labels[t] == {"steady", "progress"}
 
 
 def test_border_state_labels(kripkes):
     k = kripkes["atv_s0"]
     t = idx(k, "3", "r0")
-    assert labels_of(k, t) == {"adapting", "steady", "progress"}
+    assert k.labels[t] == {"adapting", "steady", "progress"}
 
 
 def test_mid_phase_state_labels(atv_s1, kripkes):
     k = kripkes["atv_s1"]
     ph = (parse_formula("v==V0 || v==V1", atv_s1.sig), "r0")
     t = idx(k, "11", "r0", ph)
-    assert labels_of(k, t) == {"adapting", "progress"}
+    assert k.labels[t] == {"adapting", "progress"}
 
 
 def test_initial_label_of_atv(kripkes):
     k = kripkes["atv_s0"]
-    assert labels_of(k, k.initial) == {"steady", "progress"}
+    assert k.labels[k.initial] == {"steady", "progress"}
 
 
 def _invariants(k):
