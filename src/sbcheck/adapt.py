@@ -313,7 +313,8 @@ def is_strong_adaptation(sys: SBSystem, rel: AdaptRelation) -> RelationCheck:
 
 
 def _as_states(k: Kripke, indices) -> tuple[FlatState, ...]:
-    return tuple(k.states[i] for i in indices)
+    """The flat states at ``indices``, decoded one by one."""
+    return tuple(map(k.flat.state, indices))
 
 
 def _failing_evidence(k: Kripke, inner, t0: int) -> Evidence:
@@ -327,7 +328,7 @@ def _failing_evidence(k: Kripke, inner, t0: int) -> Evidence:
     """
     try:
         path = list(counterexample_ag(k, CtlAtom("progress"), t0))
-        return Evidence(_as_states(k, path[:-1]), (k.states[path[-1]],))
+        return Evidence(_as_states(k, path[:-1]), _as_states(k, path[-1:]))
     except CtlWitnessError:
         pass
     path = list(counterexample_ag(k, inner, t0))

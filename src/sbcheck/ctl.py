@@ -119,7 +119,7 @@ def ax(phi: CtlFormula) -> CtlFormula:
 # ---------------------------------------------------------------------------
 # Parser
 
-_UNARY = {"EX": CtlEX, "AX": ax, "EF": ef, "AF": af, "EG": eg, "AG": ag}
+_UNARY = {"!": CtlNot, "EX": CtlEX, "AX": ax, "EF": ef, "AF": af, "EG": eg, "AG": ag}
 
 
 class _CtlParser:
@@ -194,13 +194,12 @@ class _CtlParser:
         return node
 
     def _unary(self):
+        # a prefix chain is collected in a loop, so its length is not bounded
+        # by the recursion limit
+        prefix = []
+        while self.peek() in _UNARY:
+            prefix.append(_UNARY[self.take()])
         tok = self.peek()
-        if tok == "!":
-            self.take()
-            return CtlNot(self._unary())
-        if tok in _UNARY:
-            self.take()
-            return _UNARY[tok](self._unary())
         if tok in ("E", "A"):
             self.take()
             self.expect("[")
@@ -208,8 +207,12 @@ class _CtlParser:
             self.expect("U")
             right = self._implies()
             self.expect("]")
-            return CtlEU(left, right) if tok == "E" else CtlAU(left, right)
-        return self._primary()
+            node = CtlEU(left, right) if tok == "E" else CtlAU(left, right)
+        else:
+            node = self._primary()
+        for op in reversed(prefix):
+            node = op(node)
+        return node
 
     def _primary(self):
         tok = self.take()
@@ -237,15 +240,41 @@ def parse_ctl(text: str) -> CtlFormula:
 # Satisfaction sets
 
 
-def sat_set(k: Kripke, phi: CtlFormula) -> frozenset[int]:
-    """Indices of the states satisfying ``phi``, computed bottom-up."""
-    memo: dict[CtlFormula, frozenset[int]] = {}
-    everything = frozenset(range(k.n_states))
+def _operands(node: CtlFormula) -> tuple[CtlFormula, ...]:
+    match node:
+        case CtlNot(arg=x) | CtlEX(arg=x):
+            return (x,)
+        case (CtlAnd(left=l, right=r) | CtlOr(left=l, right=r)
+              | CtlImplies(left=l, right=r) | CtlEU(left=l, right=r)
+              | CtlAU(left=l, right=r)):
+            return (l, r)
+        case CtlTrue() | CtlFalse() | CtlAtom():
+            return ()
+    raise TypeError(f"not a CTL node: {node!r}")
 
-    def visit(node: CtlFormula) -> frozenset[int]:
-        hit = memo.get(node)
-        if hit is not None:
-            return hit
+
+def sat_set(k: Kripke, phi: CtlFormula) -> frozenset[int]:
+    """Indices of the states satisfying ``phi``, computed bottom-up.
+
+    The nodes are visited in post-order from an explicit stack, so a deeply
+    nested formula does not recurse; results are memoised by node identity,
+    so no deep node is hashed or compared.
+    """
+    memo: dict[int, frozenset[int]] = {}  # the nodes stay alive inside phi
+    everything = frozenset(range(k.n_states))
+    stack = [phi]
+    while stack:
+        node = stack[-1]
+        if id(node) in memo:
+            stack.pop()
+            continue
+        args = _operands(node)
+        todo = [x for x in args if id(x) not in memo]
+        if todo:
+            stack += todo
+            continue
+        stack.pop()
+        sub = [memo[id(x)] for x in args]
         match node:
             case CtlTrue():
                 res = everything
@@ -253,30 +282,24 @@ def sat_set(k: Kripke, phi: CtlFormula) -> frozenset[int]:
                 res = frozenset()
             case CtlAtom(name=name):
                 res = frozenset(t for t in everything if name in k.labels[t])
-            case CtlNot(arg=x):
-                res = everything - visit(x)
-            case CtlAnd(left=l, right=r):
-                res = visit(l) & visit(r)
-            case CtlOr(left=l, right=r):
-                res = visit(l) | visit(r)
-            case CtlImplies(left=l, right=r):
-                res = (everything - visit(l)) | visit(r)
-            case CtlEX(arg=x):
-                target = visit(x)
-                succ = k.succ
+            case CtlNot():
+                res = everything - sub[0]
+            case CtlAnd():
+                res = sub[0] & sub[1]
+            case CtlOr():
+                res = sub[0] | sub[1]
+            case CtlImplies():
+                res = (everything - sub[0]) | sub[1]
+            case CtlEX():
+                target, succ = sub[0], k.succ
                 res = frozenset(t for t in everything
                                 if any(y in target for y in succ[t]))
-            case CtlEU(left=l, right=r):
-                res = frozenset(reach(k.pred.__getitem__, visit(r),
-                                      within=visit(l)))
-            case CtlAU(left=l, right=r):
-                res = _au(k, visit(l), visit(r))
-            case _:
-                raise TypeError(f"not a CTL node: {node!r}")
-        memo[node] = res
-        return res
-
-    return visit(phi)
+            case CtlEU():
+                res = frozenset(reach(k.pred.__getitem__, sub[1], within=sub[0]))
+            case CtlAU():
+                res = _au(k, sub[0], sub[1])
+        memo[id(node)] = res
+    return memo[id(phi)]
 
 
 def _au(k: Kripke, sat_a: frozenset[int], sat_b: frozenset[int]) -> frozenset[int]:

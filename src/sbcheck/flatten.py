@@ -19,13 +19,26 @@ progress.  Successors are derived by five rules:
                 soon as they can.
 * AdaptStartEnd - adaptation must start but one move already reaches the
                 target constraints; the invariant is skipped.
+
+The rules run over interned ids.  Behaviour ids, structure ids and the
+distinct (invariant, target) phases are ranked in sorted order (phases by
+target, then printed invariant), and a flat state is the single int
+``(q*R + r)*P + phase``, with phase 0 meaning steady; int order is the
+canonical state order.  Formula satisfaction is read from the system's
+table rows (``SBSystem.sat_row``).  ``build_flat`` stores the reachable
+system as CSR arrays (offsets, label ranks, targets) over dense state
+indices, emitted already in canonical order; ``FlatState`` and label objects
+are decoded only for the views that ask for them.  ``flat_successors``
+encodes a ``FlatState``, runs the same rules and decodes the result.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Optional
+from functools import cached_property
+from typing import Iterator, Optional
 
 from .constraints import Formula, pretty
 from .model import SBSystem
@@ -65,94 +78,196 @@ class AdaptPhase:
 FlatLabel = SteadyIn | AdaptPhase
 
 
-def _label_key(label: FlatLabel):
-    if isinstance(label, SteadyIn):
-        return (0, label.r, "", "")
-    return (1, label.r, label.target, pretty(label.inv))
+class _Rules:
+    """The five rules of one system over interned ids.
 
+    A flat state is the int ``(q*R + r)*P + p`` of its behaviour rank ``q``,
+    structure rank ``r`` and phase rank ``p`` (0 when steady), with ``R``
+    structure states and ``P - 1`` phases.  Every rank follows the sorted
+    ids, so int order is the canonical state order.  The satisfaction rows
+    a structure state or a phase needs are fetched on its first visit.
+    """
 
-def _state_key(f: FlatState):
-    if f.phase is None:
-        return (f.q, f.r, "", "")
-    inv, target = f.phase
-    return (f.q, f.r, target, pretty(inv))
+    def __init__(self, sys: SBSystem):
+        self.sys = sys
+        self.succ = sys.b.succ_ranks
+        self.P = len(sys.s.phases)
+        self.RP = len(sys.s.ids) * self.P
+        self._steady: list = [None] * len(sys.s.ids)
+        self._phase: list = [None] * self.P
+        self._labels: dict[tuple[int, int], FlatLabel] = {}
+
+    def _phase_rules(self, p: int):
+        """(invariant row, target steady offset, target label row) of phase ``p``."""
+        hit = self._phase[p]
+        if hit is None:
+            sys, s = self.sys, self.sys.s
+            inv, target = s.phases[p]
+            hit = self._phase[p] = (sys.sat_row(inv), s.rank[target] * self.P,
+                                    sys.sat_row(s.label(target)))
+        return hit
+
+    def _steady_rules(self, r: int):
+        """The label row of structure state ``r`` and its outgoing phases."""
+        hit = self._steady[r]
+        if hit is None:
+            s = self.sys.s
+            rid = s.ids[r]
+            starts = sorted({s.phase_rank[tr.inv, tr.target]
+                             for tr in s.transitions_from(rid)})
+            hit = self._steady[r] = (self.sys.sat_row(s.label(rid)),
+                                     [(p, *self._phase_rules(p)) for p in starts])
+        return hit
+
+    def step(self, code: int) -> list[tuple[int, list[int]]]:
+        """The successors of flat state ``code`` as (label, targets) groups.
+
+        A label is the phase rank of the transition (0 for Steady) and goes
+        with the source's structure state.  Groups come in label order and
+        targets ascend within a group, which is the canonical order.
+        """
+        RP = self.RP
+        q, rest = divmod(code, RP)  # rest = r*P + p
+        r, p = divmod(rest, self.P)
+        succ = self.succ[q]
+        if p == 0:
+            label_r, starts = self._steady_rules(r)
+            if not label_r[q]:
+                return []
+            steady = [q2 * RP + rest for q2 in succ if label_r[q2]]
+            if steady:
+                return [(0, steady)]                               # Steady
+            out = []
+            for p2, inv, end, label_t in starts:
+                mid = rest + p2
+                # AdaptStartEnd where the target constraints hold, else AdaptStart
+                ts = [q2 * RP + (end if label_t[q2] else mid)
+                      for q2 in succ if label_t[q2] or inv[q2]]
+                if ts:
+                    out.append((p2, ts))
+            return out
+        inv, end, label_t = self._phase_rules(p)
+        if not inv[q] or label_t[q]:
+            return []
+        ends = [q2 * RP + end for q2 in succ if label_t[q2]]
+        if ends:
+            return [(p, ends)]                                     # AdaptEnd
+        mids = [q2 * RP + rest for q2 in succ if inv[q2]]
+        return [(p, mids)] if mids else []                         # Adapt
+
+    def encode(self, f: FlatState) -> int:
+        s = self.sys.s
+        if f.phase is None:
+            p = 0
+        else:
+            p = s.phase_rank.get(f.phase)
+            if p is None:
+                raise ValueError(f"{f} is in no phase of the system")
+        return (self.sys.b.rank[f.q] * len(s.ids) + s.rank[f.r]) * self.P + p
+
+    def decode(self, code: int) -> FlatState:
+        s = self.sys.s
+        q, rest = divmod(code, self.RP)
+        r, p = divmod(rest, self.P)
+        return FlatState(self.sys.b.ids[q], s.ids[r], s.phases[p])
+
+    def label(self, code: int, p: int) -> FlatLabel:
+        """The label ``p`` of a transition leaving flat state ``code``."""
+        r = code % self.RP // self.P
+        hit = self._labels.get((r, p))
+        if hit is None:
+            s = self.sys.s
+            if p == 0:
+                hit = SteadyIn(s.ids[r])
+            else:
+                inv, target = s.phases[p]
+                hit = AdaptPhase(s.ids[r], inv, target)
+            self._labels[r, p] = hit
+        return hit
 
 
 def flat_successors(sys: SBSystem, f: FlatState) -> list[tuple[FlatLabel, FlatState]]:
     """All rule-derivable successors of ``f``, deduplicated, in canonical order."""
-    out: set[tuple[FlatLabel, FlatState]] = set()
-    b, s = sys.b, sys.s
-    succs = b.successors(f.q)
-    if f.phase is None:
-        label_r = s.label(f.r)
-        if not sys.sat(f.q, label_r):
-            return []
-        steady = [q2 for q2 in succs if sys.sat(q2, label_r)]
-        if steady:
-            lab = SteadyIn(f.r)
-            for q2 in steady:
-                out.add((lab, FlatState(q2, f.r, None)))
-        elif succs:
-            # adaptation may start: every successor violates the constraints
-            for tr in s.transitions_from(f.r):
-                lab = AdaptPhase(f.r, tr.inv, tr.target)
-                label_t = s.label(tr.target)
-                for q2 in succs:
-                    if sys.sat(q2, label_t):
-                        out.add((lab, FlatState(q2, tr.target, None)))
-                    elif sys.sat(q2, tr.inv):
-                        out.add((lab, FlatState(q2, f.r, (tr.inv, tr.target))))
-    else:
-        inv, target = f.phase
-        label_t = s.label(target)
-        if sys.sat(f.q, inv) and not sys.sat(f.q, label_t):
-            lab = AdaptPhase(f.r, inv, target)
-            ends = [q2 for q2 in succs if sys.sat(q2, label_t)]
-            if ends:
-                for q2 in ends:
-                    out.add((lab, FlatState(q2, target, None)))
-            else:
-                for q2 in succs:
-                    if sys.sat(q2, inv):
-                        out.add((lab, FlatState(q2, f.r, (inv, target))))
-    return sorted(out, key=lambda p: (_label_key(p[0]), _state_key(p[1])))
+    rules = _Rules(sys)
+    code = rules.encode(f)
+    return [(rules.label(code, p), rules.decode(t))
+            for p, ts in rules.step(code) for t in ts]
 
 
 class FlatLts:
-    """Reachable flat transition system, with canonical state ordering."""
+    """Reachable flat transition system, with canonical state ordering.
 
-    def __init__(self, system: SBSystem, initial: FlatState,
-                 states: list[FlatState],
-                 transitions: list[tuple[FlatState, FlatLabel, FlatState]]):
+    The system is held in CSR form over dense indices: state ``i`` is the
+    ``i``-th reachable state in canonical order, with int code ``codes[i]``;
+    its transitions are ``(labels[e], targets[e])`` for ``e`` in
+    ``offsets[i]:offsets[i + 1]``, in canonical (label, target) order.  A
+    label is a phase rank, 0 for a steady step.  ``FlatState`` and label
+    objects are decoded on demand; ``states``, ``index`` and ``transitions``
+    are built on first access.
+    """
+
+    def __init__(self, system: SBSystem, rules: _Rules, initial_code: int,
+                 codes: list[int], offsets: list[int], labels: list[int],
+                 targets: list[int]):
         self.system = system
-        self.initial = initial
-        self.states = tuple(sorted(states, key=_state_key))
-        self.index = {f: i for i, f in enumerate(self.states)}
-        # each state's transitions arrive in canonical (label, target) order
-        succ: dict[FlatState, list[tuple[FlatLabel, FlatState]]] = {
-            f: [] for f in self.states}
-        for src, lab, dst in transitions:
-            succ[src].append((lab, dst))
-        self._succ = {f: tuple(ts) for f, ts in succ.items()}
-        self.transitions = tuple((f, lab, g) for f in self.states
-                                 for lab, g in self._succ[f])
+        self._rules = rules
+        self.codes = codes
+        self.offsets = offsets
+        self.labels = labels
+        self.targets = targets
+        self.initial_index = bisect_left(codes, initial_code)
+        self.initial = rules.decode(initial_code)
+
+    def state(self, i: int) -> FlatState:
+        return self._rules.decode(self.codes[i])
+
+    @cached_property
+    def states(self) -> tuple[FlatState, ...]:
+        return tuple(map(self._rules.decode, self.codes))
+
+    @cached_property
+    def index(self) -> dict[FlatState, int]:
+        return {f: i for i, f in enumerate(self.states)}
+
+    def edges(self) -> Iterator[tuple[int, FlatLabel, int]]:
+        """(source index, label, target index) of every transition, in order."""
+        label, codes, offsets = self._rules.label, self.codes, self.offsets
+        for i, code in enumerate(codes):
+            for e in range(offsets[i], offsets[i + 1]):
+                yield i, label(code, self.labels[e]), self.targets[e]
+
+    @cached_property
+    def transitions(self) -> tuple[tuple[FlatState, FlatLabel, FlatState], ...]:
+        states = self.states
+        return tuple((states[i], lab, states[j]) for i, lab, j in self.edges())
 
     def successors(self, f: FlatState) -> tuple[tuple[FlatLabel, FlatState], ...]:
-        return self._succ[f]
+        code = self._rules.encode(f)
+        i = bisect_left(self.codes, code)
+        if i == len(self.codes) or self.codes[i] != code:
+            raise KeyError(f)
+        label = self._rules.label
+        return tuple((label(code, self.labels[e]), self.state(self.targets[e]))
+                     for e in range(self.offsets[i], self.offsets[i + 1]))
 
     def steady_pairs(self) -> frozenset[tuple[str, str]]:
-        return frozenset((f.q, f.r) for f in self.states if f.is_steady)
+        P, RP = self._rules.P, self._rules.RP
+        qids, rids = self.system.b.ids, self.system.s.ids
+        return frozenset((qids[c // RP], rids[c % RP // P])
+                         for c in self.codes if c % P == 0)
 
     def dead_states(self) -> tuple[FlatState, ...]:
-        return tuple(f for f in self.states if not self._succ[f])
+        off = self.offsets
+        return tuple(self.state(i) for i in range(len(self.codes))
+                     if off[i] == off[i + 1])
 
     @property
     def n_states(self) -> int:
-        return len(self.states)
+        return len(self.codes)
 
     @property
     def n_transitions(self) -> int:
-        return len(self.transitions)
+        return len(self.targets)
 
 
 def build_flat(sys: SBSystem, root: tuple[str, str] | None = None) -> FlatLts:
@@ -163,25 +278,43 @@ def build_flat(sys: SBSystem, root: tuple[str, str] | None = None) -> FlatLts:
     reachable from the initial state.
     """
     if root is None:
-        f0 = FlatState(sys.b.initial, sys.s.initial, None)
-    else:
-        q, r = root
-        if q not in sys.b.states or r not in sys.s.states:
-            raise ValueError(f"unknown root pair ({q!r}, {r!r})")
-        f0 = FlatState(q, r, None)
-    states = [f0]
-    seen = {f0}
-    transitions: list[tuple[FlatState, FlatLabel, FlatState]] = []
-    queue = [f0]
-    while queue:
-        f = queue.pop()
-        for lab, g in flat_successors(sys, f):
-            transitions.append((f, lab, g))
-            if g not in seen:
-                seen.add(g)
-                states.append(g)
-                queue.append(g)
-    return FlatLts(sys, f0, states, transitions)
+        root = (sys.b.initial, sys.s.initial)
+    q, r = root
+    if q not in sys.b.states or r not in sys.s.states:
+        raise ValueError(f"unknown root pair ({q!r}, {r!r})")
+    rules = _Rules(sys)
+    c0 = rules.encode(FlatState(q, r, None))
+    # depth-first, each state's transitions appended in visit order
+    order: list[int] = []
+    ends: list[int] = [0]
+    visit_labels: list[int] = []
+    visit_targets: list[int] = []
+    seen = {c0}
+    stack = [c0]
+    while stack:
+        code = stack.pop()
+        order.append(code)
+        for p, ts in rules.step(code):
+            visit_labels += [p] * len(ts)
+            visit_targets += ts
+            new = [t for t in ts if t not in seen]
+            seen.update(new)
+            stack += new
+        ends.append(len(visit_targets))
+    # renumber densely in canonical order
+    perm = sorted(range(len(order)), key=order.__getitem__)
+    codes = [order[k] for k in perm]
+    index = dict(zip(codes, range(len(codes))))
+    dense = list(map(index.__getitem__, visit_targets))
+    offsets = [0]
+    labels: list[int] = []
+    targets: list[int] = []
+    for k in perm:
+        a, b = ends[k], ends[k + 1]
+        labels += visit_labels[a:b]
+        targets += dense[a:b]
+        offsets.append(len(targets))
+    return FlatLts(sys, rules, c0, codes, offsets, labels, targets)
 
 
 # ---------------------------------------------------------------------------
@@ -195,17 +328,18 @@ def _dot_id(f: FlatState) -> str:
 def to_dot(flat: FlatLts) -> str:
     """Graphviz rendering; steady states filled, adapting states hollow."""
     lines = ["digraph flat {", "  rankdir=LR;", '  node [shape=ellipse];']
-    for f in flat.states:
+    ids = [_dot_id(f) for f in flat.states]
+    for i, f in enumerate(flat.states):
         style = "filled" if f.is_steady else "solid"
-        marks = ' peripheries=2' if f == flat.initial else ""
-        lines.append(f"  {_dot_id(f)} [style={style}{marks}];")
-    for src, lab, dst in flat.transitions:
+        marks = ' peripheries=2' if i == flat.initial_index else ""
+        lines.append(f"  {ids[i]} [style={style}{marks}];")
+    for i, lab, j in flat.edges():
         if isinstance(lab, SteadyIn):
             text = lab.r
         else:
             text = f"{lab.r},{pretty(lab.inv)},{lab.target}"
         text = text.replace('"', r"\"")
-        lines.append(f'  {_dot_id(src)} -> {_dot_id(dst)} [label="{text}"];')
+        lines.append(f'  {ids[i]} -> {ids[j]} [label="{text}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -222,20 +356,20 @@ def to_json(flat: FlatLts) -> str:
     """JSON rendering with stable key order."""
     doc = {
         "system": flat.system.name,
-        "initial": flat.index[flat.initial],
+        "initial": flat.initial_index,
         "states": [state_json(f) for f in flat.states],
         "transitions": [
             {
-                "from": flat.index[src],
+                "from": i,
                 "label": (
                     {"kind": "steady", "r": lab.r}
                     if isinstance(lab, SteadyIn)
                     else {"kind": "adapt", "r": lab.r,
                           "inv": pretty(lab.inv), "target": lab.target}
                 ),
-                "to": flat.index[dst],
+                "to": j,
             }
-            for src, lab, dst in flat.transitions
+            for i, lab, j in flat.edges()
         ],
     }
     return json.dumps(doc, indent=2)

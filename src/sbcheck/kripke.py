@@ -9,38 +9,61 @@ self-loop.  Labels come from the original flat transitions only:
 
 Added self-loops never contribute to labels, which keeps dead states
 progress-free.
+
+``to_kripke`` reads the flat system's CSR arrays: a state's successors are
+its distinct flat targets, and its labels follow from its label ranks and
+its phase.  States keep the flat system's dense indices; the ``FlatState``
+objects are decoded only when ``states`` is first read.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
 
-from .flatten import AdaptPhase, FlatLts, FlatState
+from .flatten import FlatLts, FlatState
 
 AP = ("adapting", "steady", "progress")
 
+_NONE = frozenset()
+_PROGRESS = frozenset({"progress"})
+_STEADY = frozenset({"steady", "progress"})
+_ADAPTING = frozenset({"adapting", "progress"})
+_BORDER = frozenset({"adapting", "steady", "progress"})
+
 
 class Kripke:
-    def __init__(self, states: tuple[FlatState, ...], initial: int,
+    """States ``0..n-1`` with ascending successor tuples ``succ[i]``.
+
+    ``states`` is a tuple of ``FlatState``s, or the ``FlatLts`` the
+    structure was derived from, whose states are then decoded on first
+    access.
+    """
+
+    def __init__(self, states: tuple[FlatState, ...] | FlatLts, initial: int,
                  succ: list[tuple[int, ...]], labels: list[frozenset[str]],
                  self_looped: frozenset[int]):
-        self.states = states
+        if isinstance(states, FlatLts):
+            self.flat = states
+        else:
+            self.flat = None
+            self.states = states
         self.initial = initial
         self.succ = succ
         self.labels = labels
         self.self_looped = self_looped  # states that were flat-dead
+        self.n_edges = sum(map(len, succ))
+
+    @cached_property
+    def states(self) -> tuple[FlatState, ...]:
+        return self.flat.states
 
     @property
     def n_states(self) -> int:
-        return len(self.states)
-
-    @property
-    def n_edges(self) -> int:
-        return sum(len(ts) for ts in self.succ)
+        return len(self.succ)
 
     @cached_property
     def pred(self) -> list[tuple[int, ...]]:
-        pred: list[list[int]] = [[] for _ in self.states]
+        pred: list[list[int]] = [[] for _ in self.succ]
         for s, targets in enumerate(self.succ):
             for t in targets:
                 pred[t].append(s)
@@ -49,28 +72,29 @@ class Kripke:
 
 def to_kripke(flat: FlatLts) -> Kripke:
     """Left-total Kripke structure labelled over {adapting, steady, progress}."""
-    n = len(flat.states)
-    succ_sets: list[set[int]] = [set() for _ in range(n)]
+    offsets, ranks, targets = flat.offsets, flat.labels, flat.targets
+    P = len(flat.system.s.phases)
+    succ: list[tuple[int, ...]] = []
     labels: list[frozenset[str]] = []
-    looped: set[int] = set()
-    for i, f in enumerate(flat.states):
-        outgoing = flat.successors(f)
-        lab = set()
-        if any(isinstance(l, AdaptPhase) for l, _ in outgoing):
-            lab.add("adapting")
-        if outgoing:
-            lab.add("progress")
-            if f.is_steady:
-                lab.add("steady")
-        labels.append(frozenset(lab))
-        for _, g in outgoing:
-            succ_sets[i].add(flat.index[g])
-        if not outgoing:
-            succ_sets[i].add(i)
-            looped.add(i)
-    succ = [tuple(sorted(ts)) for ts in succ_sets]
-    return Kripke(flat.states, flat.index[flat.initial], succ, labels,
-                  frozenset(looped))
+    looped: list[int] = []
+    for i, code in enumerate(flat.codes):
+        a, b = offsets[i], offsets[i + 1]
+        if a == b:
+            succ.append((i,))
+            labels.append(_NONE)
+            looped.append(i)
+            continue
+        if ranks[a] == ranks[b - 1]:
+            # one label: its targets are already distinct and ascending
+            succ.append(tuple(targets[a:b]))
+        else:
+            succ.append(tuple(sorted(set(targets[a:b]))))
+        adapting = ranks[b - 1] != 0  # labels ascend, steady (0) first
+        if code % P == 0:
+            labels.append(_BORDER if adapting else _STEADY)
+        else:
+            labels.append(_ADAPTING if adapting else _PROGRESS)
+    return Kripke(flat, flat.initial_index, succ, labels, frozenset(looped))
 
 
 def to_dot(k: Kripke) -> str:

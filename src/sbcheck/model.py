@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Optional
 
 from .constraints import (
@@ -73,6 +74,22 @@ class BLevel:
     def successors(self, q: str) -> tuple[str, ...]:
         return self._succ.get(q, ())
 
+    @cached_property
+    def ids(self) -> tuple[str, ...]:
+        """State ids in sorted order; a state's position is its rank."""
+        return tuple(sorted(self.states))
+
+    @cached_property
+    def rank(self) -> dict[str, int]:
+        return {q: i for i, q in enumerate(self.ids)}
+
+    @cached_property
+    def succ_ranks(self) -> tuple[tuple[int, ...], ...]:
+        """The successor ranks of each state, by rank; ascending, since
+        successor ids are sorted."""
+        rank = self.rank
+        return tuple(tuple(rank[d] for d in self.successors(q)) for q in self.ids)
+
 
 @dataclass(frozen=True)
 class STransition:
@@ -111,6 +128,26 @@ class SLevel:
     def transitions_from(self, r: str) -> tuple[STransition, ...]:
         return self._from.get(r, ())
 
+    @cached_property
+    def ids(self) -> tuple[str, ...]:
+        """State ids in sorted order; a state's position is its rank."""
+        return tuple(sorted(self.states))
+
+    @cached_property
+    def rank(self) -> dict[str, int]:
+        return {r: i for i, r in enumerate(self.ids)}
+
+    @cached_property
+    def phases(self) -> tuple[Optional[tuple[Formula, str]], ...]:
+        """The distinct (invariant, target) pairs of the transitions, ranked
+        from 1 by target and printed invariant; rank 0 is ``None``, no phase."""
+        distinct = dict.fromkeys((tr.inv, tr.target) for tr in self.transitions)
+        return (None, *sorted(distinct, key=lambda ph: (ph[1], pretty(ph[0]))))
+
+    @cached_property
+    def phase_rank(self) -> dict[tuple[Formula, str], int]:
+        return {ph: p for p, ph in enumerate(self.phases) if p}
+
 
 class SBSystem:
     """A behaviour level coupled with a structural level over one signature."""
@@ -120,16 +157,44 @@ class SBSystem:
         self.sig = sig
         self.b = b
         self.s = s
-        self._sat_cache: dict[tuple[Formula, str], bool] = {}
+        # the satisfaction table: id of a formula -> (formula, row); holding
+        # the formula keeps its id from being reused
+        self._sat: dict[int, tuple[Formula, bytearray]] = {}
+
+    def sat_row(self, phi: Formula) -> bytearray:
+        """The row of ``phi`` in the satisfaction table: entry ``i`` is 1 when
+        the behaviour state of rank ``i`` satisfies ``phi``, else 0.
+
+        A row is filled on the first use of the formula object, evaluating
+        ``phi`` once per distinct observation, and kept for the life of the
+        system; rows are keyed by identity, so no formula tree is hashed.
+        """
+        hit = self._sat.get(id(phi))
+        if hit is None:
+            distinct, of_rank = self._observations
+            values = bytes(bool(evaluate(phi, obs)) for obs in distinct)
+            hit = self._sat[id(phi)] = (phi, bytearray(map(values.__getitem__, of_rank)))
+        return hit[1]
+
+    @cached_property
+    def _observations(self) -> tuple[list[Mapping[str, Value]], list[int]]:
+        """The distinct observations of the behaviour states, and for each
+        rank the position of its state's observation among them."""
+        names = self.sig.names
+        first: dict[tuple, int] = {}
+        distinct: list[Mapping[str, Value]] = []
+        of_rank = []
+        for q in self.b.ids:
+            obs = self.b.states[q].obs
+            c = first.setdefault(tuple(map(obs.__getitem__, names)), len(distinct))
+            if c == len(distinct):
+                distinct.append(obs)
+            of_rank.append(c)
+        return distinct, of_rank
 
     def sat(self, q: str, phi: Formula) -> bool:
-        """Whether behaviour state ``q`` satisfies ``phi`` (memoised)."""
-        key = (phi, q)
-        hit = self._sat_cache.get(key)
-        if hit is None:
-            hit = bool(evaluate(phi, self.b.states[q].obs))
-            self._sat_cache[key] = hit
-        return hit
+        """Whether behaviour state ``q`` satisfies ``phi``."""
+        return bool(self.sat_row(phi)[self.b.rank[q]])
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ from sbcheck.ctl import (
 )
 from sbcheck.flatten import AdaptPhase, FlatState, SteadyIn
 from sbcheck.kripke import Kripke
-from sbcheck.model import BLevel, BState, SBSystem, SLevel, STransition
+from sbcheck.model import BLevel, BState, SBSystem, SLevel, STransition, parse_model
 
 
 # ---------------------------------------------------------------------------
@@ -123,6 +123,58 @@ def oracle_flat_size(sys, root=None) -> tuple[int, int]:
                 seen.add(g)
                 stack.append(g)
     return len(seen), n_edges
+
+
+def oracle_flat(sys, root=None):
+    """Reachable flat states and labelled edges, re-derived as plain sets.
+
+    States are ``(q, r, phase)`` tuples and edges ``(src, label, dst)`` with
+    ``("steady", r)`` or ``("adapt", r, inv, target)`` labels, found by
+    direct formula evaluation without the package's successor function,
+    caches, interning or orderings.
+    """
+    b, s = sys.b, sys.s
+
+    def holds(q, phi):
+        return bool(evaluate(phi, b.states[q].obs))
+
+    f0 = (root or (b.initial, s.initial)) + (None,)
+    seen = {f0}
+    edges = set()
+    stack = [f0]
+    while stack:
+        src = stack.pop()
+        q, r, ph = src
+        nxt = set()
+        if ph is None:
+            if holds(q, s.label(r)):
+                good = [q2 for q2 in b.successors(q) if holds(q2, s.label(r))]
+                if good:
+                    nxt.update((("steady", r), (q2, r, None)) for q2 in good)
+                else:
+                    for tr in s.transitions_from(r):
+                        lab = ("adapt", r, tr.inv, tr.target)
+                        for q2 in b.successors(q):
+                            if holds(q2, s.label(tr.target)):
+                                nxt.add((lab, (q2, tr.target, None)))
+                            elif holds(q2, tr.inv):
+                                nxt.add((lab, (q2, r, (tr.inv, tr.target))))
+        else:
+            inv, target = ph
+            if holds(q, inv) and not holds(q, s.label(target)):
+                lab = ("adapt", r, inv, target)
+                ends = [q2 for q2 in b.successors(q) if holds(q2, s.label(target))]
+                if ends:
+                    nxt.update((lab, (q2, target, None)) for q2 in ends)
+                else:
+                    nxt.update((lab, (q2, r, ph))
+                               for q2 in b.successors(q) if holds(q2, inv))
+        for lab, dst in nxt:
+            edges.add((src, lab, dst))
+            if dst not in seen:
+                seen.add(dst)
+                stack.append(dst)
+    return seen, edges
 
 
 # ---------------------------------------------------------------------------
@@ -308,6 +360,43 @@ def corridor_system(n_blocks: int, seed: int = 0) -> SBSystem:
          STransition("r1", parse_formula("true", sig), "r0")],
     )
     return SBSystem(f"corridor{n_blocks}", sig, b, s)
+
+
+def rules_system(seed: int) -> SBSystem:
+    """A seeded model with guarded-rule behaviour over two counters.
+
+    Structure labels are overlapping intervals of ``x``, and some structure
+    pairs get two transitions with different invariants, so one flat state
+    can reach the same steady state under two adaptation labels.
+    """
+    rng = random.Random(seed)
+    n_s = rng.randint(2, 4)
+    width = rng.randint(2, 4)
+    hi = n_s * width
+    lines = [f"system rules{seed}", "observables", f"  x : int 0..{hi}",
+             "  y : int 0..2", "behaviour rules",
+             f"  init x={rng.randint(0, width - 1)}, y=0"]
+    for k in range(rng.randint(3, 6)):
+        a = rng.randint(1, 2)
+        lines.append(rng.choice([
+            f"  rule R{k}: x <= {hi - a} -> x := x + {a}",
+            f"  rule R{k}: x >= {a} && y <= {rng.randint(0, 2)} -> x := x - {a}",
+            f"  rule R{k}: y < 2 && x >= {rng.randint(0, hi)} -> y := y + 1",
+            f"  rule R{k}: y > 0 && x < {hi} -> y := y - 1, x := x + 1",
+        ]))
+    lines.append("structure")
+    for i in range(n_s):
+        lo = max(0, i * width - rng.randint(0, 1))
+        lines.append(f"  state r{i} : x >= {lo} && x <= {i * width + width - 1}")
+    lines.append("  init r0")
+    for i in range(n_s):
+        for j in range(n_s):
+            if i == j or rng.random() < 0.3:
+                continue
+            for inv in rng.sample(["true", f"x >= {rng.randint(0, hi)}", "y <= 1"],
+                                  rng.randint(1, 2)):
+                lines.append(f"  trans r{i} -> r{j} inv {inv}")
+    return parse_model("\n".join(lines) + "\n")
 
 
 def acceptance_schedule(seed: int) -> tuple[int, int, float]:

@@ -35,6 +35,7 @@ from sbcheck.constraints import parse_formula
 from sbcheck.ctl import sat_set
 from sbcheck.flatten import FlatState, build_flat
 from sbcheck.kripke import to_kripke
+from sbcheck.model import SBSystem
 
 N_RANDOM_SYSTEMS = 500
 N_RANDOM_KRIPKES = 200
@@ -208,6 +209,29 @@ def test_criterion_8_complexity():
 
 def _timed_check(k):
     start = time.perf_counter()
+    sat_set(k, WEAK_FORMULA)
+    sat_set(k, STRONG_FORMULA)
+    return time.perf_counter() - start
+
+
+@_report(9, "build, Kripke construction and checking linear in structure size")
+def test_criterion_9_end_to_end_complexity():
+    sizes = (250, 500, 1000)  # blocks; 100 behaviour states per block
+    times = []
+    for blocks in sizes:
+        sys_ = corridor_system(blocks)
+        # the second run gets a fresh system over the same levels, so its
+        # satisfaction table starts empty too
+        again = SBSystem(sys_.name, sys_.sig, sys_.b, sys_.s)
+        times.append(min(_timed_build_and_check(s) for s in (sys_, again)))
+    assert times[-1] <= 10.0, f"build and check took {times[-1]:.2f}s"
+    assert times[1] <= 3 * max(times[0], 1e-3), times
+    assert times[2] <= 3 * max(times[1], 1e-3), times
+
+
+def _timed_build_and_check(sys_):
+    start = time.perf_counter()
+    k = to_kripke(build_flat(sys_))
     sat_set(k, WEAK_FORMULA)
     sat_set(k, STRONG_FORMULA)
     return time.perf_counter() - start

@@ -118,6 +118,17 @@ def test_ctl_subcommand(capsys):
     capsys.readouterr()
 
 
+def test_ctl_deep_negation_chain_gets_a_verdict(capsys):
+    model = model_path("atv_s0")
+    plain = run(["ctl", model, "--ctl", "steady"])
+    negated = run(["ctl", model, "--ctl", "!steady"])
+    assert {plain, negated} == {0, 1}
+    # deeper than the recursion limit, in the parser and in the checker
+    assert run(["ctl", model, "--ctl", "!" * 5000 + "steady"]) == plain
+    assert run(["ctl", model, "--ctl", "!" * 5001 + "steady"]) == negated
+    assert capsys.readouterr().err == ""
+
+
 def test_validate_subcommand(tmp_path, capsys):
     assert run(["validate", model_path("bone_s0")]) == 0
     bad = tmp_path / "bad.sb"

@@ -2,10 +2,17 @@ import json
 import random
 
 import pytest
-from helpers import oracle_flat_size, prop1_violations, single_loop_system
+from helpers import (
+    acceptance_schedule,
+    oracle_flat,
+    oracle_flat_size,
+    prop1_violations,
+    rules_system,
+    single_loop_system,
+)
 
 from sbcheck.cli import gen_random
-from sbcheck.constraints import parse_formula
+from sbcheck.constraints import parse_formula, pretty
 from sbcheck.flatten import (
     AdaptPhase,
     FlatState,
@@ -15,6 +22,7 @@ from sbcheck.flatten import (
     to_dot,
     to_json,
 )
+from sbcheck.kripke import to_kripke
 
 ATV_S0_STEADY = {("0", "r0"), ("1", "r0"), ("2", "r0"), ("3", "r0"),
                  ("11", "r1"), ("10", "r1"), ("13", "r1")}
@@ -165,3 +173,91 @@ def test_json_export_round_trips(flats):
     edges = {(states[t["from"]], states[t["to"]]) for t in doc["transitions"]}
     assert edges == {(from_state(a), from_state(b))
                      for a, _, b in flat.transitions}
+
+
+# ---------------------------------------------------------------------------
+# build_flat and to_kripke against the plain-set oracle
+
+
+def _state_key(f):
+    if f.phase is None:
+        return (f.q, f.r, "", "")
+    return (f.q, f.r, f.phase[1], pretty(f.phase[0]))
+
+
+def _label_key(lab):
+    if isinstance(lab, SteadyIn):
+        return (0, lab.r, "", "")
+    return (1, lab.r, lab.target, pretty(lab.inv))
+
+
+def _oracle_label(lab):
+    if isinstance(lab, SteadyIn):
+        return ("steady", lab.r)
+    return ("adapt", lab.r, lab.inv, lab.target)
+
+
+def assert_flat_matches_oracle(sys_, root=None):
+    flat = build_flat(sys_, root=root)
+    states, edges = oracle_flat(sys_, root)
+    got = [(f.q, f.r, f.phase) for f in flat.states]
+    assert len(got) == len(states) and set(got) == states
+    got_edges = [((a.q, a.r, a.phase), _oracle_label(lab), (b.q, b.r, b.phase))
+                 for a, lab, b in flat.transitions]
+    assert len(got_edges) == len(edges) and set(got_edges) == edges
+    assert flat.initial == FlatState(*(root or (sys_.b.initial, sys_.s.initial)))
+    assert flat.states[flat.index[flat.initial]] == flat.initial
+    # canonical order: states ascending, each state's transitions ascending
+    keys = [_state_key(f) for f in flat.states]
+    assert keys == sorted(set(keys))
+    for f in flat.states:
+        succ = flat.successors(f)
+        assert list(succ) == flat_successors(sys_, f)
+        order = [(_label_key(lab), _state_key(g)) for lab, g in succ]
+        assert order == sorted(set(order))
+    assert [t for t in flat.transitions] == [
+        (f, lab, g) for f in flat.states for lab, g in flat.successors(f)]
+
+    # the Kripke structure is what the flat transitions imply
+    k = to_kripke(flat)
+    succ = [set() for _ in flat.states]
+    labels = [set() for _ in flat.states]
+    for a, lab, b in flat.transitions:
+        i = flat.index[a]
+        succ[i].add(flat.index[b])
+        labels[i].add("progress")
+        if a.is_steady:
+            labels[i].add("steady")
+        if isinstance(lab, AdaptPhase):
+            labels[i].add("adapting")
+    dead = {i for i, ts in enumerate(succ) if not ts}
+    assert k.succ == [tuple(sorted(ts or {i})) for i, ts in enumerate(succ)]
+    assert k.labels == [frozenset(ls) for ls in labels]
+    assert k.self_looped == dead
+    assert k.states == flat.states and k.initial == flat.index[flat.initial]
+    assert k.n_edges == sum(len(ts) for ts in k.succ)
+
+
+def test_build_matches_oracle_on_acceptance_population():
+    for seed in range(500):
+        assert_flat_matches_oracle(gen_random(seed, *acceptance_schedule(seed)))
+
+
+def test_build_matches_oracle_on_guarded_rule_models():
+    for seed in range(50):
+        assert_flat_matches_oracle(rules_system(seed))
+
+
+def test_build_matches_oracle_on_bundled(bundled):
+    for sys_ in bundled.values():
+        assert_flat_matches_oracle(sys_)
+
+
+def test_build_matches_oracle_at_every_grid_root():
+    systems = [gen_random(seed, *acceptance_schedule(seed)) for seed in range(50)]
+    systems += [rules_system(seed) for seed in range(50)]
+    for sys_ in systems:
+        for q in sys_.b.states:
+            for r in sys_.s.states:
+                if sys_.sat(q, sys_.s.label(r)):
+                    assert_flat_matches_oracle(sys_, root=(q, r))

@@ -1,0 +1,69 @@
+"""Digest of the command-line output on a fixed population of models.
+
+Writes the test suite's 500 acceptance-population systems as model files
+into DIR, then runs six commands of ``sbcheck.cli.run`` on them and on the
+four bundled models: ``check`` and ``relation`` in both modes with
+``--format json``, ``flatten --format json`` and ``export --stage kripke
+--format json``.  Prints one line per run (file, command, exit code, sha256
+of stdout) and, on stderr, the sha256 over all of them.  Two checkouts that
+print the same combined digest produce the same output on this population.
+
+Usage, from the root of a checkout:
+
+    PYTHONPATH=src:tests python tools/output_digest.py DIR > digest.txt
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import os
+import sys
+
+from helpers import acceptance_schedule
+
+from sbcheck import cli, models
+
+COMMANDS = (
+    ("check", "--mode", "weak", "--format", "json"),
+    ("check", "--mode", "strong", "--format", "json"),
+    ("relation", "--mode", "weak", "--format", "json"),
+    ("relation", "--mode", "strong", "--format", "json"),
+    ("flatten", "--format", "json"),
+    ("export", "--stage", "kripke", "--format", "json"),
+)
+N_SYSTEMS = 500
+
+
+def model_files(out_dir: str) -> list[str]:
+    """The bundled models, then the acceptance systems written to ``out_dir``."""
+    os.makedirs(out_dir, exist_ok=True)
+    files = [str(models.path(n)) for n in models.NAMES]
+    for k in range(N_SYSTEMS):
+        path = os.path.join(out_dir, f"acc{k}.sb")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(cli.system_to_dsl(cli.gen_random(k, *acceptance_schedule(k))))
+        files.append(path)
+    return files
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print(__doc__, file=sys.stderr)
+        return 2
+    total = hashlib.sha256()
+    for path in model_files(argv[0]):
+        for command in COMMANDS:
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                code = cli.run([command[0], path, *command[1:]])
+            digest = hashlib.sha256(buf.getvalue().encode()).hexdigest()
+            total.update(f"{code} {digest}".encode())
+            print(os.path.basename(path), " ".join(command), code, digest)
+    print("TOTAL", total.hexdigest(), file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
