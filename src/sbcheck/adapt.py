@@ -23,16 +23,22 @@ system.  Both greatest relations share one worklist: a deleted pair queues
 the pairs whose clauses mention it.  A clause only becomes more violated as
 pairs leave, so the fixpoint reached does not depend on deletion order.
 
-The relational route explores adaptation phases with the primitives of
-``graph`` and never calls the CTL checker; the CTL verdicts never call the
-relation code.
+The relational route runs on the interned flat states of ``flatten._Rules``:
+a state pair is the int ``q*R + r`` of its behaviour and structure ranks,
+and each entry point steps every pair it needs once.  An adaptation phase is
+explored once per distinct adapting start state, with one ``graph.reach``
+and one ``graph.cyclic_states``; its facts (steady endpoints, a reachable
+dead end, a cycle) are memoised by that start, so every pair entering the
+same phase shares them.  Pairs are decoded to ids only for the returned
+relation and for violation messages.  The relational route never calls the
+CTL checker; the CTL verdicts never call the relation code.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Literal, Optional
+from typing import Iterable, Iterator, Literal, NamedTuple, Optional
 
 from .ctl import (
     CtlAtom,
@@ -43,7 +49,9 @@ from .ctl import (
     sat_set,
     witness_eg,
 )
-from .flatten import AdaptPhase, FlatState, SteadyIn, build_flat, flat_successors
+from .flatten import FlatState, _Rules, build_flat
+# the benchmark's tracer (perfbench/spans.py) wraps adapt.flat_successors
+from .flatten import flat_successors  # noqa: F401
 from .graph import cyclic_states, reach
 from .kripke import Kripke, to_kripke
 from .model import SBSystem
@@ -119,129 +127,169 @@ class Verdict:
 # Flat-semantics analysis shared by the relational checks
 
 
-@dataclass(frozen=True)
-class _PhaseFacts:
-    label: str                      # for violation messages
-    endpoints: frozenset[Pair]      # steady pairs completed phases land on
+class _PhaseFacts(NamedTuple):
+    p: int                          # phase rank, for violation messages
+    endpoints: frozenset[int]       # steady pairs completed phases land on
     has_dead: bool                  # a successor-free adapting state is reachable
     has_cycle: bool                 # the phase subgraph has a cycle
 
 
-@dataclass(frozen=True)
-class _PairFacts:
+class _PairFacts(NamedTuple):
+    pair: int
     progress: bool
-    steady_pairs: frozenset[Pair]
+    steady_pairs: frozenset[int]
     phases: tuple[_PhaseFacts, ...]
-
-    @property
-    def weak_endpoints(self) -> frozenset[Pair]:
-        out: frozenset[Pair] = frozenset()
-        for ph in self.phases:
-            out |= ph.endpoints
-        return out
+    weak_endpoints: frozenset[int]  # the union of the phases' endpoints
 
 
 class _Analysis:
-    """Per-system cache of flat successors and phase summaries."""
+    """Phase facts of one system over the interned flat states of ``_Rules``.
+
+    A state pair is the int ``q*R + r`` of its behaviour and structure ranks,
+    so int order is the order of the id pairs; its steady flat state is
+    ``pair * P``.  The successors of adapting states are memoised, and so
+    are the facts of every adapting state that starts a phase: all pairs
+    entering the same phase share one exploration of it.
+    """
 
     def __init__(self, sys: SBSystem):
         self.sys = sys
-        self._succ: dict[FlatState, list] = {}
+        self.rules = _Rules(sys)
+        self.P = self.rules.P
+        self.R = len(sys.s.ids)
+        self._succ: dict[int, list[int]] = {}
+        self._starts: dict[int, tuple[frozenset[int], bool, bool]] = {}
 
-    def successors(self, f: FlatState):
-        hit = self._succ.get(f)
+    def grid(self) -> list[int]:
+        """The satisfaction-grid pairs (q satisfies the label of r), ascending."""
+        s, R = self.sys.s, self.R
+        rows = [self.sys.sat_row(s.label(rid)) for rid in s.ids]
+        return [q * R + r for q in range(len(self.sys.b.ids))
+                for r in range(R) if rows[r][q]]
+
+    def code(self, pair: Pair) -> int:
+        q, r = pair
+        return self.sys.b.rank[q] * self.R + self.sys.s.rank[r]
+
+    def pair(self, code: int) -> Pair:
+        q, r = divmod(code, self.R)
+        return self.sys.b.ids[q], self.sys.s.ids[r]
+
+    def sorted_pairs(self, codes) -> list[Pair]:
+        return [self.pair(c) for c in sorted(codes)]
+
+    def phase_label(self, pf: _PairFacts, ph: _PhaseFacts) -> str:
+        return f"{self.sys.s.ids[pf.pair % self.R]} -> {self.sys.s.phases[ph.p][1]}"
+
+    def _targets(self, code: int) -> list[int]:
+        """The successors of adapting state ``code``: all steady after an
+        AdaptEnd step, all adapting after an Adapt step."""
+        hit = self._succ.get(code)
         if hit is None:
-            hit = flat_successors(self.sys, f)
-            self._succ[f] = hit
+            groups = self.rules.step(code)
+            hit = self._succ[code] = groups[0][1] if groups else []
         return hit
 
-    def _adapting(self, f: FlatState) -> list[FlatState]:
-        return [y for _lab, y in self.successors(f) if not y.is_steady]
+    def _adapting(self, code: int) -> list[int]:
+        ts = self._targets(code)
+        return ts if ts and ts[0] % self.P else []
 
-    def facts(self, q: str, r: str) -> _PairFacts:
-        succs = self.successors(FlatState(q, r, None))
-        steady_pairs = frozenset(
-            (y.q, y.r) for lab, y in succs if isinstance(lab, SteadyIn))
-        starts: dict[AdaptPhase, list[FlatState]] = {}
-        for lab, y in succs:
-            if isinstance(lab, AdaptPhase):
-                starts.setdefault(lab, []).append(y)
+    def _start(self, code: int) -> tuple[frozenset[int], bool, bool]:
+        """(endpoints, has_dead, has_cycle) of the phase run from adapting
+        state ``code``."""
+        hit = self._starts.get(code)
+        if hit is None:
+            P = self.P
+            nodes = reach(self._adapting, (code,))
+            ends: set[int] = set()
+            dead = False
+            for x in nodes:
+                ts = self._targets(x)
+                if not ts:
+                    dead = True
+                elif ts[0] % P == 0:
+                    ends.update(t // P for t in ts)
+            hit = self._starts[code] = (frozenset(ends), dead,
+                                        bool(cyclic_states(self._adapting, nodes)))
+        return hit
+
+    def facts(self, pair: int) -> _PairFacts:
+        """The facts of grid pair ``pair``: its steady successor pairs and,
+        per adaptation label, the pairs its AdaptStartEnd steps land on
+        merged with the phase facts of its adapting first states."""
+        P = self.P
+        groups = self.rules.step(pair * P)
+        steady: frozenset[int] = frozenset()
         phases = []
-        for lab, firsts in starts.items():
-            # the adapting subgraph this phase can run through
-            nodes = reach(self._adapting, [y for y in firsts if not y.is_steady])
-            landed = firsts + [y for x in nodes for _lab, y in self.successors(x)]
-            phases.append(_PhaseFacts(
-                label=f"{r} -> {lab.target}",
-                endpoints=frozenset((y.q, y.r) for y in landed if y.is_steady),
-                has_dead=any(not self.successors(x) for x in nodes),
-                has_cycle=bool(cyclic_states(self._adapting, nodes)),
-            ))
-        return _PairFacts(
-            progress=bool(succs),
-            steady_pairs=steady_pairs,
-            phases=tuple(phases),
-        )
-
-
-def _grid_facts(sys: SBSystem):
-    """Facts for every satisfaction-grid pair (q satisfies the label of r)."""
-    an = _Analysis(sys)
-    facts: dict[Pair, _PairFacts] = {}
-    for q in sys.b.states:
-        for r in sys.s.states:
-            if sys.sat(q, sys.s.label(r)):
-                facts[(q, r)] = an.facts(q, r)
-    return facts
+        weak: frozenset[int] = frozenset()
+        for p, ts in groups:
+            if p == 0:
+                steady = frozenset(t // P for t in ts)
+                continue
+            ends = frozenset(t // P for t in ts if t % P == 0)
+            dead = cycle = False
+            for t in ts:
+                if t % P:
+                    more, d, c = self._start(t)
+                    ends = ends | more if ends else more  # a lone start's set is shared
+                    dead |= d
+                    cycle |= c
+            phases.append(_PhaseFacts(p, ends, dead, cycle))
+            weak = weak | ends if weak else ends
+        return _PairFacts(pair, bool(groups), steady, tuple(phases), weak)
 
 
 # ---------------------------------------------------------------------------
 # Relation construction
 
 
-def _weak_violations(pf: _PairFacts, rel) -> Iterator[tuple[str, str]]:
+def _weak_violations(an: _Analysis, pf: _PairFacts, rel) -> Iterator[tuple[str, str]]:
     """Weak clauses (ii) and (iii) that a pair with facts ``pf`` breaks."""
-    if pf.steady_pairs and not (pf.steady_pairs & rel):
+    if pf.steady_pairs and pf.steady_pairs.isdisjoint(rel):
         yield "ii", "no steady successor lands on a related pair"
-    if pf.phases and not (pf.weak_endpoints & rel):
+    if pf.phases and pf.weak_endpoints.isdisjoint(rel):
         yield "iii", "no adaptation phase completes on a related pair"
 
 
-def _strong_violations(pf: _PairFacts, rel) -> Iterator[tuple[str, str]]:
+def _strong_violations(an: _Analysis, pf: _PairFacts, rel) -> Iterator[tuple[str, str]]:
     """Strong clauses (ii) and (iii) that a pair with facts ``pf`` breaks."""
     missing = pf.steady_pairs - rel
     if missing:
-        yield "ii", f"steady successors {sorted(missing)} unrelated"
+        yield "ii", f"steady successors {an.sorted_pairs(missing)} unrelated"
     for ph in pf.phases:
         if ph.has_dead:
-            yield "iii", f"phase {ph.label} can dead-end while adapting"
+            yield "iii", f"phase {an.phase_label(pf, ph)} can dead-end while adapting"
         if ph.has_cycle:
-            yield "iii", f"phase {ph.label} admits an infinite adaptation path"
+            yield "iii", f"phase {an.phase_label(pf, ph)} admits an infinite adaptation path"
         missing = ph.endpoints - rel
         if missing:
-            yield "iii", f"phase {ph.label} ends on unrelated pairs {sorted(missing)}"
+            yield "iii", (f"phase {an.phase_label(pf, ph)} ends on unrelated "
+                          f"pairs {an.sorted_pairs(missing)}")
 
 
 def _greatest(sys: SBSystem, violations) -> AdaptRelation:
     """Greatest relation of progressing grid pairs breaking no clause.
 
-    Deletes violating pairs through a worklist; a deleted pair queues the
-    pairs whose steady successors or phase endpoints contain it, since only
-    their clauses can change.
+    Works on int pairs over one ``_Analysis``, so every pair entering the
+    same adaptation phase shares that phase's facts.  Deletes violating
+    pairs through a worklist; a deleted pair queues the pairs whose steady
+    successors or phase endpoints contain it, since only their clauses can
+    change.  The result is decoded to id pairs once, at the end.
     """
-    facts = _grid_facts(sys)
+    an = _Analysis(sys)
+    facts = {pf.pair: pf for pf in map(an.facts, an.grid())}
     rel = {pair for pair, pf in facts.items() if pf.progress}
-    mentioned_by: defaultdict[Pair, list[Pair]] = defaultdict(list)
+    mentioned_by: defaultdict[int, list[int]] = defaultdict(list)
     for pair in rel:
         for other in facts[pair].steady_pairs | facts[pair].weak_endpoints:
             mentioned_by[other].append(pair)
     work = list(rel)
     while work:
         pair = work.pop()
-        if pair in rel and next(violations(facts[pair], rel), None):
+        if pair in rel and next(violations(an, facts[pair], rel), None):
             rel.remove(pair)
             work.extend(mentioned_by[pair])
-    return AdaptRelation(frozenset(rel))
+    return AdaptRelation(frozenset(map(an.pair, rel)))
 
 
 def weak_relation(sys: SBSystem) -> AdaptRelation:
@@ -284,17 +332,18 @@ def _check(sys: SBSystem, rel: AdaptRelation, violations) -> RelationCheck:
         if r not in sys.s.states:
             raise ValueError(f"unknown structure state {r!r} in relation")
     an = _Analysis(sys)
+    codes = set(map(an.code, rel.pairs))
     found: list[Violation] = []
     for q, r in sorted(rel.pairs):
         if not sys.sat(q, sys.s.label(r)):
             found.append(Violation((q, r), "i", "constraints not satisfied"))
             continue
-        pf = an.facts(q, r)
+        pf = an.facts(an.code((q, r)))
         if not pf.progress:
             found.append(Violation((q, r), "i", "no flat successor (progress fails)"))
             continue
         found.extend(Violation((q, r), clause, message)
-                     for clause, message in violations(pf, rel.pairs))
+                     for clause, message in violations(an, pf, codes))
     return RelationCheck(not found, tuple(found))
 
 

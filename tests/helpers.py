@@ -2,9 +2,12 @@
 
 The oracles deliberately use different algorithms than the package: the CTL
 oracle evaluates temporal operators by forward graph search and dual
-characterisations instead of backward fixpoints, and the flat-space oracle
+characterisations instead of backward fixpoints, the flat-space oracle
 re-derives reachability with direct formula evaluation and no caching or
-canonicalisation.
+canonicalisation, and the relation oracle explores every pair's phases
+afresh over ``FlatState`` objects and deletes by whole sweeps (its graph
+searches are the package's ``graph`` kernel, which ``test_graph`` checks
+against brute force).
 """
 
 from __future__ import annotations
@@ -29,7 +32,8 @@ from sbcheck.ctl import (
     ef,
     eg,
 )
-from sbcheck.flatten import AdaptPhase, FlatState, SteadyIn
+from sbcheck.flatten import AdaptPhase, FlatState, SteadyIn, build_flat, flat_successors
+from sbcheck.graph import cyclic_states, reach
 from sbcheck.kripke import Kripke
 from sbcheck.model import BLevel, BState, SBSystem, SLevel, STransition, parse_model
 
@@ -175,6 +179,119 @@ def oracle_flat(sys, root=None):
                 seen.add(dst)
                 stack.append(dst)
     return seen, edges
+
+
+# ---------------------------------------------------------------------------
+# Reference relation route: per-pair exploration over FlatState objects
+
+
+def oracle_pair_facts(sys):
+    """A function giving the relational facts of one grid pair ``(q, r)``.
+
+    Each call explores the pair's successors and, for every adaptation label
+    in label order, the whole adapting subgraph its first states reach, by
+    ``flat_successors`` on ``FlatState`` objects; nothing is shared between
+    pairs but the successor memo.  The facts are a dict with ``progress``,
+    ``steady_pairs`` and ``phases``, a list of (label, endpoints, has_dead,
+    has_cycle).
+    """
+    memo = {}
+
+    def successors(f):
+        if f not in memo:
+            memo[f] = flat_successors(sys, f)
+        return memo[f]
+
+    def adapting(f):
+        return [y for _lab, y in successors(f) if not y.is_steady]
+
+    def facts(q, r):
+        succs = successors(FlatState(q, r, None))
+        starts = {}
+        for lab, y in succs:
+            if isinstance(lab, AdaptPhase):
+                starts.setdefault(lab, []).append(y)
+        phases = []
+        for lab, firsts in starts.items():
+            nodes = reach(adapting, [y for y in firsts if not y.is_steady])
+            landed = firsts + [y for x in nodes for _lab, y in successors(x)]
+            phases.append((f"{r} -> {lab.target}",
+                           frozenset((y.q, y.r) for y in landed if y.is_steady),
+                           any(not successors(x) for x in nodes),
+                           bool(cyclic_states(adapting, nodes))))
+        return {"progress": bool(succs),
+                "steady_pairs": frozenset((y.q, y.r) for lab, y in succs
+                                          if isinstance(lab, SteadyIn)),
+                "phases": phases}
+
+    return facts
+
+
+def _oracle_clauses(pf, rel, mode):
+    """(clause, message) of every clause (ii)/(iii) a pair with facts ``pf``
+    breaks against ``rel``, in the package's message order and text."""
+    out = []
+    steady = pf["steady_pairs"]
+    if mode == "weak":
+        if steady and not steady & rel:
+            out.append(("ii", "no steady successor lands on a related pair"))
+        if pf["phases"] and not any(ends & rel for _, ends, _, _ in pf["phases"]):
+            out.append(("iii", "no adaptation phase completes on a related pair"))
+        return out
+    if steady - rel:
+        out.append(("ii", f"steady successors {sorted(steady - rel)} unrelated"))
+    for label, ends, dead, cycle in pf["phases"]:
+        if dead:
+            out.append(("iii", f"phase {label} can dead-end while adapting"))
+        if cycle:
+            out.append(("iii", f"phase {label} admits an infinite adaptation path"))
+        if ends - rel:
+            out.append(("iii", f"phase {label} ends on unrelated pairs {sorted(ends - rel)}"))
+    return out
+
+
+def oracle_grid(sys):
+    """Every pair (q, r) whose q satisfies the label of r, sorted."""
+    return sorted((q, r) for q in sys.b.states for r in sys.s.states
+                  if evaluate(sys.s.label(r), sys.b.states[q].obs))
+
+
+def oracle_check(sys, pairs, mode):
+    """The (pair, clause, message) violations of relation ``pairs`` in
+    ``mode``, pair by pair in sorted order, as ``is_*_adaptation`` lists them."""
+    facts = oracle_pair_facts(sys)
+    rel = frozenset(pairs)
+    out = []
+    for q, r in sorted(rel):
+        if not evaluate(sys.s.label(r), sys.b.states[q].obs):
+            out.append(((q, r), "i", "constraints not satisfied"))
+            continue
+        pf = facts(q, r)
+        if not pf["progress"]:
+            out.append(((q, r), "i", "no flat successor (progress fails)"))
+            continue
+        out += [((q, r), c, m) for c, m in _oracle_clauses(pf, rel, mode)]
+    return out
+
+
+def oracle_relation(sys, mode):
+    """The greatest ``mode`` adaptation relation, by sweeping the whole
+    candidate set and deleting every violating pair until a sweep deletes
+    none."""
+    facts = oracle_pair_facts(sys)
+    grid = {p: facts(*p) for p in oracle_grid(sys)}
+    rel = {p for p, pf in grid.items() if pf["progress"]}
+    while True:
+        bad = {p for p in rel if _oracle_clauses(grid[p], rel, mode)}
+        if not bad:
+            return frozenset(rel)
+        rel -= bad
+
+
+def oracle_strong_relation(sys):
+    """The reachable steady pairs when they form a strong adaptation, else None."""
+    candidate = build_flat(sys).steady_pairs()
+    return None if oracle_check(sys, candidate, "strong") else candidate
 
 
 # ---------------------------------------------------------------------------
@@ -360,6 +477,52 @@ def corridor_system(n_blocks: int, seed: int = 0) -> SBSystem:
          STransition("r1", parse_formula("true", sig), "r0")],
     )
     return SBSystem(f"corridor{n_blocks}", sig, b, s)
+
+
+def fan_system(n: int) -> SBSystem:
+    """``n`` entering states that all start one shared adaptation phase.
+
+    Each ``x=0`` state ``a<i>`` steps only to the head of a line of ``n``
+    ``x=2`` states, so every entering pair adapts from the same first state;
+    the line ends on the ``x=1`` state ``e``, which loops.
+    """
+    sig = Signature([("x", BoundedInt(0, 2))])
+    states = ([BState(f"a{i}", {"x": 0}) for i in range(n)]
+              + [BState(f"l{i}", {"x": 2}) for i in range(n)]
+              + [BState("e", {"x": 1})])
+    trans = [(f"a{i}", "l0") for i in range(n)]
+    trans += [(f"l{i}", f"l{i + 1}") for i in range(n - 1)]
+    trans += [(f"l{n - 1}", "e"), ("e", "e")]
+    return SBSystem(f"fan{n}", sig, BLevel(states, "a0", trans), _two_phase_structure(sig))
+
+
+def ladder_system(n: int) -> SBSystem:
+    """One entering pair whose adaptation phase runs down a ladder of ``n`` rungs.
+
+    The ``x=0`` state ``s`` steps to the first rung; each ``x=2`` rung
+    ``g<i>`` steps to the next rung and to an ``x=2`` state ``h<i>``, whose
+    only move ends the phase on its own ``x=1`` state ``e<i>``, which loops.
+    The phase has ``n`` endpoints, each reachable from a suffix of the rungs.
+    """
+    sig = Signature([("x", BoundedInt(0, 2))])
+    states = ([BState("s", {"x": 0})]
+              + [BState(f"{c}{i}", {"x": x}) for i in range(n)
+                 for c, x in (("g", 2), ("h", 2), ("e", 1))])
+    trans = [("s", "g0")]
+    for i in range(n):
+        trans += [(f"g{i}", f"h{i}"), (f"h{i}", f"e{i}"), (f"e{i}", f"e{i}")]
+        if i + 1 < n:
+            trans.append((f"g{i}", f"g{i + 1}"))
+    return SBSystem(f"ladder{n}", sig, BLevel(states, "s", trans), _two_phase_structure(sig))
+
+
+def _two_phase_structure(sig) -> SLevel:
+    """``r0`` (x=0) adapting to ``r1`` (x=1) under a true invariant."""
+    return SLevel(
+        [("r0", parse_formula("x == 0", sig)), ("r1", parse_formula("x == 1", sig))],
+        "r0",
+        [STransition("r0", parse_formula("true", sig), "r1")],
+    )
 
 
 def rules_system(seed: int) -> SBSystem:

@@ -5,6 +5,7 @@ Expected total runtime: well under a minute.
 """
 
 import functools
+import gc
 import random
 import time
 
@@ -12,6 +13,8 @@ import pytest
 from helpers import (
     acceptance_schedule,
     corridor_system,
+    fan_system,
+    ladder_system,
     oracle_sat,
     prop1_violations,
     random_ctl,
@@ -234,4 +237,45 @@ def _timed_build_and_check(sys_):
     k = to_kripke(build_flat(sys_))
     sat_set(k, WEAK_FORMULA)
     sat_set(k, STRONG_FORMULA)
+    return time.perf_counter() - start
+
+
+@_report(10, "relation routes linear in the size of shared adaptation phases")
+def test_criterion_10_relation_route_scaling():
+    # fan: n entering pairs share one n-state adaptation phase, which a
+    # per-pair exploration walks n times; ladder: one phase of n endpoints,
+    # each reachable from a suffix of the rungs, which per-state endpoint
+    # sets would copy n times
+    fans = [fan_system(n) for n in (250, 500, 1000)]
+    ladders = [ladder_system(n) for n in (1000, 2000, 4000)]
+    # the objects alive so far, the rest of the suite's included, are left
+    # out of the garbage collections made while timing
+    gc.collect()
+    gc.freeze()
+    try:
+        fan = _best_of_3_interleaved(_timed_relations, fans)
+        ladder = _best_of_3_interleaved(_timed_relations, ladders)
+    finally:
+        gc.unfreeze()
+    assert fan[-1] <= 2.0, f"fan relations took {fan[-1]:.2f}s"
+    for times in (fan, ladder):
+        assert times[1] <= 3 * max(times[0], 1e-3), (fan, ladder)
+        assert times[2] <= 3 * max(times[1], 1e-3), (fan, ladder)
+
+
+def _best_of_3_interleaved(timed, inputs):
+    """The best of three timings of ``timed`` on each input.
+
+    The repetitions cycle through all the inputs, rather than timing one
+    input three times in a row, so that every size sees the host's fast and
+    slow periods alike.
+    """
+    runs = [[timed(x) for x in inputs] for _ in range(3)]
+    return [min(column) for column in zip(*runs)]
+
+
+def _timed_relations(sys_):
+    start = time.perf_counter()
+    weak_relation(sys_)
+    greatest_strong_relation(sys_)
     return time.perf_counter() - start

@@ -1,6 +1,16 @@
 import random
 
 import pytest
+from helpers import (
+    acceptance_schedule,
+    fan_system,
+    ladder_system,
+    oracle_check,
+    oracle_grid,
+    oracle_relation,
+    oracle_strong_relation,
+    rules_system,
+)
 
 from sbcheck.adapt import (
     STRONG_INNER,
@@ -305,6 +315,49 @@ def test_fixpoints_equal_union_of_all_accepted_relations():
         assert weak_relation(sys_).pairs == frozenset(union_weak), sys_.name
         assert greatest_strong_relation(sys_).pairs == frozenset(union_strong), sys_.name
     assert count >= 60
+
+
+# ---------------------------------------------------------------------------
+# The integer relation route against the per-pair FlatState reference
+
+
+def _assert_relations_match_oracle(sys_):
+    assert weak_relation(sys_).pairs == oracle_relation(sys_, "weak"), sys_.name
+    assert greatest_strong_relation(sys_).pairs == oracle_relation(sys_, "strong"), sys_.name
+    sr = strong_relation(sys_)
+    assert (None if sr is None else sr.pairs) == oracle_strong_relation(sys_), sys_.name
+    # the whole grid breaks only the clauses that no relation can mend; every
+    # other grid pair leaves successors and endpoints unrelated as well
+    grid = oracle_grid(sys_)
+    for pairs in (grid, grid[::2]):
+        rel = AdaptRelation.of(pairs)
+        for mode, checker in (("weak", is_weak_adaptation),
+                              ("strong", is_strong_adaptation)):
+            got = [(v.pair, v.clause, v.message) for v in checker(sys_, rel).violations]
+            assert got == oracle_check(sys_, rel.pairs, mode), (sys_.name, mode)
+
+
+def test_relation_route_matches_reference_oracle(bundled):
+    systems = list(bundled.values())
+    systems += [gen_random(seed, *acceptance_schedule(seed)) for seed in range(500)]
+    systems += [rules_system(seed) for seed in range(50)]
+    systems += [fan_system(n) for n in (1, 2, 5, 17)]
+    systems += [ladder_system(n) for n in (1, 2, 5, 17)]
+    for sys_ in systems:
+        _assert_relations_match_oracle(sys_)
+
+
+def test_fan_and_ladder_relations():
+    fan, ladder = fan_system(4), ladder_system(4)
+    assert weak_relation(fan).pairs == greatest_strong_relation(fan).pairs == \
+        {(f"a{i}", "r0") for i in range(4)} | {("e", "r1")}
+    assert greatest_strong_relation(ladder).pairs == \
+        {("s", "r0")} | {(f"e{i}", "r1") for i in range(4)}
+    # dropping one endpoint breaks the strong clause (iii) of the entering pair
+    rel = AdaptRelation.of({("s", "r0")} | {(f"e{i}", "r1") for i in range(3)})
+    assert [str(v) for v in is_strong_adaptation(ladder, rel).violations] == [
+        "(s, r0) clause (iii): phase r0 -> r1 ends on unrelated pairs [('e3', 'r1')]"]
+    assert is_weak_adaptation(ladder, rel).ok
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,15 @@
 """Digest of the command-line output on a fixed population of models.
 
 Writes the test suite's 500 acceptance-population systems as model files
-into DIR, then runs six commands of ``sbcheck.cli.run`` on them and on the
+into DIR, then runs eight commands of ``sbcheck.cli.run`` on them and on the
 four bundled models: ``check`` and ``relation`` in both modes with
-``--format json``, ``flatten --format json`` and ``export --stage kripke
---format json``.  Prints one line per run (file, command, exit code, sha256
-of stdout) and, on stderr, the sha256 over all of them.  Two checkouts that
+``--format json``, ``flatten --format json``, ``export --stage kripke
+--format json``, and ``verify-relation`` in both modes on the model's full
+satisfaction grid (every pair whose behaviour state satisfies the label of
+its structure state), written into DIR as a relation file; the grid breaks
+clauses (i), (ii) and (iii) of both modes, so their messages enter the
+digest.  Prints one line per run (file, command, exit code, sha256 of
+stdout) and, on stderr, the sha256 over all of them.  Two checkouts that
 print the same combined digest produce the same output on this population.
 
 Usage, from the root of a checkout:
@@ -18,12 +22,14 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import os
 import sys
 
 from helpers import acceptance_schedule
 
 from sbcheck import cli, models
+from sbcheck.model import load_model
 
 COMMANDS = (
     ("check", "--mode", "weak", "--format", "json"),
@@ -32,6 +38,8 @@ COMMANDS = (
     ("relation", "--mode", "strong", "--format", "json"),
     ("flatten", "--format", "json"),
     ("export", "--stage", "kripke", "--format", "json"),
+    ("verify-relation", "--relation", "{grid}", "--mode", "weak"),
+    ("verify-relation", "--relation", "{grid}", "--mode", "strong"),
 )
 N_SYSTEMS = 500
 
@@ -48,16 +56,29 @@ def model_files(out_dir: str) -> list[str]:
     return files
 
 
+def grid_file(out_dir: str, path: str) -> str:
+    """Write the satisfaction grid of the model at ``path`` as a relation file."""
+    sys_ = load_model(path)
+    pairs = [[q, r] for q in sorted(sys_.b.states) for r in sorted(sys_.s.states)
+             if sys_.sat(q, sys_.s.label(r))]
+    grid = os.path.join(out_dir, os.path.basename(path) + ".grid.json")
+    with open(grid, "w", encoding="utf-8") as fh:
+        json.dump({"pairs": pairs}, fh)
+    return grid
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print(__doc__, file=sys.stderr)
         return 2
     total = hashlib.sha256()
     for path in model_files(argv[0]):
+        grid = grid_file(argv[0], path)
         for command in COMMANDS:
+            args = [a.format(grid=grid) for a in command[1:]]
             buf = io.StringIO()
             with contextlib.redirect_stdout(buf):
-                code = cli.run([command[0], path, *command[1:]])
+                code = cli.run([command[0], path, *args])
             digest = hashlib.sha256(buf.getvalue().encode()).hexdigest()
             total.update(f"{code} {digest}".encode())
             print(os.path.basename(path), " ".join(command), code, digest)
