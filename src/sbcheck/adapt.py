@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Literal, NamedTuple, Optional
+from typing import Callable, Iterable, Iterator, Literal, NamedTuple, Optional
 
 from .ctl import (
     CtlAtom,
@@ -243,28 +243,38 @@ class _Analysis:
 # Relation construction
 
 
-def _weak_violations(an: _Analysis, pf: _PairFacts, rel) -> Iterator[tuple[str, str]]:
+# A clause function yields each broken clause with a function making its
+# message, so that the deletion worklist, which only asks whether a pair
+# breaks a clause, never decodes or sorts the pairs a message names.
+Message = Callable[[], str]
+
+
+def _weak_violations(an: _Analysis, pf: _PairFacts, rel) -> Iterator[tuple[str, Message]]:
     """Weak clauses (ii) and (iii) that a pair with facts ``pf`` breaks."""
     if pf.steady_pairs and pf.steady_pairs.isdisjoint(rel):
-        yield "ii", "no steady successor lands on a related pair"
+        yield "ii", lambda: "no steady successor lands on a related pair"
     if pf.phases and pf.weak_endpoints.isdisjoint(rel):
-        yield "iii", "no adaptation phase completes on a related pair"
+        yield "iii", lambda: "no adaptation phase completes on a related pair"
 
 
-def _strong_violations(an: _Analysis, pf: _PairFacts, rel) -> Iterator[tuple[str, str]]:
+def _strong_violations(an: _Analysis, pf: _PairFacts, rel) -> Iterator[tuple[str, Message]]:
     """Strong clauses (ii) and (iii) that a pair with facts ``pf`` breaks."""
     missing = pf.steady_pairs - rel
     if missing:
-        yield "ii", f"steady successors {an.sorted_pairs(missing)} unrelated"
+        yield "ii", lambda: f"steady successors {an.sorted_pairs(missing)} unrelated"
     for ph in pf.phases:
+        # the defaults bind this phase's values into each message
         if ph.has_dead:
-            yield "iii", f"phase {an.phase_label(pf, ph)} can dead-end while adapting"
+            yield "iii", lambda ph=ph: (f"phase {an.phase_label(pf, ph)} "
+                                        "can dead-end while adapting")
         if ph.has_cycle:
-            yield "iii", f"phase {an.phase_label(pf, ph)} admits an infinite adaptation path"
-        missing = ph.endpoints - rel
-        if missing:
-            yield "iii", (f"phase {an.phase_label(pf, ph)} ends on unrelated "
-                          f"pairs {an.sorted_pairs(missing)}")
+            yield "iii", lambda ph=ph: (f"phase {an.phase_label(pf, ph)} "
+                                        "admits an infinite adaptation path")
+        ends = ph.endpoints - rel
+        if ends:
+            yield "iii", lambda ph=ph, ends=ends: (f"phase {an.phase_label(pf, ph)} "
+                                                   "ends on unrelated pairs "
+                                                   f"{an.sorted_pairs(ends)}")
 
 
 def _greatest(sys: SBSystem, violations) -> AdaptRelation:
@@ -342,7 +352,7 @@ def _check(sys: SBSystem, rel: AdaptRelation, violations) -> RelationCheck:
         if not pf.progress:
             found.append(Violation((q, r), "i", "no flat successor (progress fails)"))
             continue
-        found.extend(Violation((q, r), clause, message)
+        found.extend(Violation((q, r), clause, message())
                      for clause, message in violations(an, pf, codes))
     return RelationCheck(not found, tuple(found))
 

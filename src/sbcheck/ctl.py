@@ -10,8 +10,11 @@ parse time:
 Satisfaction sets are computed bottom-up; the until operators by least
 fixpoints over the predecessor relation, each pass linear in states plus
 edges.  E[a U b] is backward reachability from b inside a; A[a U b] counts,
-per state, the successors not yet known to reach b.  Witnesses and
-counterexamples are built from shortest paths and cycle states.  Every
+per state, the successors not yet known to reach b.  Counterexamples are
+shortest paths.  An EG witness is a lasso closed by two shortest-path
+searches, one backward from the cycle head to its nearest successor and one
+forward from that successor back to the head; the cycle states of the EG
+region are computed only when the start lies on no cycle.  Every
 traversal except the A-until counter runs through the primitives of
 ``graph``, which know nothing of CTL.
 """
@@ -336,27 +339,35 @@ class Lasso:
 def witness_eg(k: Kripke, inner: CtlFormula, t: int) -> Lasso:
     """A lasso from ``t`` whose states all satisfy ``inner``.
 
-    Requires ``t`` to satisfy EG inner; the lasso stays inside the set where
-    EG inner holds, taking a shortest prefix to the nearest cycle, ties broken
-    by state index.
+    Requires ``t`` to satisfy EG inner; the lasso stays inside the region of
+    the EG set reachable from ``t``.  Its prefix is a shortest path to the
+    nearest state on a cycle of the region, ties broken by state index; its
+    cycle closes through the successor of that head nearest to it (lowest
+    index among equals) along a shortest path back.
+
+    When ``t`` lies on a cycle the prefix is empty.  One backward search from
+    ``t`` tells that case apart: it succeeds exactly when some successor of
+    ``t`` reaches ``t``, and it stops at once otherwise, since every state of
+    the region is reachable from ``t`` and none reaches it back.  Only then
+    are the cycle states of the region computed.
     """
     good = sat_set(k, eg(inner))
     if t not in good:
         raise CtlWitnessError("state does not satisfy EG of the given formula")
-    succ = k.succ.__getitem__
+    succ, pred = k.succ.__getitem__, k.pred.__getitem__
     region = reach(succ, [t], within=good)
-    prefix_path = shortest_path(succ, t, cyclic_states(succ, region), within=region)
-    if prefix_path is None:  # cannot happen: every good state has a good successor
-        raise CtlWitnessError("no cycle reachable inside the EG region")
-    head = prefix_path[-1]
-    best = None
-    for y in sorted(k.succ[head]):
-        back = shortest_path(succ, y, (head,), within=region)
-        if back is not None and (best is None or len(back) < len(best)):
-            best = back
-    assert best is not None
-    cycle = [head] + best[:-1]
-    return Lasso(tuple(prefix_path[:-1]), tuple(cycle))
+    head, prefix = t, ()
+    # searching back from a head to its successors ends at the lowest of the
+    # nearest ones; from t it fails at once when t lies on no cycle
+    back = shortest_path(pred, t, frozenset(k.succ[t]), within=region)
+    if back is None:
+        path = shortest_path(succ, t, cyclic_states(succ, region), within=region)
+        if path is None:  # cannot happen: every good state has a good successor
+            raise CtlWitnessError("no cycle reachable inside the EG region")
+        head, prefix = path[-1], tuple(path[:-1])
+        back = shortest_path(pred, head, frozenset(k.succ[head]), within=region)
+    loop = shortest_path(succ, back[-1], (head,), within=region)
+    return Lasso(prefix, (head, *loop[:-1]))
 
 
 def counterexample_ag(k: Kripke, inner: CtlFormula, t: int) -> tuple[int, ...]:

@@ -2,12 +2,14 @@
 
 The oracles deliberately use different algorithms than the package: the CTL
 oracle evaluates temporal operators by forward graph search and dual
-characterisations instead of backward fixpoints, the flat-space oracle
+characterisations instead of backward fixpoints; the flat-space oracle
 re-derives reachability with direct formula evaluation and no caching or
-canonicalisation, and the relation oracle explores every pair's phases
-afresh over ``FlatState`` objects and deletes by whole sweeps (its graph
-searches are the package's ``graph`` kernel, which ``test_graph`` checks
-against brute force).
+canonicalisation; the relation oracle explores every pair's phases afresh
+over ``FlatState`` objects and deletes by whole sweeps; the EG witness
+oracle closes its lasso with one forward search per successor of the cycle
+head, after a cycle-state pass over the whole region.  The last two run
+their graph searches on the package's ``graph`` kernel, which
+``test_graph`` checks against brute force.
 """
 
 from __future__ import annotations
@@ -26,14 +28,17 @@ from sbcheck.ctl import (
     CtlNot,
     CtlOr,
     CtlTrue,
+    CtlWitnessError,
+    Lasso,
     af,
     ag,
     ax,
     ef,
     eg,
+    sat_set,
 )
 from sbcheck.flatten import AdaptPhase, FlatState, SteadyIn, build_flat, flat_successors
-from sbcheck.graph import cyclic_states, reach
+from sbcheck.graph import cyclic_states, reach, shortest_path
 from sbcheck.kripke import Kripke
 from sbcheck.model import BLevel, BState, SBSystem, SLevel, STransition, parse_model
 
@@ -433,6 +438,33 @@ def oracle_sat(k: Kripke, phi) -> frozenset[int]:
             bad = forward_eu(not_b, not_b - sat_a) | forward_eg(not_b)
             return everything - bad
     raise TypeError(f"not a CTL node: {phi!r}")
+
+
+# ---------------------------------------------------------------------------
+# Reference EG witness: one forward search per successor of the cycle head
+
+
+def oracle_witness_eg(k: Kripke, inner, t: int) -> Lasso:
+    """The lasso ``ctl.witness_eg`` must return, found the direct way.
+
+    The prefix is a shortest path from ``t`` to the cycle states of the
+    whole EG region reachable from ``t``; the cycle closes through the
+    successor of its head with the shortest path back to the head, the
+    lowest such successor among equals.
+    """
+    good = sat_set(k, eg(inner))
+    if t not in good:
+        raise CtlWitnessError("state does not satisfy EG of the given formula")
+    succ = k.succ.__getitem__
+    region = reach(succ, [t], within=good)
+    prefix_path = shortest_path(succ, t, cyclic_states(succ, region), within=region)
+    head = prefix_path[-1]
+    best = None
+    for y in sorted(k.succ[head]):
+        back = shortest_path(succ, y, (head,), within=region)
+        if back is not None and (best is None or len(back) < len(best)):
+            best = back
+    return Lasso(tuple(prefix_path[:-1]), (head, *best[:-1]))
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,19 @@
 import random
 
 import pytest
-from helpers import oracle_sat, random_ctl, random_kripke, single_loop_system
+from helpers import (
+    acceptance_schedule,
+    corridor_system,
+    oracle_sat,
+    oracle_witness_eg,
+    random_ctl,
+    random_kripke,
+    rules_system,
+    single_loop_system,
+)
 
 from sbcheck.adapt import STRONG_FORMULA, STRONG_INNER, WEAK_FORMULA, WEAK_INNER
+from sbcheck.cli import gen_random
 from sbcheck.constraints import parse_formula
 from sbcheck.ctl import (
     CtlAtom,
@@ -235,3 +245,23 @@ def test_checker_matches_oracle_on_random_structures():
         k = random_kripke(rng, rng.randint(1, 12))
         phi = random_ctl(rng, rng.randint(1, 5))
         assert sat_set(k, phi) == oracle_sat(k, phi)
+
+
+def test_witness_matches_reference_oracle(bundled):
+    systems = list(bundled.values())
+    systems += [gen_random(seed, *acceptance_schedule(seed)) for seed in range(500)]
+    systems += [rules_system(seed) for seed in range(50)]
+    systems += [corridor_system(n, seed) for n in (1, 2) for seed in (0, 1)]
+    inners = (WEAK_INNER, STRONG_INNER, CtlNot(CtlAtom("steady")),
+              CtlAtom("steady"), CtlAtom("progress"))
+    pairs = [(to_kripke(build_flat(s)), inner) for s in systems for inner in inners]
+    rng = random.Random(9)
+    pairs += [(random_kripke(rng, rng.randint(1, 12)), random_ctl(rng, rng.randint(1, 4)))
+              for _ in range(400)]
+    prefixes = set()
+    for k, inner in pairs:
+        for t in sorted(sat_set(k, eg(inner))):
+            lasso = witness_eg(k, inner, t)
+            assert lasso == oracle_witness_eg(k, inner, t), (k.n_states, inner, t)
+            prefixes.add(bool(lasso.prefix))
+    assert prefixes == {False, True}
