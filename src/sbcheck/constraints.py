@@ -5,14 +5,22 @@ bounded integers, booleans, or enumerations.  Formulas are boolean
 combinations of comparisons between integer terms, boolean observables and
 enumeration literals.  Evaluation is exact integer arithmetic; enumeration
 values compare by label identity only.
+
+:func:`tokenize` is the one lexer of the package: the model language, its
+formulas and CTL formulas all read its tokens.  :func:`parse_with` is the
+one expression parser, an operator-precedence loop over explicit stacks
+that takes its grammar as data (:class:`Grammar`); this module holds the
+constraint grammar, ``ctl`` the CTL one.  Parsing stops at the first token
+that cannot extend the expression, which is where a formula inside a model
+line ends.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterable, Mapping, Optional, Union
+from functools import lru_cache, partial
+from typing import Callable, Iterable, Mapping, Optional, Union
 
 Value = Union[int, bool, str]
 
@@ -398,8 +406,9 @@ def tokenize(text: str, first_line: int = 1) -> list[Token]:
             while j < n and (text[j].isalnum() or text[j] == "_"):
                 j += 1
             word = text[i:j]
-            # digit-led words with letters or underscores are ids, not numbers
-            toks.append(Token("INT" if word.isdigit() else "IDENT", word, line, col))
+            # digit-led words with letters, underscores or non-decimal digits
+            # such as "²" are ids, not numbers
+            toks.append(Token("INT" if word.isdecimal() else "IDENT", word, line, col))
             col += j - i
             i = j
             continue
@@ -423,119 +432,159 @@ def tokenize(text: str, first_line: int = 1) -> list[Token]:
     return toks
 
 
-class FormulaParser:
-    """Recursive-descent parser over a token list.
+# ---------------------------------------------------------------------------
+# Operator-precedence parser (shared with the CTL grammar)
 
-    Precedence, tightest first: ``!``, ``*``, ``+ -``, comparisons, ``&&``,
-    ``||``, ``=>`` (right-associative), ``<=>``.
+LEFT, RIGHT, NONE = "left", "right", "none"
+_PREFIX = 1_000  # prefixes bind tighter than every binary operator
+_GROUP = -1  # an open group stops the reductions of the operators inside it
+
+
+@dataclass(frozen=True)
+class Group:
+    """A bracketed construct: ``opener``, then one expression before each
+    token of ``ends`` (separators, then the closer).  ``build`` combines the
+    expressions; without it the group is its one expression, as with
+    parentheses."""
+
+    opener: tuple[str, ...]
+    ends: tuple[str, ...]
+    build: Optional[Callable] = None
+
+
+class Grammar:
+    """An expression grammar as data, read by :func:`parse_with`.
+
+    ``binary`` maps an operator to (precedence, associativity, build);
+    higher precedences bind tighter, and the operators of one precedence
+    share one associativity.  ``prefix`` maps an operator to its build.
+    ``primary(tok, ctx)`` returns the leaf for ``tok``, or None when ``tok``
+    cannot start an operand; ``error(message, tok)`` makes the exception for
+    a syntax error at ``tok``.
     """
 
-    def __init__(self, tokens: list[Token], sig: Signature, pos: int = 0):
-        self.toks = tokens
-        self.sig = sig
-        self.pos = pos
-        self.positions: dict[int, tuple[int, int]] = {}
+    def __init__(self, binary, prefix, groups, primary, error):
+        self.binary = binary
+        self.prefix = prefix
+        self.openers = {g.opener[0]: g for g in groups}
+        self.primary = primary
+        self.error = error
 
-    def peek(self) -> Token:
-        return self.toks[self.pos]
 
-    def take(self) -> Token:
-        t = self.toks[self.pos]
-        self.pos += 1
-        return t
+def _shown(tok: Token) -> str:
+    return "end of formula" if tok.kind == "EOF" else repr(tok.text)
 
-    def error(self, msg: str, tok: Token | None = None):
-        tok = tok or self.peek()
-        raise FormulaSyntaxError(msg, tok.line, tok.col)
 
-    def _mark(self, node, tok: Token):
-        self.positions[id(node)] = (tok.line, tok.col)
-        return node
+def _reduce(entry, out, positions) -> None:
+    prec, build, tok = entry
+    if prec == _PREFIX:
+        node = build(out[-1])
+    else:
+        right = out.pop()
+        node = build(out[-1], right)
+    out[-1] = node
+    positions[id(node)] = (tok.line, tok.col)
 
-    def parse_expression(self) -> Formula:
-        """Parse a formula starting at the current token, stopping where the
-        grammar can no longer extend it."""
-        return self._iff()
 
-    def _iff(self):
-        node = self._implies()
-        while self.peek().text == "<=>":
-            tok = self.take()
-            node = self._mark(BoolOp("<=>", node, self._implies()), tok)
-        return node
+def parse_with(grammar: Grammar, toks: list[Token], pos: int = 0, ctx=None):
+    """Parse the longest expression of ``grammar`` starting at ``toks[pos]``.
 
-    def _implies(self):
-        node = self._or()
-        if self.peek().text == "=>":
-            tok = self.take()
-            node = self._mark(BoolOp("=>", node, self._implies()), tok)
-        return node
+    Returns the tree, the index of the first token that cannot extend it,
+    and a map from ``id(node)`` to the (line, col) of the operator or
+    primary token that made each node.  Operands and operators wait on
+    explicit stacks (Dijkstra's shunting yard), so the nesting depth is
+    bounded by memory only.  Inside an open group the next token must
+    continue the group; a second non-associative operator of one precedence
+    cannot extend an expression.  The loop knows no grammar but the one it
+    is given.
+    """
+    binary, prefix, openers = grammar.binary, grammar.prefix, grammar.openers
+    positions: dict[int, tuple[int, int]] = {}
+    out: list = []
+    ops: list = [(_GROUP, None, 0)]  # the whole input, which no token ends
+    while True:
+        # an operand starts at toks[pos]
+        tok = toks[pos]
+        if tok.text in prefix:
+            ops.append((_PREFIX, prefix[tok.text], tok))
+            pos += 1
+            continue
+        group = openers.get(tok.text)
+        if group is not None and all(toks[pos + k].text == t
+                                     for k, t in enumerate(group.opener[1:], 1)):
+            ops.append((_GROUP, group, 0))
+            pos += len(group.opener)
+            continue
+        node = grammar.primary(tok, ctx)
+        if node is None:
+            raise grammar.error(f"unexpected {_shown(tok)}", tok)
+        positions[id(node)] = (tok.line, tok.col)
+        out.append(node)
+        pos += 1
+        # a binary operator, a separator or a closer may follow
+        while True:
+            tok = toks[pos]
+            op = binary.get(tok.text)
+            if op is not None:
+                prec, assoc, build = op
+                while ops[-1][0] > prec or (ops[-1][0] == prec and assoc == LEFT):
+                    _reduce(ops.pop(), out, positions)
+                if assoc != NONE or ops[-1][0] != prec:
+                    ops.append((prec, build, tok))
+                    pos += 1
+                    break
+            # tok cannot extend the expression: it must continue the group
+            while ops[-1][0] != _GROUP:
+                _reduce(ops.pop(), out, positions)
+            _, group, k = ops[-1]
+            if group is None:
+                return out[0], pos, positions
+            if tok.text != group.ends[k]:
+                raise grammar.error(f"expected {group.ends[k]!r}, found {_shown(tok)}", tok)
+            pos += 1
+            if k + 1 < len(group.ends):
+                ops[-1] = (_GROUP, group, k + 1)
+                break
+            ops.pop()
+            if group.build is not None:
+                n = len(group.ends)
+                node = group.build(*out[-n:])
+                del out[-n:]
+                out.append(node)
 
-    def _or(self):
-        node = self._and()
-        while self.peek().text == "||":
-            tok = self.take()
-            node = self._mark(BoolOp("||", node, self._and()), tok)
-        return node
 
-    def _and(self):
-        node = self._cmp()
-        while self.peek().text == "&&":
-            tok = self.take()
-            node = self._mark(BoolOp("&&", node, self._cmp()), tok)
-        return node
+def _formula_primary(tok: Token, sig: Signature):
+    if tok.kind == "INT":
+        return IntConst(int(tok.text))
+    if tok.kind != "IDENT":
+        return None
+    if tok.text in ("true", "false"):
+        return BoolConst(tok.text == "true")
+    if tok.text in sig:
+        return Var(tok.text)
+    if sig.label_sort(tok.text) is not None:
+        return EnumConst(tok.text)
+    raise UnknownObservableError(f"unknown observable {tok.text!r}", tok.line, tok.col)
 
-    def _cmp(self):
-        node = self._add()
-        if self.peek().text in ("==", "!=", "<", "<=", ">", ">="):
-            tok = self.take()
-            node = self._mark(Cmp(tok.text, node, self._add()), tok)
-        return node
 
-    def _add(self):
-        node = self._mul()
-        while self.peek().text in ("+", "-"):
-            tok = self.take()
-            node = self._mark(Arith(tok.text, node, self._mul()), tok)
-        return node
+def _syntax_error(message: str, tok: Token) -> FormulaSyntaxError:
+    return FormulaSyntaxError(message, tok.line, tok.col)
 
-    def _mul(self):
-        node = self._unary()
-        while self.peek().text == "*":
-            tok = self.take()
-            node = self._mark(Arith("*", node, self._unary()), tok)
-        return node
 
-    def _unary(self):
-        tok = self.peek()
-        if tok.text == "!":
-            self.take()
-            return self._mark(Not(self._unary()), tok)
-        return self._primary()
+def _binary(node_type, precedence: int, assoc: str, *ops: str):
+    return {op: (precedence, assoc, partial(node_type, op)) for op in ops}
 
-    def _primary(self):
-        tok = self.take()
-        if tok.kind == "INT":
-            return self._mark(IntConst(int(tok.text)), tok)
-        if tok.text == "(":
-            node = self._iff()
-            if self.peek().text != ")":
-                self.error("expected ')'")
-            self.take()
-            return node
-        if tok.kind == "IDENT":
-            if tok.text == "true":
-                return self._mark(BoolConst(True), tok)
-            if tok.text == "false":
-                return self._mark(BoolConst(False), tok)
-            if tok.text in self.sig:
-                return self._mark(Var(tok.text), tok)
-            if self.sig.label_sort(tok.text) is not None:
-                return self._mark(EnumConst(tok.text), tok)
-            raise UnknownObservableError(
-                f"unknown observable {tok.text!r}", tok.line, tok.col
-            )
-        self.error(f"unexpected {tok.text!r}", tok)
+
+FORMULA_GRAMMAR = Grammar(
+    binary={**_binary(BoolOp, 1, LEFT, "<=>"), **_binary(BoolOp, 2, RIGHT, "=>"),
+            **_binary(BoolOp, 3, LEFT, "||"), **_binary(BoolOp, 4, LEFT, "&&"),
+            **_binary(Cmp, 5, NONE, "==", "!=", "<", "<=", ">", ">="),
+            **_binary(Arith, 6, LEFT, "+", "-"), **_binary(Arith, 7, LEFT, "*")},
+    prefix={"!": Not},
+    groups=(Group(("(",), (")",)),),
+    primary=_formula_primary,
+    error=_syntax_error,
+)
 
 
 def parse_formula(text: str, sig: Signature, expect: str = _BOOL) -> Formula:
@@ -545,34 +594,21 @@ def parse_formula(text: str, sig: Signature, expect: str = _BOOL) -> Formula:
     formula.  Raises FormulaSyntaxError, UnknownObservableError or
     SortMismatchError with line/column information.
     """
-    parser = FormulaParser(tokenize(text), sig)
-    node = parser.parse_expression()
-    tok = parser.peek()
-    if tok.kind != "EOF":
-        parser.error(f"unexpected {tok.text!r} after formula", tok)
-    sort_check(node, sig, parser.positions, expect=expect)
+    toks = tokenize(text)
+    node, pos, positions = parse_with(FORMULA_GRAMMAR, toks, 0, sig)
+    if toks[pos].kind != "EOF":
+        raise _syntax_error(f"unexpected {toks[pos].text!r} after formula", toks[pos])
+    sort_check(node, sig, positions, expect=expect)
     return node
 
 
 # ---------------------------------------------------------------------------
 # Pretty printing
 
-_PREC = {
-    BoolOp: {"<=>": 1, "=>": 2, "||": 3, "&&": 4},
-    Cmp: 5,
-    Arith: {"+": 6, "-": 6, "*": 7},
-    Not: 8,
-}
-
-
 def _prec(node) -> int:
     match node:
-        case BoolOp(op=op):
-            return _PREC[BoolOp][op]
-        case Cmp():
-            return 5
-        case Arith(op=op):
-            return _PREC[Arith][op]
+        case BoolOp(op=op) | Cmp(op=op) | Arith(op=op):
+            return FORMULA_GRAMMAR.binary[op][0]
         case Not():
             return 8
         case _:

@@ -17,6 +17,10 @@ forward from that successor back to the head; the cycle states of the EG
 region are computed only when the start lies on no cycle.  Every
 traversal except the A-until counter runs through the primitives of
 ``graph``, which know nothing of CTL.
+
+Formulas are read by the operator-precedence parser of ``constraints``,
+from the tokens of its lexer (so ``#`` starts a comment), with the grammar
+table ``CTL_GRAMMAR``.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
+from .constraints import LEFT, RIGHT, FormulaSyntaxError, Grammar, Group, Token, parse_with, tokenize
 from .graph import cyclic_states, reach, shortest_path
 from .kripke import AP, Kripke
 
@@ -125,118 +130,40 @@ def ax(phi: CtlFormula) -> CtlFormula:
 _UNARY = {"!": CtlNot, "EX": CtlEX, "AX": ax, "EF": ef, "AF": af, "EG": eg, "AG": ag}
 
 
-class _CtlParser:
-    def __init__(self, text: str):
-        self.toks = self._lex(text)
-        self.pos = 0
+def _ctl_error(message: str, tok: Token) -> CtlParseError:
+    return CtlParseError(f"{message} (line {tok.line}, column {tok.col})")
 
-    @staticmethod
-    def _lex(text: str) -> list[str]:
-        toks = []
-        i, n = 0, len(text)
-        while i < n:
-            ch = text[i]
-            if ch.isspace():
-                i += 1
-                continue
-            if ch.isalpha():
-                j = i
-                while j < n and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                toks.append(text[i:j])
-                i = j
-                continue
-            for sym in ("&&", "||", "=>", "(", ")", "[", "]", "!"):
-                if text.startswith(sym, i):
-                    toks.append(sym)
-                    i += len(sym)
-                    break
-            else:
-                raise CtlParseError(f"unexpected character {ch!r} at offset {i}")
-        toks.append("")
-        return toks
 
-    def peek(self) -> str:
-        return self.toks[self.pos]
+def _ctl_primary(tok: Token, ctx):
+    if tok.text in ("true", "false"):
+        return CtlTrue() if tok.text == "true" else CtlFalse()
+    if tok.text in AP:
+        return CtlAtom(tok.text)
+    if tok.kind == "IDENT":
+        raise _ctl_error(f"unknown atom {tok.text!r}", tok)
+    return None
 
-    def take(self) -> str:
-        tok = self.toks[self.pos]
-        self.pos += 1
-        return tok
 
-    def expect(self, text: str):
-        tok = self.take()
-        if tok != text:
-            raise CtlParseError(f"expected {text!r}, found {tok!r}")
-
-    def parse(self) -> CtlFormula:
-        node = self._implies()
-        if self.peek() != "":
-            raise CtlParseError(f"unexpected {self.peek()!r} after formula")
-        return node
-
-    def _implies(self):
-        node = self._or()
-        if self.peek() == "=>":
-            self.take()
-            return CtlImplies(node, self._implies())
-        return node
-
-    def _or(self):
-        node = self._and()
-        while self.peek() == "||":
-            self.take()
-            node = CtlOr(node, self._and())
-        return node
-
-    def _and(self):
-        node = self._unary()
-        while self.peek() == "&&":
-            self.take()
-            node = CtlAnd(node, self._unary())
-        return node
-
-    def _unary(self):
-        # a prefix chain is collected in a loop, so its length is not bounded
-        # by the recursion limit
-        prefix = []
-        while self.peek() in _UNARY:
-            prefix.append(_UNARY[self.take()])
-        tok = self.peek()
-        if tok in ("E", "A"):
-            self.take()
-            self.expect("[")
-            left = self._implies()
-            self.expect("U")
-            right = self._implies()
-            self.expect("]")
-            node = CtlEU(left, right) if tok == "E" else CtlAU(left, right)
-        else:
-            node = self._primary()
-        for op in reversed(prefix):
-            node = op(node)
-        return node
-
-    def _primary(self):
-        tok = self.take()
-        if tok == "(":
-            node = self._implies()
-            self.expect(")")
-            return node
-        if tok == "true":
-            return CtlTrue()
-        if tok == "false":
-            return CtlFalse()
-        if tok in AP:
-            return CtlAtom(tok)
-        if tok == "":
-            raise CtlParseError("unexpected end of formula")
-        raise CtlParseError(f"unknown atom {tok!r}")
+CTL_GRAMMAR = Grammar(
+    binary={"=>": (1, RIGHT, CtlImplies), "||": (2, LEFT, CtlOr), "&&": (3, LEFT, CtlAnd)},
+    prefix=_UNARY,
+    groups=(Group(("(",), (")",)), Group(("E", "["), ("U", "]"), CtlEU),
+            Group(("A", "["), ("U", "]"), CtlAU)),
+    primary=_ctl_primary,
+    error=_ctl_error,
+)
 
 
 def parse_ctl(text: str) -> CtlFormula:
     """Parse a CTL formula over the atoms adapting, steady and progress."""
-    return _CtlParser(text).parse()
+    try:
+        toks = tokenize(text)
+    except FormulaSyntaxError as exc:
+        raise CtlParseError(str(exc)) from exc
+    node, pos, _ = parse_with(CTL_GRAMMAR, toks)
+    if toks[pos].kind != "EOF":
+        raise _ctl_error(f"unexpected {toks[pos].text!r} after formula", toks[pos])
+    return node
 
 
 # ---------------------------------------------------------------------------

@@ -15,12 +15,12 @@ from functools import cached_property
 from typing import Iterable, Mapping, Optional
 
 from .constraints import (
+    FORMULA_GRAMMAR,
     BoolSort,
     BoundedInt,
     EnumSort,
     Formula,
     FormulaError,
-    FormulaParser,
     FormulaSyntaxError,
     Signature,
     Sort,
@@ -28,6 +28,7 @@ from .constraints import (
     Value,
     evaluate,
     free_observables,
+    parse_with,
     pretty,
     sort_check,
     tokenize,
@@ -398,6 +399,15 @@ def _state_id(toks, i, lineno):
     return tok.text, i + 1
 
 
+def _int_bound(toks, i, lineno):
+    sign = 1
+    if toks[i].text == "-":
+        sign, i = -1, i + 1
+    if toks[i].kind != "INT":
+        raise ModelError(f"expected an integer bound, found {toks[i].text!r}", lineno)
+    return sign * int(toks[i].text), i + 1
+
+
 def _parse_observables(lines) -> Signature:
     obs: list[tuple[str, Sort]] = []
     for lineno, line in lines:
@@ -411,16 +421,9 @@ def _parse_observables(lines) -> Signature:
         if kind == "bool":
             sort: Sort = BoolSort()
         elif kind == "int":
-            neg = toks[i].text == "-"
-            if neg:
-                i += 1
-            lo = -int(toks[i].text) if neg else int(toks[i].text)
-            i = _expect(toks, i + 1, "..", lineno)
-            neg = toks[i].text == "-"
-            if neg:
-                i += 1
-            hi = -int(toks[i].text) if neg else int(toks[i].text)
-            i += 1
+            lo, i = _int_bound(toks, i, lineno)
+            i = _expect(toks, i, "..", lineno)
+            hi, i = _int_bound(toks, i, lineno)
             sort = BoundedInt(lo, hi)
         elif kind == "enum":
             i = _expect(toks, i, "{", lineno)
@@ -486,13 +489,12 @@ def _parse_assignments(toks, i, sig, lineno, sep: str):
 
 
 def _parse_formula_at(toks, i, sig, lineno, expect: str = "bool"):
-    parser = FormulaParser(toks, sig, i)
     try:
-        node = parser.parse_expression()
-        sort_check(node, sig, parser.positions, expect=expect)
+        node, i, positions = parse_with(FORMULA_GRAMMAR, toks, i, sig)
+        sort_check(node, sig, positions, expect=expect)
     except FormulaError as exc:
         raise ModelError(str(exc), lineno) from exc
-    return node, parser.pos
+    return node, i
 
 
 def _parse_behaviour_explicit(lines, sig) -> BLevel:

@@ -9,14 +9,33 @@ over ``FlatState`` objects and deletes by whole sweeps; the EG witness
 oracle closes its lasso with one forward search per successor of the cycle
 head, after a cycle-state pass over the whole region.  The last two run
 their graph searches on the package's ``graph`` kernel, which
-``test_graph`` checks against brute force.
+``test_graph`` checks against brute force.  The reference parsers are
+recursive descent, one method per precedence level, where the package runs
+one table-driven operator-precedence loop for both formula languages.
 """
 
 from __future__ import annotations
 
 import random
 
-from sbcheck.constraints import BoundedInt, Signature, evaluate, parse_formula
+from sbcheck.constraints import (
+    Arith,
+    BoolConst,
+    BoolOp,
+    BoundedInt,
+    Cmp,
+    EnumConst,
+    Formula,
+    FormulaSyntaxError,
+    IntConst,
+    Not,
+    Signature,
+    Token,
+    UnknownObservableError,
+    Var,
+    evaluate,
+    parse_formula,
+)
 from sbcheck.ctl import (
     CtlAU,
     CtlAnd,
@@ -27,6 +46,7 @@ from sbcheck.ctl import (
     CtlImplies,
     CtlNot,
     CtlOr,
+    CtlParseError,
     CtlTrue,
     CtlWitnessError,
     Lasso,
@@ -39,7 +59,7 @@ from sbcheck.ctl import (
 )
 from sbcheck.flatten import AdaptPhase, FlatState, SteadyIn, build_flat, flat_successors
 from sbcheck.graph import cyclic_states, reach, shortest_path
-from sbcheck.kripke import Kripke
+from sbcheck.kripke import AP, Kripke
 from sbcheck.model import BLevel, BState, SBSystem, SLevel, STransition, parse_model
 
 
@@ -297,6 +317,240 @@ def oracle_strong_relation(sys):
     """The reachable steady pairs when they form a strong adaptation, else None."""
     candidate = build_flat(sys).steady_pairs()
     return None if oracle_check(sys, candidate, "strong") else candidate
+
+
+# ---------------------------------------------------------------------------
+# Reference parsers: the recursive-descent parsers the package used before
+# its operator-precedence parser, kept to check it against
+
+
+_ORACLE_UNARY = {"!": CtlNot, "EX": CtlEX, "AX": ax, "EF": ef, "AF": af, "EG": eg, "AG": ag}
+
+
+class OracleFormulaParser:
+    """The recursive-descent reference for the constraint grammar.
+
+    Precedence, tightest first: ``!``, ``*``, ``+ -``, comparisons, ``&&``,
+    ``||``, ``=>`` (right-associative), ``<=>``.
+    """
+
+    def __init__(self, tokens: list[Token], sig: Signature, pos: int = 0):
+        self.toks = tokens
+        self.sig = sig
+        self.pos = pos
+        self.positions: dict[int, tuple[int, int]] = {}
+
+    def peek(self) -> Token:
+        return self.toks[self.pos]
+
+    def take(self) -> Token:
+        t = self.toks[self.pos]
+        self.pos += 1
+        return t
+
+    def error(self, msg: str, tok: Token | None = None):
+        tok = tok or self.peek()
+        raise FormulaSyntaxError(msg, tok.line, tok.col)
+
+    def _mark(self, node, tok: Token):
+        self.positions[id(node)] = (tok.line, tok.col)
+        return node
+
+    def parse_expression(self) -> Formula:
+        """Parse a formula starting at the current token, stopping where the
+        grammar can no longer extend it."""
+        return self._iff()
+
+    def _iff(self):
+        node = self._implies()
+        while self.peek().text == "<=>":
+            tok = self.take()
+            node = self._mark(BoolOp("<=>", node, self._implies()), tok)
+        return node
+
+    def _implies(self):
+        node = self._or()
+        if self.peek().text == "=>":
+            tok = self.take()
+            node = self._mark(BoolOp("=>", node, self._implies()), tok)
+        return node
+
+    def _or(self):
+        node = self._and()
+        while self.peek().text == "||":
+            tok = self.take()
+            node = self._mark(BoolOp("||", node, self._and()), tok)
+        return node
+
+    def _and(self):
+        node = self._cmp()
+        while self.peek().text == "&&":
+            tok = self.take()
+            node = self._mark(BoolOp("&&", node, self._cmp()), tok)
+        return node
+
+    def _cmp(self):
+        node = self._add()
+        if self.peek().text in ("==", "!=", "<", "<=", ">", ">="):
+            tok = self.take()
+            node = self._mark(Cmp(tok.text, node, self._add()), tok)
+        return node
+
+    def _add(self):
+        node = self._mul()
+        while self.peek().text in ("+", "-"):
+            tok = self.take()
+            node = self._mark(Arith(tok.text, node, self._mul()), tok)
+        return node
+
+    def _mul(self):
+        node = self._unary()
+        while self.peek().text == "*":
+            tok = self.take()
+            node = self._mark(Arith("*", node, self._unary()), tok)
+        return node
+
+    def _unary(self):
+        tok = self.peek()
+        if tok.text == "!":
+            self.take()
+            return self._mark(Not(self._unary()), tok)
+        return self._primary()
+
+    def _primary(self):
+        tok = self.take()
+        if tok.kind == "INT":
+            return self._mark(IntConst(int(tok.text)), tok)
+        if tok.text == "(":
+            node = self._iff()
+            if self.peek().text != ")":
+                self.error("expected ')'")
+            self.take()
+            return node
+        if tok.kind == "IDENT":
+            if tok.text == "true":
+                return self._mark(BoolConst(True), tok)
+            if tok.text == "false":
+                return self._mark(BoolConst(False), tok)
+            if tok.text in self.sig:
+                return self._mark(Var(tok.text), tok)
+            if self.sig.label_sort(tok.text) is not None:
+                return self._mark(EnumConst(tok.text), tok)
+            raise UnknownObservableError(
+                f"unknown observable {tok.text!r}", tok.line, tok.col
+            )
+        self.error(f"unexpected {tok.text!r}", tok)
+
+
+class OracleCtlParser:
+    """The recursive-descent reference for CTL, with its own lexer."""
+
+    def __init__(self, text: str):
+        self.toks = self._lex(text)
+        self.pos = 0
+
+    @staticmethod
+    def _lex(text: str) -> list[str]:
+        toks = []
+        i, n = 0, len(text)
+        while i < n:
+            ch = text[i]
+            if ch.isspace():
+                i += 1
+                continue
+            if ch.isalpha():
+                j = i
+                while j < n and (text[j].isalnum() or text[j] == "_"):
+                    j += 1
+                toks.append(text[i:j])
+                i = j
+                continue
+            for sym in ("&&", "||", "=>", "(", ")", "[", "]", "!"):
+                if text.startswith(sym, i):
+                    toks.append(sym)
+                    i += len(sym)
+                    break
+            else:
+                raise CtlParseError(f"unexpected character {ch!r} at offset {i}")
+        toks.append("")
+        return toks
+
+    def peek(self) -> str:
+        return self.toks[self.pos]
+
+    def take(self) -> str:
+        tok = self.toks[self.pos]
+        self.pos += 1
+        return tok
+
+    def expect(self, text: str):
+        tok = self.take()
+        if tok != text:
+            raise CtlParseError(f"expected {text!r}, found {tok!r}")
+
+    def parse(self) -> CtlFormula:
+        node = self._implies()
+        if self.peek() != "":
+            raise CtlParseError(f"unexpected {self.peek()!r} after formula")
+        return node
+
+    def _implies(self):
+        node = self._or()
+        if self.peek() == "=>":
+            self.take()
+            return CtlImplies(node, self._implies())
+        return node
+
+    def _or(self):
+        node = self._and()
+        while self.peek() == "||":
+            self.take()
+            node = CtlOr(node, self._and())
+        return node
+
+    def _and(self):
+        node = self._unary()
+        while self.peek() == "&&":
+            self.take()
+            node = CtlAnd(node, self._unary())
+        return node
+
+    def _unary(self):
+        # a prefix chain is collected in a loop, so its length is not bounded
+        # by the recursion limit
+        prefix = []
+        while self.peek() in _ORACLE_UNARY:
+            prefix.append(_ORACLE_UNARY[self.take()])
+        tok = self.peek()
+        if tok in ("E", "A"):
+            self.take()
+            self.expect("[")
+            left = self._implies()
+            self.expect("U")
+            right = self._implies()
+            self.expect("]")
+            node = CtlEU(left, right) if tok == "E" else CtlAU(left, right)
+        else:
+            node = self._primary()
+        for op in reversed(prefix):
+            node = op(node)
+        return node
+
+    def _primary(self):
+        tok = self.take()
+        if tok == "(":
+            node = self._implies()
+            self.expect(")")
+            return node
+        if tok == "true":
+            return CtlTrue()
+        if tok == "false":
+            return CtlFalse()
+        if tok in AP:
+            return CtlAtom(tok)
+        if tok == "":
+            raise CtlParseError("unexpected end of formula")
+        raise CtlParseError(f"unknown atom {tok!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -564,6 +818,11 @@ def rules_system(seed: int) -> SBSystem:
     pairs get two transitions with different invariants, so one flat state
     can reach the same steady state under two adaptation labels.
     """
+    return parse_model(rules_system_text(seed))
+
+
+def rules_system_text(seed: int) -> str:
+    """The model text of ``rules_system(seed)``."""
     rng = random.Random(seed)
     n_s = rng.randint(2, 4)
     width = rng.randint(2, 4)
@@ -591,7 +850,7 @@ def rules_system(seed: int) -> SBSystem:
             for inv in rng.sample(["true", f"x >= {rng.randint(0, hi)}", "y <= 1"],
                                   rng.randint(1, 2)):
                 lines.append(f"  trans r{i} -> r{j} inv {inv}")
-    return parse_model("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 def acceptance_schedule(seed: int) -> tuple[int, int, float]:

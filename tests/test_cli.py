@@ -129,6 +129,35 @@ def test_ctl_deep_negation_chain_gets_a_verdict(capsys):
     assert capsys.readouterr().err == ""
 
 
+DEPTH = 3000  # well past the recursion limit
+
+
+def test_deeply_parenthesised_structure_label_gets_a_verdict(tmp_path, capsys):
+    text = models.path("atv_s0").read_text()
+    label = "r==M && c==0"
+    assert f"state r0 : {label}\n" in text
+    nested = tmp_path / "nested.sb"
+    nested.write_text(text.replace(label, "(" * DEPTH + label + ")" * DEPTH, 1))
+    plain = run(["check", model_path("atv_s0"), "--mode", "weak"])
+    plain_out = capsys.readouterr()
+    assert run(["check", str(nested), "--mode", "weak"]) == plain
+    assert capsys.readouterr() == plain_out
+
+
+def test_ctl_deep_parentheses_get_a_verdict(capsys):
+    model = model_path("atv_s0")
+    plain = run(["ctl", model, "--ctl", "steady"])
+    assert run(["ctl", model, "--ctl", "(" * DEPTH + "steady" + ")" * DEPTH]) == plain
+    assert capsys.readouterr().err == ""
+
+
+def test_ctl_long_implication_chain_gets_a_verdict(capsys):
+    model = model_path("atv_s0")
+    assert run(["ctl", model, "--ctl", "steady => steady"]) == 0
+    assert run(["ctl", model, "--ctl", " => ".join(["steady"] * DEPTH)]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_validate_subcommand(tmp_path, capsys):
     assert run(["validate", model_path("bone_s0")]) == 0
     bad = tmp_path / "bad.sb"

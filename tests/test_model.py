@@ -1,11 +1,9 @@
 import logging
-from pathlib import Path
 
 import pytest
 
-from sbcheck import models
 from sbcheck.cli import system_to_dsl
-from sbcheck.constraints import BoundedInt, Signature, parse_formula
+from sbcheck.constraints import BoundedInt, Signature, parse_formula, tokenize
 from sbcheck.model import (
     BLevel,
     BState,
@@ -77,6 +75,22 @@ def test_parse_errors_have_locations():
         parse_model(MINI.replace("state r0 : x == 0", "state r0 : x + 1"))
     with pytest.raises(ModelError, match="unknown observable"):
         parse_model(MINI.replace("state r0 : x == 0", "state r0 : y == 0"))
+
+
+def test_observable_without_integer_bound_is_a_model_error():
+    for sort in ("int", "int x 0..1", "int 0..", "int -..1"):
+        with pytest.raises(ModelError, match="expected an integer bound") as exc:
+            parse_model(MINI.replace("x : int 0..3", f"x : {sort}"))
+        assert exc.value.line == 4
+
+
+def test_non_decimal_digit_is_an_identifier():
+    tok = tokenize("x > \u00b2")[2]
+    assert (tok.kind, tok.text) == ("IDENT", "\u00b2")
+    with pytest.raises(ModelError, match=r"unknown observable '\u00b2' \(line 11, column 17\)"):
+        parse_model(MINI.replace("state r0 : x == 0", "state r0 : x == \u00b2"))
+    with pytest.raises(ModelError, match="not in sort"):
+        parse_model(MINI.replace("state q { x=1 }", "state q { x=\u00b2 }"))
 
 
 def test_comments_and_numeric_ids():
@@ -252,8 +266,3 @@ def test_dsl_round_trip(bundled):
         assert back.s.states == sys_.s.states
         assert back.s.transitions == sys_.s.transitions
 
-
-def test_repo_models_match_packaged():
-    repo = Path(__file__).resolve().parents[1] / "models"
-    for name in models.NAMES:
-        assert (repo / f"{name}.sb").read_text() == models.path(name).read_text()
