@@ -29,9 +29,11 @@ _RESERVED = frozenset({"true", "false"})
 
 
 class FormulaError(Exception):
-    """Base class for constraint-language diagnostics."""
+    """Base class for constraint-language diagnostics; ``message`` is the
+    text without its location."""
 
     def __init__(self, message: str, line: int | None = None, col: int | None = None):
+        self.message = message
         if line is not None:
             message = f"{message} (line {line}, column {col})"
         super().__init__(message)

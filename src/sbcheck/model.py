@@ -5,6 +5,11 @@ structural machine whose states are labelled by constraint formulas and whose
 transitions carry invariant formulas.  Behaviour machines can be given
 explicitly or as guarded rules that are expanded to the reachable state
 space.
+
+Model files are read as token lines: each line is tokenized once, so token
+columns are file columns, and every statement or section header ends with
+its line.  A :class:`ModelError` carries the line and column of the
+offending token.
 """
 
 from __future__ import annotations
@@ -27,7 +32,6 @@ from .constraints import (
     Token,
     Value,
     evaluate,
-    free_observables,
     parse_with,
     pretty,
     sort_check,
@@ -38,13 +42,15 @@ log = logging.getLogger(__name__)
 
 
 class ModelError(Exception):
-    """Raised for malformed model descriptions."""
+    """Raised for malformed model descriptions, located at the line and
+    column of the offending token when there is one."""
 
-    def __init__(self, message: str, line: int | None = None):
+    def __init__(self, message: str, line: int | None = None, col: int | None = None):
         if line is not None:
-            message = f"{message} (line {line})"
+            message = f"{message} (line {line}, column {col})"
         super().__init__(message)
         self.line = line
+        self.col = col
 
 
 @dataclass(eq=False)
@@ -324,10 +330,6 @@ def validate(sys: SBSystem) -> list[Diagnostic]:
             sort_check(phi, sig)
         except FormulaError as exc:
             err("ill-sorted", f"{what}: {exc}")
-        else:
-            loose = free_observables(phi) - set(sig.names)
-            if loose:
-                err("free-vars", f"{what}: unknown observables {sorted(loose)}")
 
     if not out and b.initial in b.states and s.initial in s.states:
         if not sys.sat(b.initial, s.label(s.initial)):
@@ -340,119 +342,125 @@ def validate(sys: SBSystem) -> list[Diagnostic]:
 # Model DSL
 
 
+def _error(message: str, tok: Token) -> ModelError:
+    return ModelError(message, tok.line, tok.col)
+
+
+def _end(toks, i) -> None:
+    """The end-of-line check of every statement and section header."""
+    if toks[i].kind != "EOF":
+        raise _error(f"trailing {toks[i].text!r}", toks[i])
+
+
 def _split_sections(text: str):
-    """Group the non-blank lines of a model file by section header."""
+    """The system name and, per section, its kind, its header token and
+    its non-blank token lines; each line is tokenized once."""
     name = None
-    sections: list[tuple[str, int, list[tuple[int, str]]]] = []
-    current: Optional[list[tuple[int, str]]] = None
+    sections: list[tuple[str, Token, list[list[Token]]]] = []
+    current: Optional[list[list[Token]]] = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        try:
+            toks = tokenize(raw, first_line=lineno)
+        except FormulaSyntaxError as exc:
+            raise ModelError(exc.message, exc.line, exc.col) from exc
+        head, i = toks[0], 1
+        if head.kind == "EOF":
             continue
-        head = line.split()
-        if head[0] == "system":
+        if head.text == "system":
             if name is not None:
-                raise ModelError("duplicate 'system' line", lineno)
-            if len(head) != 2:
-                raise ModelError("expected 'system <id>'", lineno)
-            name = head[1]
-            continue
-        if head[0] == "observables":
+                raise _error("duplicate 'system' line", head)
+            if toks[1].kind not in ("IDENT", "INT"):
+                raise _error("expected 'system <id>'", toks[1])
+            name, i = toks[1].text, 2
+        elif head.text == "behaviour":
+            if toks[1].text not in ("rules", "explicit"):
+                raise _error("expected 'behaviour rules' or 'behaviour explicit'", toks[1])
             current = []
-            sections.append(("observables", lineno, current))
-            continue
-        if head[0] == "behaviour":
-            if len(head) != 2 or head[1] not in ("rules", "explicit"):
-                raise ModelError("expected 'behaviour rules' or 'behaviour explicit'", lineno)
+            sections.append(("behaviour " + toks[1].text, head, current))
+            i = 2
+        elif head.text in ("observables", "structure"):
             current = []
-            sections.append(("behaviour " + head[1], lineno, current))
+            sections.append((head.text, head, current))
+        elif current is None:
+            last = toks[-2]  # the line shown runs from its first to its last token
+            line = raw[head.col - 1:last.col - 1 + len(last.text)]
+            raise _error(f"unexpected line {line!r} before any section", head)
+        else:
+            current.append(toks)
             continue
-        if head[0] == "structure":
-            current = []
-            sections.append(("structure", lineno, current))
-            continue
-        if current is None:
-            raise ModelError(f"unexpected line {line!r} before any section", lineno)
-        current.append((lineno, line))
+        _end(toks, i)
     if name is None:
         raise ModelError("missing 'system <id>' line")
     return name, sections
 
 
-def _line_tokens(line: str, lineno: int) -> list[Token]:
-    try:
-        return tokenize(line, first_line=lineno)
-    except FormulaSyntaxError as exc:
-        raise ModelError(str(exc), lineno) from exc
-
-
-def _expect(toks, i, text, lineno):
+def _expect(toks, i, text):
     if toks[i].text != text:
-        raise ModelError(f"expected {text!r}, found {toks[i].text!r}", lineno)
+        raise _error(f"expected {text!r}, found {toks[i].text!r}", toks[i])
     return i + 1
 
 
-def _state_id(toks, i, lineno):
+def _state_id(toks, i) -> tuple[Token, int]:
     tok = toks[i]
     if tok.kind not in ("IDENT", "INT"):
-        raise ModelError(f"expected a state id, found {tok.text!r}", lineno)
-    return tok.text, i + 1
+        raise _error(f"expected a state id, found {tok.text!r}", tok)
+    return tok, i + 1
 
 
-def _int_bound(toks, i, lineno):
+def _int_bound(toks, i):
     sign = 1
     if toks[i].text == "-":
         sign, i = -1, i + 1
     if toks[i].kind != "INT":
-        raise ModelError(f"expected an integer bound, found {toks[i].text!r}", lineno)
+        raise _error(f"expected an integer bound, found {toks[i].text!r}", toks[i])
     return sign * int(toks[i].text), i + 1
 
 
-def _parse_observables(lines) -> Signature:
+def _parse_observables(head: Token, lines) -> Signature:
     obs: list[tuple[str, Sort]] = []
-    for lineno, line in lines:
-        toks = _line_tokens(line, lineno)
+    for toks in lines:
         if toks[0].kind != "IDENT":
-            raise ModelError("expected '<name> : <sort>'", lineno)
-        name = toks[0].text
-        i = _expect(toks, 1, ":", lineno)
-        kind = toks[i].text
+            raise _error("expected '<name> : <sort>'", toks[0])
+        i = _expect(toks, 1, ":")
+        kind = toks[i]
         i += 1
-        if kind == "bool":
-            sort: Sort = BoolSort()
-        elif kind == "int":
-            lo, i = _int_bound(toks, i, lineno)
-            i = _expect(toks, i, "..", lineno)
-            hi, i = _int_bound(toks, i, lineno)
-            sort = BoundedInt(lo, hi)
-        elif kind == "enum":
-            i = _expect(toks, i, "{", lineno)
-            labels = []
-            while toks[i].text != "}":
-                if toks[i].kind != "IDENT":
-                    raise ModelError("expected an enum label", lineno)
-                labels.append(toks[i].text)
-                i += 1
-                if toks[i].text == ",":
+        try:
+            if kind.text == "bool":
+                sort: Sort = BoolSort()
+            elif kind.text == "int":
+                lo, i = _int_bound(toks, i)
+                i = _expect(toks, i, "..")
+                hi, i = _int_bound(toks, i)
+                sort = BoundedInt(lo, hi)
+            elif kind.text == "enum":
+                i = _expect(toks, i, "{")
+                labels = []
+                while toks[i].text != "}":
+                    if toks[i].kind != "IDENT":
+                        raise _error("expected an enum label", toks[i])
+                    labels.append(toks[i].text)
                     i += 1
-            i += 1
-            sort = EnumSort(tuple(labels))
-        else:
-            raise ModelError(f"unknown sort {kind!r}", lineno)
-        if toks[i].kind != "EOF":
-            raise ModelError(f"trailing {toks[i].text!r}", lineno)
-        obs.append((name, sort))
+                    if toks[i].text == ",":
+                        i += 1
+                i += 1
+                sort = EnumSort(tuple(labels))
+            else:
+                raise _error(f"unknown sort {kind.text!r}", kind)
+        except ValueError as exc:  # an empty sort or a bad enum label
+            raise _error(str(exc), kind) from exc
+        _end(toks, i)
+        obs.append((toks[0].text, sort))
     try:
         return Signature(obs)
     except ValueError as exc:
-        raise ModelError(str(exc)) from exc
+        raise _error(str(exc), head) from exc
 
 
-def _parse_value(toks, i, sig, name, lineno):
+def _parse_value(toks, i, sig, name: Token):
+    if name.text not in sig:
+        raise _error(f"unknown observable {name.text!r}", name)
+    sort = sig.sort_of(name.text)
     tok = toks[i]
-    sort = sig.sort_of(name) if name in sig else None
-    if sort is None:
-        raise ModelError(f"unknown observable {name!r}", lineno)
     if tok.text == "-" and toks[i + 1].kind == "INT":
         value: Value = -int(toks[i + 1].text)
         i += 2
@@ -466,205 +474,190 @@ def _parse_value(toks, i, sig, name, lineno):
         value = tok.text
         i += 1
     else:
-        raise ModelError(f"expected a value, found {tok.text!r}", lineno)
+        raise _error(f"expected a value, found {tok.text!r}", tok)
     if not sort.contains(value):
-        raise ModelError(f"value {value!r} not in sort of {name!r}", lineno)
+        raise _error(f"value {value!r} not in sort of {name.text!r}", tok)
     return value, i
 
 
-def _parse_assignments(toks, i, sig, lineno, sep: str):
-    """Parse ``name <sep> value [, ...]`` and return the observation."""
+def _parse_assignments(toks, i, sig):
+    """Parse ``name = value [, ...]`` and return the observation."""
     obs: dict[str, Value] = {}
     while True:
-        if toks[i].kind != "IDENT":
-            raise ModelError(f"expected an observable name, found {toks[i].text!r}", lineno)
-        name = toks[i].text
-        i = _expect(toks, i + 1, sep, lineno)
-        if name in obs:
-            raise ModelError(f"observable {name!r} assigned twice", lineno)
-        obs[name], i = _parse_value(toks, i, sig, name, lineno)
+        name = toks[i]
+        if name.kind != "IDENT":
+            raise _error(f"expected an observable name, found {name.text!r}", name)
+        i = _expect(toks, i + 1, "=")
+        if name.text in obs:
+            raise _error(f"observable {name.text!r} assigned twice", name)
+        obs[name.text], i = _parse_value(toks, i, sig, name)
         if toks[i].text != ",":
             return obs, i
         i += 1
 
 
-def _parse_formula_at(toks, i, sig, lineno, expect: str = "bool"):
+def _check_observation(sig, obs, tok: Token) -> None:
+    try:
+        sig.check_observation(obs)
+    except ValueError as exc:
+        raise _error(str(exc), tok) from exc
+
+
+def _parse_formula_at(toks, i, sig, expect: str = "bool"):
     try:
         node, i, positions = parse_with(FORMULA_GRAMMAR, toks, i, sig)
         sort_check(node, sig, positions, expect=expect)
     except FormulaError as exc:
-        raise ModelError(str(exc), lineno) from exc
+        raise ModelError(exc.message, exc.line, exc.col) from exc
     return node, i
 
 
-def _parse_behaviour_explicit(lines, sig) -> BLevel:
-    states: list[BState] = []
-    ids: set[str] = set()
-    initial = None
-    transitions: list[tuple[str, str]] = []
-    for lineno, line in lines:
-        toks = _line_tokens(line, lineno)
-        kw = toks[0].text
-        if kw == "state":
-            sid, i = _state_id(toks, 1, lineno)
-            if sid in ids:
-                raise ModelError(f"duplicate behaviour state {sid!r}", lineno)
-            i = _expect(toks, i, "{", lineno)
-            obs, i = _parse_assignments(toks, i, sig, lineno, "=")
-            i = _expect(toks, i, "}", lineno)
-            try:
-                sig.check_observation(obs)
-            except ValueError as exc:
-                raise ModelError(str(exc), lineno) from exc
-            ids.add(sid)
-            states.append(BState(sid, obs))
-        elif kw == "init":
-            initial, _ = _state_id(toks, 1, lineno)
-        elif kw == "trans":
-            src, i = _state_id(toks, 1, lineno)
-            i = _expect(toks, i, "->", lineno)
-            dst, i = _state_id(toks, i, lineno)
-            transitions.append((src, dst))
+def _parse_machine(head: Token, lines, where: str, parse_state, parse_trans):
+    """The ``state``/``init``/``trans`` statements of an explicit behaviour
+    or a structure section, whose header ``head`` names the level.
+
+    ``parse_state(toks, i)`` reads a state's body after its id, and
+    ``parse_trans(toks, i, source, target)`` a transition after its target;
+    each returns what it read and the next index.  Returns the (id, body)
+    pairs, the initial id and the transitions.
+    """
+    word = head.text
+    states: dict[str, object] = {}
+    init = None
+    ends: list[tuple[Token, Token]] = []
+    transitions = []
+    for toks in lines:
+        kw = toks[0]
+        if kw.text == "state":
+            sid, i = _state_id(toks, 1)
+            if sid.text in states:
+                raise _error(f"duplicate {word} state {sid.text!r}", sid)
+            states[sid.text], i = parse_state(toks, i)
+        elif kw.text == "init":
+            init, i = _state_id(toks, 1)
+        elif kw.text == "trans":
+            src, i = _state_id(toks, 1)
+            dst, i = _state_id(toks, _expect(toks, i, "->"))
+            tr, i = parse_trans(toks, i, src.text, dst.text)
+            ends.append((src, dst))
+            transitions.append(tr)
         else:
-            raise ModelError(f"unexpected {kw!r} in explicit behaviour", lineno)
-    if initial is None:
-        raise ModelError("behaviour section misses 'init'")
-    if initial not in ids:
-        raise ModelError(f"initial behaviour state {initial!r} undeclared")
-    for src, dst in transitions:
-        if src not in ids or dst not in ids:
-            raise ModelError(f"dangling behaviour transition {src} -> {dst}")
-    return BLevel(states, initial, transitions)
+            raise _error(f"unexpected {kw.text!r} in {where}", kw)
+        _end(toks, i)
+    if init is None:
+        raise _error(f"{word} section misses 'init'", head)
+    if init.text not in states:
+        raise _error(f"initial {word} state {init.text!r} undeclared", init)
+    for src, dst in ends:
+        for tok in (src, dst):
+            if tok.text not in states:
+                raise _error(f"dangling {word} transition {src.text} -> {dst.text}", tok)
+    return states.items(), init.text, transitions
 
 
-def _parse_behaviour_rules(lines, sig) -> BLevel:
+def _parse_behaviour_explicit(head: Token, lines, sig) -> BLevel:
+    def observation(toks, i):
+        start = toks[i]
+        obs, i = _parse_assignments(toks, _expect(toks, i, "{"), sig)
+        i = _expect(toks, i, "}")
+        _check_observation(sig, obs, start)
+        return obs, i
+
+    states, initial, transitions = _parse_machine(
+        head, lines, "explicit behaviour", observation,
+        lambda toks, i, src, dst: ((src, dst), i))
+    return BLevel([BState(q, obs) for q, obs in states], initial, transitions)
+
+
+def _parse_structure(head: Token, lines, sig) -> SLevel:
+    def label(toks, i):
+        return _parse_formula_at(toks, _expect(toks, i, ":"), sig)
+
+    def transition(toks, i, src, dst):
+        if toks[i].text != "inv":
+            raise _error("expected 'inv <formula>'", toks[i])
+        inv, i = _parse_formula_at(toks, i + 1, sig)
+        return STransition(src, inv, dst), i
+
+    return SLevel(*_parse_machine(head, lines, "structure", label, transition))
+
+
+def _parse_behaviour_rules(head: Token, lines, sig) -> BLevel:
     init_obs = None
     rules: list[GuardedRule] = []
     names: set[str] = set()
-    for lineno, line in lines:
-        toks = _line_tokens(line, lineno)
-        kw = toks[0].text
-        if kw == "init":
-            obs, _ = _parse_assignments(toks, 1, sig, lineno, "=")
-            try:
-                sig.check_observation(obs)
-            except ValueError as exc:
-                raise ModelError(str(exc), lineno) from exc
-            init_obs = obs
-        elif kw == "rule":
-            if toks[1].kind != "IDENT":
-                raise ModelError("expected a rule name", lineno)
-            rname = toks[1].text
-            if rname in names:
-                raise ModelError(f"duplicate rule {rname!r}", lineno)
-            names.add(rname)
-            i = _expect(toks, 2, ":", lineno)
-            guard, i = _parse_formula_at(toks, i, sig, lineno)
-            i = _expect(toks, i, "->", lineno)
-            updates: list[tuple[str, Formula]] = []
-            seen: set[str] = set()
+    for toks in lines:
+        kw = toks[0]
+        if kw.text == "init":
+            init_obs, i = _parse_assignments(toks, 1, sig)
+            _check_observation(sig, init_obs, toks[1])
+        elif kw.text == "rule":
+            rname = toks[1]
+            if rname.kind != "IDENT":
+                raise _error("expected a rule name", rname)
+            if rname.text in names:
+                raise _error(f"duplicate rule {rname.text!r}", rname)
+            names.add(rname.text)
+            guard, i = _parse_formula_at(toks, _expect(toks, 2, ":"), sig)
+            i = _expect(toks, i, "->")
+            updates: dict[str, Formula] = {}
             while True:
-                if toks[i].kind != "IDENT":
-                    raise ModelError("expected an update target", lineno)
-                target = toks[i].text
-                if target not in sig or not isinstance(sig.sort_of(target), BoundedInt):
-                    raise ModelError(
-                        f"update target {target!r} is not an integer observable", lineno)
-                if target in seen:
-                    raise ModelError(f"observable {target!r} updated twice", lineno)
-                seen.add(target)
-                i = _expect(toks, i + 1, ":=", lineno)
-                expr, i = _parse_formula_at(toks, i, sig, lineno, expect="int")
-                updates.append((target, expr))
+                target = toks[i]
+                if target.kind != "IDENT":
+                    raise _error("expected an update target", target)
+                if target.text not in sig or not isinstance(sig.sort_of(target.text),
+                                                            BoundedInt):
+                    raise _error(f"update target {target.text!r} is not an integer "
+                                 "observable", target)
+                if target.text in updates:
+                    raise _error(f"observable {target.text!r} updated twice", target)
+                updates[target.text], i = _parse_formula_at(
+                    toks, _expect(toks, i + 1, ":="), sig, expect="int")
                 if toks[i].text != ",":
                     break
                 i += 1
-            if toks[i].kind != "EOF":
-                raise ModelError(f"trailing {toks[i].text!r}", lineno)
-            rules.append(GuardedRule(rname, guard, tuple(updates)))
+            rules.append(GuardedRule(rname.text, guard, tuple(updates.items())))
         else:
-            raise ModelError(f"unexpected {kw!r} in rule behaviour", lineno)
+            raise _error(f"unexpected {kw.text!r} in rule behaviour", kw)
+        _end(toks, i)
     if init_obs is None:
-        raise ModelError("rule behaviour misses 'init'")
+        raise _error("rule behaviour misses 'init'", head)
     return expand_rules(rules, sig, init_obs)
 
 
-def _parse_structure(lines, sig) -> SLevel:
-    states: list[tuple[str, Formula]] = []
-    ids: set[str] = set()
-    initial = None
-    transitions: list[STransition] = []
-    for lineno, line in lines:
-        toks = _line_tokens(line, lineno)
-        kw = toks[0].text
-        if kw == "state":
-            rid, i = _state_id(toks, 1, lineno)
-            if rid in ids:
-                raise ModelError(f"duplicate structure state {rid!r}", lineno)
-            i = _expect(toks, i, ":", lineno)
-            label, i = _parse_formula_at(toks, i, sig, lineno)
-            if toks[i].kind != "EOF":
-                raise ModelError(f"trailing {toks[i].text!r}", lineno)
-            ids.add(rid)
-            states.append((rid, label))
-        elif kw == "init":
-            initial, _ = _state_id(toks, 1, lineno)
-        elif kw == "trans":
-            src, i = _state_id(toks, 1, lineno)
-            i = _expect(toks, i, "->", lineno)
-            dst, i = _state_id(toks, i, lineno)
-            if toks[i].text != "inv" or toks[i].kind != "IDENT":
-                raise ModelError("expected 'inv <formula>'", lineno)
-            inv, i = _parse_formula_at(toks, i + 1, sig, lineno)
-            if toks[i].kind != "EOF":
-                raise ModelError(f"trailing {toks[i].text!r}", lineno)
-            transitions.append(STransition(src, inv, dst))
-        else:
-            raise ModelError(f"unexpected {kw!r} in structure", lineno)
-    if initial is None:
-        raise ModelError("structure section misses 'init'")
-    if initial not in ids:
-        raise ModelError(f"initial structure state {initial!r} undeclared")
-    for tr in transitions:
-        if tr.source not in ids or tr.target not in ids:
-            raise ModelError(f"dangling structure transition {tr.source} -> {tr.target}")
-    return SLevel(states, initial, transitions)
+_LEVEL_PARSERS = {
+    "behaviour explicit": _parse_behaviour_explicit,
+    "behaviour rules": _parse_behaviour_rules,
+    "structure": _parse_structure,
+}
 
 
 def parse_model(text: str) -> SBSystem:
     """Parse a model description; rule-based behaviours are expanded.
 
     Syntactic problems, duplicate ids, dangling endpoints and ill-sorted
-    formulas raise ModelError.  Semantic well-formedness (in particular the
+    formulas raise ModelError, located at the line and column of the
+    offending token.  Semantic well-formedness (in particular the
     initial-state condition) is reported by :func:`validate`.
     """
     name, sections = _split_sections(text)
     sig = None
-    b = None
-    s = None
-    for kind, lineno, lines in sections:
-        if kind == "observables":
+    levels: dict[str, object] = {}
+    for kind, head, lines in sections:
+        word = head.text
+        if word == "observables":
             if sig is not None:
-                raise ModelError("duplicate observables section", lineno)
-            sig = _parse_observables(lines)
-        elif kind.startswith("behaviour"):
-            if sig is None:
-                raise ModelError("behaviour section before observables", lineno)
-            if b is not None:
-                raise ModelError("duplicate behaviour section", lineno)
-            if kind.endswith("explicit"):
-                b = _parse_behaviour_explicit(lines, sig)
-            else:
-                b = _parse_behaviour_rules(lines, sig)
-        elif kind == "structure":
-            if sig is None:
-                raise ModelError("structure section before observables", lineno)
-            if s is not None:
-                raise ModelError("duplicate structure section", lineno)
-            s = _parse_structure(lines, sig)
-    if sig is None or b is None or s is None:
+                raise _error("duplicate observables section", head)
+            sig = _parse_observables(head, lines)
+            continue
+        if sig is None:
+            raise _error(f"{word} section before observables", head)
+        if word in levels:
+            raise _error(f"duplicate {word} section", head)
+        levels[word] = _LEVEL_PARSERS[kind](head, lines, sig)
+    if sig is None or len(levels) < 2:
         raise ModelError("model needs observables, behaviour and structure sections")
-    return SBSystem(name, sig, b, s)
+    return SBSystem(name, sig, levels["behaviour"], levels["structure"])
 
 
 def load_model(path) -> SBSystem:

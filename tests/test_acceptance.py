@@ -7,6 +7,7 @@ Expected total runtime: well under a minute.
 import functools
 import gc
 import random
+import statistics
 import time
 
 import pytest
@@ -266,8 +267,8 @@ def test_criterion_10_relation_route_scaling():
     gc.collect()
     gc.freeze()
     try:
-        fan = _best_of_3_interleaved(_timed_relations, fans)
-        ladder = _best_of_3_interleaved(_timed_relations, ladders)
+        fan = _median_of_5_alternating(_timed_relations, fans)
+        ladder = _median_of_5_alternating(_timed_relations, ladders)
     finally:
         gc.unfreeze()
     assert fan[-1] <= 2.0, f"fan relations took {fan[-1]:.2f}s"
@@ -285,6 +286,22 @@ def _best_of_3_interleaved(timed, inputs):
     """
     runs = [[timed(x) for x in inputs] for _ in range(3)]
     return [min(column) for column in zip(*runs)]
+
+
+def _median_of_5_alternating(timed, inputs):
+    """The median of five timings of ``timed`` on each input.
+
+    The rounds cycle through all the inputs, forward and backward in turn,
+    so that each input is timed as often early as late in a round.  The
+    median, unlike the best, gives a small input no more chance than a
+    large one to fall between the host's slow periods.
+    """
+    order = list(range(len(inputs)))
+    runs = [[0.0] * len(inputs) for _ in range(5)]
+    for k, run in enumerate(runs):
+        for i in order if k % 2 == 0 else order[::-1]:
+            run[i] = timed(inputs[i])
+    return [statistics.median(column) for column in zip(*runs)]
 
 
 def _timed_relations(sys_):

@@ -87,10 +87,66 @@ def test_observable_without_integer_bound_is_a_model_error():
 def test_non_decimal_digit_is_an_identifier():
     tok = tokenize("x > \u00b2")[2]
     assert (tok.kind, tok.text) == ("IDENT", "\u00b2")
-    with pytest.raises(ModelError, match=r"unknown observable '\u00b2' \(line 11, column 17\)"):
+    with pytest.raises(ModelError, match=r"unknown observable '\u00b2' \(line 11, column 19\)"):
         parse_model(MINI.replace("state r0 : x == 0", "state r0 : x == \u00b2"))
     with pytest.raises(ModelError, match="not in sort"):
         parse_model(MINI.replace("state q { x=1 }", "state q { x=\u00b2 }"))
+
+
+RULES = MINI.replace("""behaviour explicit
+  state p { x=0 }
+  state q { x=1 }
+  init p
+  trans p -> q
+""", """behaviour rules
+  init x=0
+  rule Up: x < 1 -> x := x + 1
+""")
+
+
+@pytest.mark.parametrize("text, line, extra", [
+    (MINI, "  state p { x=0 }", "junk"),
+    (MINI, "  init p", "q"),
+    (MINI, "  trans p -> q", "-> p"),
+    (MINI, "  init r0", "r1"),
+    (RULES, "  init x=0", "junk"),
+    (MINI, "observables", "x y"),
+    (MINI, "structure", "of things"),
+], ids=["state", "init", "trans", "structure-init", "rules-init", "observables",
+        "structure"])
+def test_trailing_tokens_are_errors(text, line, extra):
+    lineno = text.splitlines().index(line) + 1
+    token = extra.partition(" ")[0]
+    col = len(line) + 2  # a file column: indentation counts
+    with pytest.raises(ModelError) as exc:
+        parse_model(text.replace(line + "\n", f"{line} {extra}\n", 1))
+    assert str(exc.value) == f"trailing {token!r} (line {lineno}, column {col})"
+    assert (exc.value.line, exc.value.col) == (lineno, col)
+
+
+@pytest.mark.parametrize("bad, message, col", [
+    ("      state r0 : x == y", "unknown observable 'y'", 23),
+    ("      state r0 : x == 0 $", "unexpected character '$'", 25),
+], ids=["formula", "lexer"])
+def test_errors_on_indented_lines_give_file_columns_once(bad, message, col):
+    with pytest.raises(ModelError) as exc:
+        parse_model(MINI.replace("  state r0 : x == 0", bad))
+    assert str(exc.value) == f"{message} (line 11, column {col})"
+
+
+def test_system_name_is_one_id_token():
+    with pytest.raises(ModelError) as exc:
+        parse_model(MINI.replace("system mini", "system atv.s0!"))
+    assert str(exc.value) == "unexpected character '.' (line 2, column 11)"
+    with pytest.raises(ModelError, match=r"expected 'system <id>' \(line 2, column 7\)"):
+        parse_model(MINI.replace("system mini", "system"))
+
+
+def test_bad_sorts_are_located_model_errors():
+    with pytest.raises(ModelError, match=r"empty integer sort 3\.\.1 \(line 4, column 7\)"):
+        parse_model(MINI.replace("x : int 0..3", "x : int 3..1"))
+    with pytest.raises(ModelError, match=r"duplicate observable 'x' \(line 3, column 1\)"):
+        parse_model(MINI.replace("x : int 0..3", "x : int 0..3\n  x : bool"))
 
 
 def test_comments_and_numeric_ids():

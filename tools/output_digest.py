@@ -17,6 +17,14 @@ on the population, and ``TOTAL+corridor`` over every run.  Two checkouts
 that print the same combined digests produce the same output on these
 models.
 
+Last, it writes 2000 seeded single-line mutants of the bundled models and
+of acceptance systems 0-199 into DIR: a word deleted, one token of a fixed
+junk list inserted before a word or appended to a line, or a line swapped
+with another or duplicated.  It runs ``flatten --format json`` on each and
+prints one line per mutant (number, source, mutation, exit code, sha256 of
+stdout followed by stderr), and on stderr the combined digest ``MUTANTS``,
+which pins the diagnostics of the model parser as well as its verdicts.
+
 Usage, from the root of a checkout:
 
     PYTHONPATH=src:tests python tools/output_digest.py DIR > digest.txt
@@ -29,6 +37,8 @@ import hashlib
 import io
 import json
 import os
+import random
+import re
 import sys
 
 from helpers import acceptance_schedule, corridor_system
@@ -49,6 +59,12 @@ COMMANDS = (
 N_SYSTEMS = 500
 CORRIDOR_COMMANDS = COMMANDS[:2]
 CORRIDOR_BLOCKS = (1, 2, 3)
+N_MUTANTS = 2000
+MUTANT_SOURCES = 200  # acceptance systems mutated, after the bundled models
+MUTANT_SEED = 20141
+MUTATIONS = ("delete", "insert", "append", "swap", "duplicate")
+JUNK = ("junk", "x", "0", "-1", "true", "state", "init", "trans", "inv",
+        "{", "}", ",", ":", "->", "==", "&&", "(", "#", ".", "\u00b2", "\u00a0")
 
 
 def write_model(out_dir: str, name: str, sys_) -> str:
@@ -78,14 +94,65 @@ def grid_file(out_dir: str, path: str) -> str:
     return grid
 
 
+def capture(argv: list[str]) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of one ``cli.run``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
 def run_command(path: str, command: tuple[str, ...], args: list[str]) -> bytes:
     """Run one command on ``path``, print its line and return its digest entry."""
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
-        code = cli.run([command[0], path, *args])
-    digest = hashlib.sha256(buf.getvalue().encode()).hexdigest()
+    code, out, _ = capture([command[0], path, *args])
+    digest = hashlib.sha256(out.encode()).hexdigest()
     print(os.path.basename(path), " ".join(command), code, digest)
     return f"{code} {digest}".encode()
+
+
+def mutate(text: str, rng: random.Random) -> tuple[str, str]:
+    """One seeded mutation of a model text, and its description."""
+    lines = text.splitlines()
+    worded = [k for k, line in enumerate(lines) if line.strip()]
+    k = rng.choice(worded)
+    start, end = rng.choice([m.span() for m in re.finditer(r"\S+", lines[k])])
+    kind = rng.choice(MUTATIONS)
+    junk = rng.choice(JUNK)
+    if kind == "delete":
+        lines[k] = lines[k][:start] + lines[k][end:]
+        what = f"delete the word at line {k + 1} column {start + 1}"
+    elif kind == "insert":
+        lines[k] = f"{lines[k][:start]}{junk} {lines[k][start:]}"
+        what = f"insert {junk!r} at line {k + 1} column {start + 1}"
+    elif kind == "append":
+        lines[k] = f"{lines[k]} {junk}"
+        what = f"append {junk!r} to line {k + 1}"
+    elif kind == "swap":
+        j = rng.choice(worded)
+        lines[k], lines[j] = lines[j], lines[k]
+        what = f"swap lines {k + 1} and {j + 1}"
+    else:
+        lines.insert(k, lines[k])
+        what = f"duplicate line {k + 1}"
+    return "\n".join(lines) + "\n", what
+
+
+def run_mutants(out_dir: str, sources: list[str]) -> str:
+    """Run ``flatten`` on seeded mutants of ``sources``; the combined digest."""
+    rng = random.Random(MUTANT_SEED)
+    total = hashlib.sha256()
+    for m in range(N_MUTANTS):
+        source = rng.choice(sources)
+        with open(source, encoding="utf-8") as fh:
+            text, what = mutate(fh.read(), rng)
+        path = os.path.join(out_dir, "mutant.sb")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        code, out, err = capture(["flatten", path, "--format", "json"])
+        digest = hashlib.sha256((out + err).encode()).hexdigest()
+        print(f"mutant{m}", os.path.basename(source), what, code, digest)
+        total.update(f"{code} {digest}".encode())
+    return total.hexdigest()
 
 
 def main(argv: list[str]) -> int:
@@ -93,7 +160,8 @@ def main(argv: list[str]) -> int:
         print(__doc__, file=sys.stderr)
         return 2
     total = hashlib.sha256()
-    for path in model_files(argv[0]):
+    files = model_files(argv[0])
+    for path in files:
         grid = grid_file(argv[0], path)
         for command in COMMANDS:
             total.update(run_command(path, command,
@@ -103,8 +171,10 @@ def main(argv: list[str]) -> int:
         path = write_model(argv[0], f"corridor{n}", corridor_system(n))
         for command in CORRIDOR_COMMANDS:
             extended.update(run_command(path, command, list(command[1:])))
+    mutants = run_mutants(argv[0], files[:len(models.NAMES) + MUTANT_SOURCES])
     print("TOTAL", total.hexdigest(), file=sys.stderr)
     print("TOTAL+corridor", extended.hexdigest(), file=sys.stderr)
+    print("MUTANTS", mutants, file=sys.stderr)
     return 0
 
 
