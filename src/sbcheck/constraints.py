@@ -6,20 +6,25 @@ combinations of comparisons between integer terms, boolean observables and
 enumeration literals.  Evaluation is exact integer arithmetic; enumeration
 values compare by label identity only.
 
-:func:`tokenize` is the one lexer of the package: the model language, its
-formulas and CTL formulas all read its tokens.  :func:`parse_with` is the
-one expression parser, an operator-precedence loop over explicit stacks
-that takes its grammar as data (:class:`Grammar`); this module holds the
-constraint grammar, ``ctl`` the CTL one.  Parsing stops at the first token
-that cannot extend the expression, which is where a formula inside a model
-line ends.
+:func:`tokenize` is the one lexer of the package, a single regular
+expression: the model language, its formulas and CTL formulas all read its
+tokens.  :func:`parse_with` is the one expression parser, an
+operator-precedence loop over explicit stacks that takes its grammar as
+data (:class:`Grammar`); this module holds the constraint grammar, ``ctl``
+the CTL one.  Parsing stops at the first token that cannot extend the
+expression, which is where a formula inside a model line ends.
+
+Every walk over a formula tree runs on an explicit stack, so formulas of
+any depth or length are accepted.  Trees are never hashed: the printed text
+identifies a tree, since :func:`pretty` round-trips.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 from typing import Callable, Iterable, Mapping, Optional, Union
 
 Value = Union[int, bool, str]
@@ -214,50 +219,50 @@ class BoolOp:
 Formula = Union[BoolConst, IntConst, EnumConst, Var, Arith, Cmp, Not, BoolOp]
 
 
+_APPLY = {
+    "+": operator.add, "-": operator.sub, "*": operator.mul,
+    "==": operator.eq, "!=": operator.ne, "<": operator.lt, "<=": operator.le,
+    ">": operator.gt, ">=": operator.ge,
+    "&&": lambda a, b: a and b, "||": lambda a, b: a or b,
+    "=>": lambda a, b: not a or b, "<=>": lambda a, b: bool(a) == bool(b),
+}
+_BINARY_NODES = (Arith, Cmp, BoolOp)
+
+
 def evaluate(phi: Formula, obs: Mapping[str, Value]) -> Value:
     """Value of ``phi`` under ``obs``; boolean for well-sorted formulas.
 
     Arithmetic is exact over the mathematical integers, so intermediate
-    values may leave the declared sort bounds.
+    values may leave the declared sort bounds.  Both operands of every
+    operator are evaluated: an operator waits on the stack, as its symbol,
+    behind its operands.
     """
-    match phi:
-        case BoolConst(value=v) | IntConst(value=v):
-            return v
-        case EnumConst(label=lab):
-            return lab
-        case Var(name=name):
-            return obs[name]
-        case Arith(op=op, left=l, right=r):
-            a, b = evaluate(l, obs), evaluate(r, obs)
-            if op == "+":
-                return a + b
-            if op == "-":
-                return a - b
-            return a * b
-        case Cmp(op=op, left=l, right=r):
-            a, b = evaluate(l, obs), evaluate(r, obs)
-            if op == "==":
-                return a == b
-            if op == "!=":
-                return a != b
-            if op == "<":
-                return a < b
-            if op == "<=":
-                return a <= b
-            if op == ">":
-                return a > b
-            return a >= b
-        case Not(arg=x):
-            return not evaluate(x, obs)
-        case BoolOp(op=op, left=l, right=r):
-            if op == "&&":
-                return evaluate(l, obs) and evaluate(r, obs)
-            if op == "||":
-                return evaluate(l, obs) or evaluate(r, obs)
-            if op == "=>":
-                return (not evaluate(l, obs)) or evaluate(r, obs)
-            return bool(evaluate(l, obs)) == bool(evaluate(r, obs))
-    raise TypeError(f"not a formula node: {phi!r}")
+    stack: list = [phi]
+    vals: list = []
+    pop, push, put = stack.pop, stack.append, vals.append
+    while stack:
+        node = pop()
+        t = type(node)
+        if t is str:  # an operator whose operands have their values
+            if node == "!":
+                vals[-1] = not vals[-1]
+            else:
+                b = vals.pop()
+                vals[-1] = _APPLY[node](vals[-1], b)
+        elif t is Var:
+            put(obs[node.name])
+        elif t is Cmp or t is BoolOp or t is Arith:
+            push(node.op)
+            push(node.right)
+            push(node.left)
+        elif t is IntConst or t is BoolConst or t is EnumConst:
+            put(node.label if t is EnumConst else node.value)
+        elif t is Not:
+            push("!")
+            push(node.arg)
+        else:
+            raise TypeError(f"not a formula node: {node!r}")
+    return vals[0]
 
 
 def free_observables(phi: Formula) -> frozenset[str]:
@@ -266,16 +271,13 @@ def free_observables(phi: Formula) -> frozenset[str]:
     stack = [phi]
     while stack:
         node = stack.pop()
-        match node:
-            case Var(name=name):
-                out.add(name)
-            case Arith(left=l, right=r) | Cmp(left=l, right=r) | BoolOp(left=l, right=r):
-                stack.append(l)
-                stack.append(r)
-            case Not(arg=x):
-                stack.append(x)
-            case _:
-                pass
+        t = type(node)
+        if t is Var:
+            out.add(node.name)
+        elif t is Not:
+            stack.append(node.arg)
+        elif t in _BINARY_NODES:
+            stack += (node.left, node.right)
     return frozenset(out)
 
 
@@ -293,75 +295,73 @@ def sort_check(phi: Formula, sig: Signature, positions=None, expect: str = _BOOL
     ``expect`` is the required top-level type: "bool" for formulas, "int"
     for arithmetic update expressions.  ``positions`` optionally maps
     ``id(node)`` to a (line, col) pair so that parser-produced trees report
-    source locations.
+    source locations.  Nodes are visited left to right from an explicit
+    stack, and each operand of an arithmetic, boolean or negation operator
+    is checked as soon as its sort is known, before the next operand is
+    visited.
     """
 
-    def where(node):
-        if positions is not None:
-            return positions.get(id(node), (None, None))
-        return (None, None)
-
     def fail(cls, msg, node):
-        line, col = where(node)
+        line, col = (None, None) if positions is None else positions.get(id(node), (None, None))
         raise cls(msg, line, col)
 
-    def visit(node):
-        match node:
-            case BoolConst():
-                return _BOOL
-            case IntConst():
-                return _INT
-            case EnumConst(label=lab):
-                if sig.label_sort(lab) is None:
-                    fail(UnknownObservableError, f"unknown observable {lab!r}", node)
-                return _LIT
-            case Var(name=name):
-                if name not in sig:
-                    fail(UnknownObservableError, f"unknown observable {name!r}", node)
-                sort = sig.sort_of(name)
-                if isinstance(sort, BoundedInt):
-                    return _INT
-                if isinstance(sort, BoolSort):
-                    return _BOOL
-                return sort
-            case Arith(op=op, left=l, right=r):
-                for side in (l, r):
-                    if visit(side) != _INT:
-                        fail(SortMismatchError, f"operand of {op!r} is not an integer", side)
-                return _INT
-            case Cmp(op=op, left=l, right=r):
-                tl, tr = visit(l), visit(r)
-                if op in ("<", "<=", ">", ">="):
-                    if tl != _INT or tr != _INT:
-                        fail(SortMismatchError, f"{op!r} compares non-integers", node)
-                    return _BOOL
-                # == / != need both sides of one sort
-                if tl == _LIT and tr == _LIT:
-                    fail(SortMismatchError, "cannot infer the sort of two enum labels", node)
-                if tl == _LIT:
-                    tl, tr = tr, tl
-                    l, r = r, l
-                if tr == _LIT:
-                    if not isinstance(tl, EnumSort):
-                        fail(SortMismatchError, "enum label compared with non-enum", r)
-                    if r.label not in tl.labels:
-                        fail(SortMismatchError, f"label {r.label!r} not in {tl}", r)
-                    return _BOOL
-                if tl != tr:
-                    fail(SortMismatchError, f"{op!r} compares different sorts", node)
-                return _BOOL
-            case Not(arg=x):
-                if visit(x) != _BOOL:
-                    fail(SortMismatchError, "negation of a non-boolean", x)
-                return _BOOL
-            case BoolOp(op=op, left=l, right=r):
-                for side in (l, r):
-                    if visit(side) != _BOOL:
-                        fail(SortMismatchError, f"operand of {op!r} is not boolean", side)
-                return _BOOL
-        raise TypeError(f"not a formula node: {node!r}")
-
-    if visit(phi) != expect:
+    sorts: list = []  # the sorts of the visited nodes whose operator waits
+    stack: list = [phi]
+    while stack:
+        node = stack.pop()
+        t = type(node)
+        if t is tuple:  # an operator after its operand, or a comparison after both
+            node, operand = node
+            if operand is not None:
+                # the operator's sort, under the operand's, is the one it needs
+                if sorts.pop() != sorts[-1]:
+                    kind = "an integer" if type(node) is Arith else "boolean"
+                    fail(SortMismatchError, "negation of a non-boolean" if type(node) is Not
+                         else f"operand of {node.op!r} is not {kind}", operand)
+                continue
+            tl, tr = sorts[-2:]
+            sorts[-2:] = (_BOOL,)
+            op, l, r = node.op, node.left, node.right
+            if op in ("<", "<=", ">", ">="):
+                if tl != _INT or tr != _INT:
+                    fail(SortMismatchError, f"{op!r} compares non-integers", node)
+                continue
+            # == / != need both sides of one sort
+            if tl == _LIT and tr == _LIT:
+                fail(SortMismatchError, "cannot infer the sort of two enum labels", node)
+            if tl == _LIT:
+                tl, tr = tr, tl
+                l, r = r, l
+            if tr == _LIT:
+                if not isinstance(tl, EnumSort):
+                    fail(SortMismatchError, "enum label compared with non-enum", r)
+                if r.label not in tl.labels:
+                    fail(SortMismatchError, f"label {r.label!r} not in {tl}", r)
+            elif tl != tr:
+                fail(SortMismatchError, f"{op!r} compares different sorts", node)
+        elif t is Var:
+            if node.name not in sig:
+                fail(UnknownObservableError, f"unknown observable {node.name!r}", node)
+            sort = sig.sort_of(node.name)
+            sorts.append(_INT if isinstance(sort, BoundedInt)
+                         else _BOOL if isinstance(sort, BoolSort) else sort)
+        elif t is IntConst or t is BoolConst:
+            sorts.append(_INT if t is IntConst else _BOOL)
+        elif t is EnumConst:
+            if sig.label_sort(node.label) is None:
+                fail(UnknownObservableError, f"unknown observable {node.label!r}", node)
+            sorts.append(_LIT)
+        elif t is Cmp:
+            stack += ((node, None), node.right, node.left)
+        elif t is Not:
+            sorts.append(_BOOL)
+            stack += ((node, node.arg), node.arg)
+        elif t is Arith or t is BoolOp:
+            sorts.append(_INT if t is Arith else _BOOL)
+            stack += ((node, node.right), node.right, (node, node.left), node.left)
+        else:
+            raise TypeError(f"not a formula node: {node!r}")
+    if sorts[0] != expect:
         kind = "boolean" if expect == _BOOL else "an integer expression"
         fail(SortMismatchError, f"formula is not {kind}", phi)
 
@@ -383,54 +383,40 @@ class Token:
     col: int
 
 
+# blanks, then a word, a symbol (the longest first), a newline, a comment
+# or any other character, which starts no token; blanks that end the text
+# match nothing
+_TOKEN_RE = re.compile(r"[ \t\r]*(?:(\w+)|(%s)|(\n)|#[^\n]*|([^ \t\r]))"
+                       % "|".join(map(re.escape, _SYMBOLS)))
+_WORD, _SYM, _NEWLINE = 1, 2, 3
+
+
 def tokenize(text: str, first_line: int = 1) -> list[Token]:
-    """Split ``text`` into tokens; ``#`` starts a comment to end of line."""
+    """Split ``text`` into tokens; ``#`` starts a comment to end of line.
+
+    A word starts with a letter or a digit and is an INT when all of it is
+    decimal digits, so ``2a`` and ``\u00b2`` are IDENTs.
+    """
     toks: list[Token] = []
-    line, col = first_line, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
+    line, line_start = first_line, 0
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastindex
+        if kind is None:  # a comment
+            continue
+        if kind == _NEWLINE:
             line += 1
-            col = 1
-            i += 1
+            line_start = m.end()
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            # digit-led words with letters, underscores or non-decimal digits
-            # such as "²" are ids, not numbers
+        word, col = m.group(kind), m.start(kind) - line_start + 1
+        if kind == _SYM:
+            toks.append(Token("SYM", word, line, col))
+        elif kind == _WORD and (word[0].isalpha() or word[0].isdigit()):
             toks.append(Token("INT" if word.isdecimal() else "IDENT", word, line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha():
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(Token("IDENT", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        for sym in _SYMBOLS:
-            if text.startswith(sym, i):
-                toks.append(Token("SYM", sym, line, col))
-                col += len(sym)
-                i += len(sym)
-                break
         else:
-            raise FormulaSyntaxError(f"unexpected character {ch!r}", line, col)
-    toks.append(Token("EOF", "", line, col))
+            raise FormulaSyntaxError(f"unexpected character {word[0]!r}", line, col)
+    # the end stands where a trailing comment starts, at the last line's "#"
+    end = text.find("#", line_start)
+    toks.append(Token("EOF", "", line, (len(text) if end < 0 else end) - line_start + 1))
     return toks
 
 
@@ -608,42 +594,44 @@ def parse_formula(text: str, sig: Signature, expect: str = _BOOL) -> Formula:
 # Pretty printing
 
 def _prec(node) -> int:
-    match node:
-        case BoolOp(op=op) | Cmp(op=op) | Arith(op=op):
-            return FORMULA_GRAMMAR.binary[op][0]
-        case Not():
-            return 8
-        case _:
-            return 9
+    t = type(node)
+    if t in _BINARY_NODES:
+        return FORMULA_GRAMMAR.binary[node.op][0]
+    return 8 if t is Not else 9
 
 
-@lru_cache(maxsize=None)
 def pretty(phi: Formula) -> str:
-    """Render ``phi``; ``parse_formula(pretty(phi), sig) == phi``."""
+    """Render ``phi``; ``parse_formula(pretty(phi), sig) == phi``.
 
-    def wrap(child, limit):
-        s = pretty(child)
-        return f"({s})" if _prec(child) < limit else s
+    The text is written left to right from an explicit stack, on which
+    each operand waits behind the text before it.
+    """
+    out: list[str] = []
+    stack: list = [phi]
 
-    match phi:
-        case BoolConst(value=v):
-            return "true" if v else "false"
-        case IntConst(value=v):
-            return str(v)
-        case EnumConst(label=lab):
-            return lab
-        case Var(name=name):
-            return name
-        case Not(arg=x):
-            return "!" + wrap(x, 9)
-        case Arith(op=op, left=l, right=r):
-            p = _prec(phi)
-            return f"{wrap(l, p)} {op} {wrap(r, p + 1)}"
-        case Cmp(op=op, left=l, right=r):
-            return f"{wrap(l, 6)} {op} {wrap(r, 6)}"
-        case BoolOp(op=op, left=l, right=r):
-            p = _prec(phi)
-            if op == "=>":  # right-associative
-                return f"{wrap(l, p + 1)} {op} {wrap(r, p)}"
-            return f"{wrap(l, p)} {op} {wrap(r, p + 1)}"
-    raise TypeError(f"not a formula node: {phi!r}")
+    def operand(child, limit):  # pushed last part first
+        stack.extend((")", child, "(") if _prec(child) < limit else (child,))
+
+    while stack:
+        node = stack.pop()
+        t = type(node)
+        if t is str:
+            out.append(node)
+        elif t in _BINARY_NODES:
+            # "=>" associates to the right, comparisons not at all
+            p, right_assoc = _prec(node), node.op == "=>"
+            operand(node.right, p if right_assoc else p + 1)
+            stack.append(f" {node.op} ")
+            operand(node.left, p + 1 if right_assoc or t is Cmp else p)
+        elif t is Not:
+            operand(node.arg, 9)
+            stack.append("!")
+        elif t is Var or t is EnumConst:
+            out.append(node.name if t is Var else node.label)
+        elif t is BoolConst:
+            out.append("true" if node.value else "false")
+        elif t is IntConst:
+            out.append(str(node.value))
+        else:
+            raise TypeError(f"not a formula node: {node!r}")
+    return "".join(out)

@@ -113,7 +113,7 @@ class _Rules:
         if hit is None:
             s = self.sys.s
             rid = s.ids[r]
-            starts = sorted({s.phase_rank[tr.inv, tr.target]
+            starts = sorted({s.phase_rank[pretty(tr.inv), tr.target]
                              for tr in s.transitions_from(rid)})
             hit = self._steady[r] = (self.sys.sat_row(s.label(rid)),
                                      [(p, *self._phase_rules(p)) for p in starts])
@@ -160,7 +160,7 @@ class _Rules:
         if f.phase is None:
             p = 0
         else:
-            p = s.phase_rank.get(f.phase)
+            p = s.phase_rank.get((pretty(f.phase[0]), f.phase[1]))
             if p is None:
                 raise ValueError(f"{f} is in no phase of the system")
         return (self.sys.b.rank[f.q] * len(s.ids) + s.rank[f.r]) * self.P + p

@@ -117,13 +117,15 @@ class SLevel:
                 raise ValueError(f"duplicate structure state {rid!r}")
             self.states[rid] = label
         self.initial = initial
-        seen: set[STransition] = set()
-        ordered: list[STransition] = []
+        # a transition is known by its printed invariant, which identifies
+        # the tree because ``pretty`` round-trips; no formula tree is hashed
+        keyed: dict[tuple[str, str, str], STransition] = {}
+        self._phase_inv: dict[tuple[str, str], Formula] = {}
         for tr in transitions:
-            if tr not in seen:  # same invariant AST between same pair collapses
-                seen.add(tr)
-                ordered.append(tr)
-        self.transitions = tuple(ordered)
+            text = pretty(tr.inv)
+            keyed.setdefault((tr.source, text, tr.target), tr)
+            self._phase_inv.setdefault((text, tr.target), tr.inv)
+        self.transitions = tuple(keyed.values())
         by_src: dict[str, list[STransition]] = {rid: [] for rid in self.states}
         for tr in self.transitions:
             by_src.setdefault(tr.source, []).append(tr)
@@ -145,15 +147,17 @@ class SLevel:
         return {r: i for i, r in enumerate(self.ids)}
 
     @cached_property
-    def phases(self) -> tuple[Optional[tuple[Formula, str]], ...]:
-        """The distinct (invariant, target) pairs of the transitions, ranked
-        from 1 by target and printed invariant; rank 0 is ``None``, no phase."""
-        distinct = dict.fromkeys((tr.inv, tr.target) for tr in self.transitions)
-        return (None, *sorted(distinct, key=lambda ph: (ph[1], pretty(ph[0]))))
+    def phase_rank(self) -> dict[tuple[str, str], int]:
+        """The rank of each phase, keyed by its printed invariant and its
+        target; ranks run from 1 by target, then printed invariant."""
+        order = sorted(self._phase_inv, key=lambda key: (key[1], key[0]))
+        return {key: p for p, key in enumerate(order, 1)}
 
     @cached_property
-    def phase_rank(self) -> dict[tuple[Formula, str], int]:
-        return {ph: p for p, ph in enumerate(self.phases) if p}
+    def phases(self) -> tuple[Optional[tuple[Formula, str]], ...]:
+        """The (invariant, target) pair of each phase by rank; rank 0 is
+        ``None``, no phase."""
+        return (None, *((self._phase_inv[key], key[1]) for key in self.phase_rank))
 
 
 class SBSystem:
@@ -534,6 +538,8 @@ def _parse_machine(head: Token, lines, where: str, parse_state, parse_trans):
                 raise _error(f"duplicate {word} state {sid.text!r}", sid)
             states[sid.text], i = parse_state(toks, i)
         elif kw.text == "init":
+            if init is not None:
+                raise _error("duplicate 'init'", kw)
             init, i = _state_id(toks, 1)
         elif kw.text == "trans":
             src, i = _state_id(toks, 1)
@@ -589,6 +595,8 @@ def _parse_behaviour_rules(head: Token, lines, sig) -> BLevel:
     for toks in lines:
         kw = toks[0]
         if kw.text == "init":
+            if init_obs is not None:
+                raise _error("duplicate 'init'", kw)
             init_obs, i = _parse_assignments(toks, 1, sig)
             _check_observation(sig, init_obs, toks[1])
         elif kw.text == "rule":

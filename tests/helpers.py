@@ -11,7 +11,10 @@ head, after a cycle-state pass over the whole region.  The last two run
 their graph searches on the package's ``graph`` kernel, which
 ``test_graph`` checks against brute force.  The reference parsers are
 recursive descent, one method per precedence level, where the package runs
-one table-driven operator-precedence loop for both formula languages.
+one table-driven operator-precedence loop for both formula languages.  The
+formula walkers (evaluation, sort checking, printing) are recursive, where
+the package walks explicit stacks, and the reference lexer reads one
+character at a time, where the package matches one regular expression.
 """
 
 from __future__ import annotations
@@ -19,21 +22,24 @@ from __future__ import annotations
 import random
 
 from sbcheck.constraints import (
+    FORMULA_GRAMMAR,
     Arith,
     BoolConst,
     BoolOp,
+    BoolSort,
     BoundedInt,
     Cmp,
     EnumConst,
+    EnumSort,
     Formula,
     FormulaSyntaxError,
     IntConst,
     Not,
     Signature,
+    SortMismatchError,
     Token,
     UnknownObservableError,
     Var,
-    evaluate,
     parse_formula,
 )
 from sbcheck.ctl import (
@@ -116,7 +122,7 @@ def oracle_flat_size(sys, root=None) -> tuple[int, int]:
     b, s = sys.b, sys.s
 
     def holds(q, phi):
-        return bool(evaluate(phi, b.states[q].obs))
+        return bool(oracle_evaluate(phi, b.states[q].obs))
 
     f0 = (root or (b.initial, s.initial)) + (None,)
     seen = {f0}
@@ -165,7 +171,7 @@ def oracle_flat(sys, root=None):
     b, s = sys.b, sys.s
 
     def holds(q, phi):
-        return bool(evaluate(phi, b.states[q].obs))
+        return bool(oracle_evaluate(phi, b.states[q].obs))
 
     f0 = (root or (b.initial, s.initial)) + (None,)
     seen = {f0}
@@ -278,7 +284,7 @@ def _oracle_clauses(pf, rel, mode):
 def oracle_grid(sys):
     """Every pair (q, r) whose q satisfies the label of r, sorted."""
     return sorted((q, r) for q in sys.b.states for r in sys.s.states
-                  if evaluate(sys.s.label(r), sys.b.states[q].obs))
+                  if oracle_evaluate(sys.s.label(r), sys.b.states[q].obs))
 
 
 def oracle_check(sys, pairs, mode):
@@ -288,7 +294,7 @@ def oracle_check(sys, pairs, mode):
     rel = frozenset(pairs)
     out = []
     for q, r in sorted(rel):
-        if not evaluate(sys.s.label(r), sys.b.states[q].obs):
+        if not oracle_evaluate(sys.s.label(r), sys.b.states[q].obs):
             out.append(((q, r), "i", "constraints not satisfied"))
             continue
         pf = facts(q, r)
@@ -440,6 +446,216 @@ class OracleFormulaParser:
                 f"unknown observable {tok.text!r}", tok.line, tok.col
             )
         self.error(f"unexpected {tok.text!r}", tok)
+
+
+# ---------------------------------------------------------------------------
+# Recursive formula walkers and the character-loop lexer
+
+
+_ORACLE_SYMBOLS = (
+    "<=>", "==", "!=", "<=", ">=", "&&", "||", "=>", "->", ":=", "..",
+    "(", ")", "{", "}", "[", "]", ",", ":", "+", "-", "*", "<", ">", "!", "=",
+)
+
+
+def oracle_tokenize(text: str, first_line: int = 1) -> list[Token]:
+    """The lexer one character at a time."""
+    toks: list[Token] = []
+    line, col = first_line, 1
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if ch == "#":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        if ch.isdigit():
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            word = text[i:j]
+            toks.append(Token("INT" if word.isdecimal() else "IDENT", word, line, col))
+            col += j - i
+            i = j
+            continue
+        if ch.isalpha():
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            toks.append(Token("IDENT", text[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        for sym in _ORACLE_SYMBOLS:
+            if text.startswith(sym, i):
+                toks.append(Token("SYM", sym, line, col))
+                col += len(sym)
+                i += len(sym)
+                break
+        else:
+            raise FormulaSyntaxError(f"unexpected character {ch!r}", line, col)
+    toks.append(Token("EOF", "", line, col))
+    return toks
+
+
+def oracle_evaluate(phi: Formula, obs):
+    """Recursive evaluation, with ``&&``, ``||`` and ``=>`` short-circuited."""
+    match phi:
+        case BoolConst(value=v) | IntConst(value=v):
+            return v
+        case EnumConst(label=lab):
+            return lab
+        case Var(name=name):
+            return obs[name]
+        case Arith(op=op, left=l, right=r):
+            a, b = oracle_evaluate(l, obs), oracle_evaluate(r, obs)
+            if op == "+":
+                return a + b
+            if op == "-":
+                return a - b
+            return a * b
+        case Cmp(op=op, left=l, right=r):
+            a, b = oracle_evaluate(l, obs), oracle_evaluate(r, obs)
+            if op == "==":
+                return a == b
+            if op == "!=":
+                return a != b
+            if op == "<":
+                return a < b
+            if op == "<=":
+                return a <= b
+            if op == ">":
+                return a > b
+            return a >= b
+        case Not(arg=x):
+            return not oracle_evaluate(x, obs)
+        case BoolOp(op=op, left=l, right=r):
+            if op == "&&":
+                return oracle_evaluate(l, obs) and oracle_evaluate(r, obs)
+            if op == "||":
+                return oracle_evaluate(l, obs) or oracle_evaluate(r, obs)
+            if op == "=>":
+                return (not oracle_evaluate(l, obs)) or oracle_evaluate(r, obs)
+            return bool(oracle_evaluate(l, obs)) == bool(oracle_evaluate(r, obs))
+    raise TypeError(f"not a formula node: {phi!r}")
+
+
+def oracle_sort_check(phi: Formula, sig: Signature, positions=None, expect: str = "bool"):
+    """Recursive sort checking: each operand of an arithmetic or boolean
+    operator is checked as soon as it is visited."""
+
+    def fail(cls, msg, node):
+        line, col = (None, None) if positions is None else positions.get(id(node), (None, None))
+        raise cls(msg, line, col)
+
+    def visit(node):
+        match node:
+            case BoolConst():
+                return "bool"
+            case IntConst():
+                return "int"
+            case EnumConst(label=lab):
+                if sig.label_sort(lab) is None:
+                    fail(UnknownObservableError, f"unknown observable {lab!r}", node)
+                return "enumlit"
+            case Var(name=name):
+                if name not in sig:
+                    fail(UnknownObservableError, f"unknown observable {name!r}", node)
+                sort = sig.sort_of(name)
+                if isinstance(sort, BoundedInt):
+                    return "int"
+                if isinstance(sort, BoolSort):
+                    return "bool"
+                return sort
+            case Arith(op=op, left=l, right=r):
+                for side in (l, r):
+                    if visit(side) != "int":
+                        fail(SortMismatchError, f"operand of {op!r} is not an integer", side)
+                return "int"
+            case Cmp(op=op, left=l, right=r):
+                tl, tr = visit(l), visit(r)
+                if op in ("<", "<=", ">", ">="):
+                    if tl != "int" or tr != "int":
+                        fail(SortMismatchError, f"{op!r} compares non-integers", node)
+                    return "bool"
+                if tl == "enumlit" and tr == "enumlit":
+                    fail(SortMismatchError, "cannot infer the sort of two enum labels", node)
+                if tl == "enumlit":
+                    tl, tr = tr, tl
+                    l, r = r, l
+                if tr == "enumlit":
+                    if not isinstance(tl, EnumSort):
+                        fail(SortMismatchError, "enum label compared with non-enum", r)
+                    if r.label not in tl.labels:
+                        fail(SortMismatchError, f"label {r.label!r} not in {tl}", r)
+                    return "bool"
+                if tl != tr:
+                    fail(SortMismatchError, f"{op!r} compares different sorts", node)
+                return "bool"
+            case Not(arg=x):
+                if visit(x) != "bool":
+                    fail(SortMismatchError, "negation of a non-boolean", x)
+                return "bool"
+            case BoolOp(op=op, left=l, right=r):
+                for side in (l, r):
+                    if visit(side) != "bool":
+                        fail(SortMismatchError, f"operand of {op!r} is not boolean", side)
+                return "bool"
+        raise TypeError(f"not a formula node: {node!r}")
+
+    if visit(phi) != expect:
+        kind = "boolean" if expect == "bool" else "an integer expression"
+        fail(SortMismatchError, f"formula is not {kind}", phi)
+
+
+def _oracle_prec(node) -> int:
+    match node:
+        case BoolOp(op=op) | Cmp(op=op) | Arith(op=op):
+            return FORMULA_GRAMMAR.binary[op][0]
+        case Not():
+            return 8
+        case _:
+            return 9
+
+
+def oracle_pretty(phi: Formula) -> str:
+    """Recursive printing, each operand parenthesised by its precedence."""
+
+    def wrap(child, limit):
+        s = oracle_pretty(child)
+        return f"({s})" if _oracle_prec(child) < limit else s
+
+    match phi:
+        case BoolConst(value=v):
+            return "true" if v else "false"
+        case IntConst(value=v):
+            return str(v)
+        case EnumConst(label=lab):
+            return lab
+        case Var(name=name):
+            return name
+        case Not(arg=x):
+            return "!" + wrap(x, 9)
+        case Arith(op=op, left=l, right=r):
+            p = _oracle_prec(phi)
+            return f"{wrap(l, p)} {op} {wrap(r, p + 1)}"
+        case Cmp(op=op, left=l, right=r):
+            return f"{wrap(l, 6)} {op} {wrap(r, 6)}"
+        case BoolOp(op=op, left=l, right=r):
+            p = _oracle_prec(phi)
+            if op == "=>":
+                return f"{wrap(l, p + 1)} {op} {wrap(r, p)}"
+            return f"{wrap(l, p)} {op} {wrap(r, p + 1)}"
+    raise TypeError(f"not a formula node: {phi!r}")
 
 
 class OracleCtlParser:

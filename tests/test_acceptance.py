@@ -201,7 +201,7 @@ def test_criterion_8_complexity(corridors):
     gc.collect()
     gc.freeze()
     try:
-        times = _best_of_3_interleaved(_timed_check, kripkes)
+        times = _median_of_5_alternating(_timed_check, kripkes)
     finally:
         gc.unfreeze()
     assert 100 * sizes[-1] == 100_000  # flat states at the largest size
@@ -231,8 +231,8 @@ def test_criterion_9_end_to_end_complexity(corridors):
     gc.collect()
     gc.freeze()
     try:
-        times = _best_of_3_interleaved(_timed_build_and_check,
-                                       [corridors[blocks] for blocks in sizes])
+        times = _median_of_5_alternating(_timed_build_and_check,
+                                         [corridors[blocks] for blocks in sizes])
     finally:
         gc.unfreeze()
     assert times[-1] <= 10.0, f"build and check took {times[-1]:.2f}s"
@@ -275,17 +275,6 @@ def test_criterion_10_relation_route_scaling():
     for times in (fan, ladder):
         assert times[1] <= 3 * max(times[0], 1e-3), (fan, ladder)
         assert times[2] <= 3 * max(times[1], 1e-3), (fan, ladder)
-
-
-def _best_of_3_interleaved(timed, inputs):
-    """The best of three timings of ``timed`` on each input.
-
-    The repetitions cycle through all the inputs, rather than timing one
-    input three times in a row, so that every size sees the host's fast and
-    slow periods alike.
-    """
-    runs = [[timed(x) for x in inputs] for _ in range(3)]
-    return [min(column) for column in zip(*runs)]
 
 
 def _median_of_5_alternating(timed, inputs):

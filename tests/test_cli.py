@@ -158,6 +158,37 @@ def test_ctl_long_implication_chain_gets_a_verdict(capsys):
     assert capsys.readouterr().err == ""
 
 
+DEEP_FORMULAS = {  # each is well-sorted over the signature of atv_s0
+    "or": " || ".join(["v==V0", "v==V1", "c==1"] * 1000),
+    "not": "!" * 4000 + "(r==M && c==0)",
+    "sum": " + ".join(["c"] * 3000) + " == 0",
+}
+DEEP_COMMANDS = {
+    "check": ["check", "--mode", "weak"],
+    "relation": ["relation", "--mode", "weak"],
+    "flatten": ["flatten", "--format", "json"],
+    "export": ["export", "--format", "dot"],
+}
+
+
+@pytest.mark.parametrize("command", DEEP_COMMANDS)
+@pytest.mark.parametrize("formula", DEEP_FORMULAS)
+@pytest.mark.parametrize("place", ["label", "invariant"])
+def test_deep_and_long_formulas_get_an_answer(place, formula, command, tmp_path, capsys):
+    text = models.path("atv_s0").read_text()
+    phi = DEEP_FORMULAS[formula]
+    if place == "label":
+        text = text.replace("state r0 : r==M && c==0", f"state r0 : {phi}")
+    else:
+        # two transitions into r1 with one invariant: a single phase
+        text = text.replace("inv v==V0 || v==V1", f"inv {phi}") + f"  trans r1 -> r1 inv {phi}\n"
+    model = tmp_path / "deep.sb"
+    model.write_text(text)
+    argv = DEEP_COMMANDS[command]
+    assert run([argv[0], str(model), *argv[1:]]) in (0, 1, 2)
+    assert "internal error" not in capsys.readouterr().err
+
+
 def test_validate_subcommand(tmp_path, capsys):
     assert run(["validate", model_path("bone_s0")]) == 0
     bad = tmp_path / "bad.sb"

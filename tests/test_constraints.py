@@ -1,8 +1,21 @@
+import random
+from dataclasses import replace
+
 import pytest
+from helpers import (
+    acceptance_schedule,
+    oracle_evaluate,
+    oracle_pretty,
+    oracle_sort_check,
+    oracle_tokenize,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sbcheck import models
+from sbcheck.cli import gen_random
 from sbcheck.constraints import (
+    FORMULA_GRAMMAR,
     Arith,
     BoolConst,
     BoolOp,
@@ -11,6 +24,7 @@ from sbcheck.constraints import (
     Cmp,
     EnumConst,
     EnumSort,
+    FormulaError,
     FormulaSyntaxError,
     IntConst,
     Not,
@@ -21,8 +35,12 @@ from sbcheck.constraints import (
     evaluate,
     free_observables,
     parse_formula,
+    parse_with,
     pretty,
+    sort_check,
+    tokenize,
 )
+from sbcheck.model import parse_model
 
 
 @pytest.fixture(scope="module")
@@ -217,3 +235,215 @@ def test_bundled_formulas_total(bundled):
         for st_ in sys_.b.states.values():
             for phi in phis:
                 assert evaluate(phi, st_.obs) in (True, False)
+
+
+# ---------------------------------------------------------------------------
+# The explicit-stack walkers and the regular-expression lexer against the
+# recursive references and the character loop in helpers
+
+DIFF_SIG = Signature([
+    ("a", BoundedInt(-3, 5)),
+    ("b", BoolSort()),
+    ("c", EnumSort(("A", "B", "C"))),
+])
+DIFF_OBSERVATIONS = [{"a": a, "b": b, "c": c}
+                     for a in range(-3, 6) for b in (False, True) for c in "ABC"]
+
+
+def _outcome(fn, *args):
+    """What ``fn`` returns, typed, or the type, text and place of its error."""
+    try:
+        value = fn(*args)
+    except FormulaError as exc:
+        return type(exc), str(exc), exc.line, exc.col
+    return type(value), value
+
+
+def _random_term(rng, depth):
+    """An integer term over ``DIFF_SIG``."""
+    if depth <= 0 or rng.random() < 0.3:
+        return Var("a") if rng.random() < 0.5 else IntConst(rng.randint(0, 12))
+    return Arith(rng.choice("+-*"), _random_term(rng, depth - 1), _random_term(rng, depth - 1))
+
+
+def _random_formula(rng, depth):
+    """A well-sorted formula over ``DIFF_SIG``."""
+    if depth <= 0 or rng.random() < 0.2:
+        pick = rng.randrange(4)
+        if pick == 0:
+            return BoolConst(rng.random() < 0.5)
+        if pick == 1:
+            return Var("b")
+        if pick == 2:
+            return Cmp(rng.choice(("==", "!=")), Var("c"), EnumConst(rng.choice("ABC")))
+        return Cmp(rng.choice(("==", "!=", "<", "<=", ">", ">=")),
+                   _random_term(rng, depth - 1), _random_term(rng, depth - 1))
+    if rng.random() < 0.2:
+        return Not(_random_formula(rng, depth - 1))
+    return BoolOp(rng.choice(("&&", "||", "=>", "<=>")),
+                  _random_formula(rng, depth - 1), _random_formula(rng, depth - 1))
+
+
+_ANY_LEAVES = (Var("a"), Var("b"), Var("c"), Var("nope"), EnumConst("A"), EnumConst("Z"),
+               IntConst(3), BoolConst(True))
+_ANY_OPS = (("+", Arith), ("*", Arith), ("==", Cmp), ("!=", Cmp), ("<", Cmp),
+            (">=", Cmp), ("&&", BoolOp), ("||", BoolOp), ("=>", BoolOp), ("<=>", BoolOp))
+
+
+def _random_tree(rng, depth):
+    """A formula tree of any shape over ``DIFF_SIG``, mostly ill-sorted."""
+    if depth <= 0 or rng.random() < 0.25:
+        return replace(rng.choice(_ANY_LEAVES))  # a node of its own, with its own column
+    if rng.random() < 0.15:
+        return Not(_random_tree(rng, depth - 1))
+    op, node_type = rng.choice(_ANY_OPS)
+    return node_type(op, _random_tree(rng, depth - 1), _random_tree(rng, depth - 1))
+
+
+def _numbered(phi):
+    """Positions that give each node of ``phi`` its own column, in pre-order."""
+    positions, stack = {}, [phi]
+    while stack:
+        node = stack.pop()
+        positions[id(node)] = (1, len(positions) + 1)
+        if isinstance(node, Not):
+            stack.append(node.arg)
+        elif isinstance(node, (Arith, Cmp, BoolOp)):
+            stack += (node.right, node.left)
+    return positions
+
+
+def _structure_formulas():
+    systems = [parse_model(models.path(n).read_text()) for n in models.NAMES]
+    systems += [gen_random(k, *acceptance_schedule(k)) for k in range(500)]
+    for sys_ in systems:
+        phis = list(sys_.s.states.values()) + [tr.inv for tr in sys_.s.transitions]
+        yield sys_, phis
+
+
+def test_walkers_match_references_on_bundled_and_acceptance_formulas():
+    checked = 0
+    for sys_, phis in _structure_formulas():
+        observations = [st.obs for st in sys_.b.states.values()]
+        for phi in phis:
+            assert pretty(phi) == oracle_pretty(phi)
+            for obs in observations:
+                assert _outcome(evaluate, phi, obs) == _outcome(oracle_evaluate, phi, obs)
+                checked += 1
+    assert checked > 10_000
+
+
+def test_walkers_match_references_on_random_well_sorted_formulas():
+    rng = random.Random(808)
+    for _ in range(2000):
+        phi = _random_formula(rng, rng.randint(0, 6))
+        assert sort_check(phi, DIFF_SIG) is None
+        assert pretty(phi) == oracle_pretty(phi)
+        assert parse_formula(pretty(phi), DIFF_SIG) == phi
+        for obs in rng.sample(DIFF_OBSERVATIONS, 8):
+            assert _outcome(evaluate, phi, obs) == _outcome(oracle_evaluate, phi, obs)
+        term = _random_term(rng, rng.randint(0, 5))
+        assert sort_check(term, DIFF_SIG, expect="int") is None
+        for obs in rng.sample(DIFF_OBSERVATIONS, 4):
+            assert _outcome(evaluate, term, obs) == _outcome(oracle_evaluate, term, obs)
+
+
+def test_sort_check_reports_the_references_first_fault_on_random_trees():
+    rng = random.Random(809)
+    faults = 0
+    for _ in range(20_000):
+        phi = _random_tree(rng, rng.randint(0, 6))
+        positions = _numbered(phi)
+        expect = rng.choice(("bool", "int"))
+        want = _outcome(oracle_sort_check, phi, DIFF_SIG, positions, expect)
+        assert _outcome(sort_check, phi, DIFF_SIG, positions, expect) == want, pretty(phi)
+        assert pretty(phi) == oracle_pretty(phi)
+        faults += want[0] is not type(None)
+    assert faults > 15_000
+
+
+def test_left_operand_fault_is_reported_before_the_right_one():
+    sig = Signature([("x", EnumSort(("A", "B"))), ("b", BoolSort())])
+    toks = tokenize("(x == A) + (b < 1) == 0")
+    phi, _, positions = parse_with(FORMULA_GRAMMAR, toks, 0, sig)
+    want = (SortMismatchError, "operand of '+' is not an integer (line 1, column 4)", 1, 4)
+    assert _outcome(oracle_sort_check, phi, sig, positions) == want
+    assert _outcome(sort_check, phi, sig, positions) == want
+
+
+# ---------------------------------------------------------------------------
+# Formulas deeper than the recursion limit
+
+DEEP = 10_000
+
+
+def _chain(build, leaf, n=DEEP):
+    phi = leaf
+    for _ in range(n):
+        phi = build(phi)
+    return phi
+
+
+def test_walkers_on_a_left_deep_disjunction():
+    phi = _chain(lambda x: BoolOp("||", x, Cmp("==", Var("a"), IntConst(4))), BoolConst(False))
+    text = " || ".join(["false"] + ["a == 4"] * DEEP)
+    assert pretty(phi) == text
+    assert pretty(parse_formula(text, DIFF_SIG)) == text
+    sort_check(phi, DIFF_SIG)
+    assert evaluate(phi, {"a": 4, "b": False, "c": "A"}) is True
+    assert evaluate(phi, {"a": 3, "b": False, "c": "A"}) is False
+
+
+def test_walkers_on_nested_negations():
+    phi = _chain(Not, Var("b"))
+    text = "!(" * (DEEP - 1) + "!b" + ")" * (DEEP - 1)
+    assert pretty(phi) == text
+    assert pretty(parse_formula(text, DIFF_SIG)) == text
+    sort_check(phi, DIFF_SIG)
+    assert evaluate(phi, {"a": 0, "b": True, "c": "A"}) is True  # an even number of '!'
+    with pytest.raises(SortMismatchError, match="negation of a non-boolean"):
+        sort_check(_chain(Not, Var("a")), DIFF_SIG)
+
+
+def test_walkers_on_a_right_deep_implication_and_a_long_sum():
+    implication = _chain(lambda x: BoolOp("=>", Var("b"), x), Var("b"))
+    assert pretty(implication) == " => ".join(["b"] * (DEEP + 1))
+    assert evaluate(implication, {"a": 0, "b": False, "c": "A"}) is True
+    total = Cmp("==", _chain(lambda x: Arith("+", x, Var("a")), IntConst(1)), IntConst(DEEP + 1))
+    text = " + ".join(["1"] + ["a"] * DEEP) + f" == {DEEP + 1}"
+    assert pretty(total) == text
+    assert pretty(parse_formula(text, DIFF_SIG)) == text
+    sort_check(total, DIFF_SIG)
+    assert evaluate(total, {"a": 1, "b": False, "c": "A"}) is True
+    # the fault deepest in the tree is the leftmost one, and the one reported
+    bad = Cmp("==", _chain(lambda x: Arith("+", x, Var("a")), Var("c")), IntConst(0))
+    with pytest.raises(SortMismatchError, match=r"operand of '\+' is not an integer"):
+        sort_check(bad, DIFF_SIG)
+
+
+# ---------------------------------------------------------------------------
+# The lexer
+
+def _lexes_alike(text) -> bool:
+    return _outcome(tokenize, text) == _outcome(oracle_tokenize, text)
+
+
+def test_tokenize_matches_the_character_loop_on_every_code_point():
+    for c in range(0x110000):
+        ch = chr(c)
+        assert _lexes_alike(ch), hex(c)
+        assert _lexes_alike(f"a{ch}1"), hex(c)
+
+
+LEX_ALPHABET = (list("azAZ_09 \t\r\n#=<>!&|-+*(){}[],:.;$\"'")
+                + ["²", "½", " ", "\x0b", "\x0c", "é", "٣",
+                   "Ⅷ", "́", " ", "ª", "\U0001d7d8", "一"])
+
+
+def test_tokenize_matches_the_character_loop_on_random_strings():
+    rng = random.Random(810)
+    for _ in range(100_000):
+        text = "".join(rng.choices(LEX_ALPHABET, k=rng.randint(0, 16)))
+        first_line = rng.randint(1, 3)
+        assert (_outcome(tokenize, text, first_line)
+                == _outcome(oracle_tokenize, text, first_line)), repr(text)

@@ -124,6 +124,18 @@ def test_trailing_tokens_are_errors(text, line, extra):
     assert (exc.value.line, exc.value.col) == (lineno, col)
 
 
+@pytest.mark.parametrize("text, line, second", [
+    (MINI, "  init p", "  init q"),
+    (MINI, "  init r0", "  init r1"),
+    (RULES, "  init x=0", "  init x=1"),
+], ids=["behaviour", "structure", "rules"])
+def test_second_init_is_an_error(text, line, second):
+    lineno = text.splitlines().index(line) + 2  # the second init's line
+    with pytest.raises(ModelError) as exc:
+        parse_model(text.replace(line + "\n", f"{line}\n{second}\n", 1))
+    assert str(exc.value) == f"duplicate 'init' (line {lineno}, column 3)"
+
+
 @pytest.mark.parametrize("bad, message, col", [
     ("      state r0 : x == y", "unknown observable 'y'", 23),
     ("      state r0 : x == 0 $", "unexpected character '$'", 25),

@@ -11,7 +11,7 @@ from sbcheck.adapt import (
     weak_relation,
 )
 from sbcheck.cli import gen_random
-from sbcheck.constraints import BoundedInt, Signature, parse_formula
+from sbcheck.constraints import BoundedInt, Signature, parse_formula, pretty
 from sbcheck.flatten import AdaptPhase, FlatState, build_flat
 from sbcheck.model import BLevel, BState, SBSystem, SLevel, STransition, parse_model, validate
 
@@ -50,6 +50,29 @@ def test_parallel_transitions_are_distinct_phases():
     assert ("q0", "r0") in weak_relation(sys_)
     assert strong_relation(sys_) is None
     assert ("q0", "r0") not in greatest_strong_relation(sys_)
+
+
+def test_transitions_and_phases_are_told_apart_by_printed_invariant():
+    sig = Signature([("x", BoundedInt(0, 5))])
+    sys_ = _sys(
+        "shared", sig,
+        [("q0", {"x": 0}), ("a", {"x": 2})],
+        "q0",
+        [("q0", "a"), ("a", "a")],
+        [("r0", "x == 0"), ("r1", "x == 1"), ("r2", "x >= 0")],
+        "r0",
+        [("r0", "x >= 2", "r1"), ("r0", "(x>=2)", "r1"), ("r2", "x >= 2", "r1"),
+         ("r0", "x >= 2", "r2")],
+    )
+    # separately parsed equal invariants: one transition per pair, and one
+    # phase per target
+    assert [(tr.source, tr.target) for tr in sys_.s.transitions] \
+        == [("r0", "r1"), ("r2", "r1"), ("r0", "r2")]
+    assert [(pretty(inv), target) for inv, target in sys_.s.phases[1:]] \
+        == [("x >= 2", "r1"), ("x >= 2", "r2")]
+    assert sys_.s.phase_rank == {("x >= 2", "r1"): 1, ("x >= 2", "r2"): 2}
+    flat = build_flat(sys_)
+    assert FlatState("a", "r0", (parse_formula("x>=2", sig), "r1")) in flat.index
 
 
 def test_immediate_and_gradual_start_coexist():
