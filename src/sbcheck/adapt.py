@@ -44,7 +44,9 @@ from .ctl import (
     CtlAtom,
     CtlNot,
     CtlWitnessError,
+    ag,
     counterexample_ag,
+    eg,
     parse_ctl,
     sat_set,
     witness_eg,
@@ -56,10 +58,10 @@ from .graph import cyclic_states, reach
 from .kripke import Kripke, to_kripke
 from .model import SBSystem
 
-WEAK_FORMULA = parse_ctl("EG((adapting => EF steady) && progress)")
-STRONG_FORMULA = parse_ctl("AG((adapting => AF steady) && progress)")
 WEAK_INNER = parse_ctl("(adapting => EF steady) && progress")
 STRONG_INNER = parse_ctl("(adapting => AF steady) && progress")
+WEAK_FORMULA = eg(WEAK_INNER)  # EG((adapting => EF steady) && progress)
+STRONG_FORMULA = ag(STRONG_INNER)  # AG((adapting => AF steady) && progress)
 
 
 class PreconditionError(Exception):
@@ -402,10 +404,13 @@ def _failing_evidence(k: Kripke, inner, t0: int) -> Evidence:
 
 def _verdict(sys: SBSystem, formula, inner) -> Verdict:
     k = to_kripke(build_flat(sys))
-    holds = k.initial in sat_set(k, formula)
+    sat = sat_set(k, formula)
+    holds = k.initial in sat
     if holds:
-        # a sample run; under AG every run is good, so EG of the inner holds too
-        lasso = witness_eg(k, inner, k.initial)
+        # a sample run; under AG every run is good, so EG of the inner holds
+        # too; the weak formula is EG of its inner, whose set is labelled
+        lasso = witness_eg(k, inner, k.initial,
+                           sat if formula is WEAK_FORMULA else None)
         evidence = Evidence(_as_states(k, lasso.prefix), _as_states(k, lasso.cycle))
     else:
         evidence = _failing_evidence(k, inner, k.initial)

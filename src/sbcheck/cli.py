@@ -3,11 +3,17 @@
 Exit codes: 0 when the checked property holds (or the command just
 succeeds), 1 when it fails, 2 for usage, parse, validation or file errors,
 3 for an internal error, reported with the exception's name.
+
+:func:`run` builds its argument parser once per process, on first use, and
+is safe to call repeatedly in-process: each call parses into a fresh
+namespace and writes usage errors and help to the ``sys.stdout`` and
+``sys.stderr`` of that moment, so redirecting them captures the output.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -330,6 +336,7 @@ def _cmd_gen(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="sbcheck",

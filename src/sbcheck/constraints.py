@@ -25,7 +25,7 @@ import operator
 import re
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterable, Mapping, Optional, Union
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Union
 
 Value = Union[int, bool, str]
 
@@ -375,8 +375,10 @@ _SYMBOLS = (
 )
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
+    """A lexeme and where it starts; an immutable tuple, which a model file
+    makes by the thousand at little cost."""
+
     kind: str  # IDENT, INT, SYM, EOF
     text: str
     line: int

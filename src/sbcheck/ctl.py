@@ -263,14 +263,17 @@ class Lasso:
         return self.prefix + self.cycle
 
 
-def witness_eg(k: Kripke, inner: CtlFormula, t: int) -> Lasso:
+def witness_eg(k: Kripke, inner: CtlFormula, t: int,
+               good: frozenset[int] | None = None) -> Lasso:
     """A lasso from ``t`` whose states all satisfy ``inner``.
 
     Requires ``t`` to satisfy EG inner; the lasso stays inside the region of
-    the EG set reachable from ``t``.  Its prefix is a shortest path to the
-    nearest state on a cycle of the region, ties broken by state index; its
-    cycle closes through the successor of that head nearest to it (lowest
-    index among equals) along a shortest path back.
+    the EG set reachable from ``t``.  ``good`` is that set when the caller
+    has labelled it already; otherwise it is labelled here.  The prefix is
+    a shortest path to the nearest state on a cycle of the region, ties
+    broken by state index; the cycle closes through the successor of that
+    head nearest to it (lowest index among equals) along a shortest path
+    back.
 
     When ``t`` lies on a cycle the prefix is empty.  One backward search from
     ``t`` tells that case apart: it succeeds exactly when some successor of
@@ -278,7 +281,8 @@ def witness_eg(k: Kripke, inner: CtlFormula, t: int) -> Lasso:
     the region is reachable from ``t`` and none reaches it back.  Only then
     are the cycle states of the region computed.
     """
-    good = sat_set(k, eg(inner))
+    if good is None:
+        good = sat_set(k, eg(inner))
     if t not in good:
         raise CtlWitnessError("state does not satisfy EG of the given formula")
     succ, pred = k.succ.__getitem__, k.pred.__getitem__

@@ -17,6 +17,8 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import groupby
+from operator import itemgetter
 from typing import Iterable, Mapping, Optional
 
 from .constraints import (
@@ -72,11 +74,12 @@ class BLevel:
                 raise ValueError(f"duplicate behaviour state {st.id!r}")
             self.states[st.id] = st
         self.initial = initial
-        self.transitions = tuple(sorted(set(transitions)))
-        succ: dict[str, list[str]] = {q: [] for q in self.states}
-        for src, dst in self.transitions:
-            succ.setdefault(src, []).append(dst)
-        self._succ = {q: tuple(ts) for q, ts in succ.items()}
+        # dedupe in input order: pairs listed by source keep their runs, which
+        # the sort merges instead of comparing pair by pair
+        self.transitions = tuple(sorted(dict.fromkeys(transitions)))
+        self._succ = dict.fromkeys(self.states, ())
+        for src, group in groupby(self.transitions, itemgetter(0)):
+            self._succ[src] = tuple([dst for _, dst in group])
 
     def successors(self, q: str) -> tuple[str, ...]:
         return self._succ.get(q, ())
@@ -259,13 +262,13 @@ def expand_rules(rules: Iterable[GuardedRule], sig: Signature,
     def key(obs):
         return tuple(obs[n] for n in names)
 
-    seen: dict[tuple, dict[str, Value]] = {key(init): dict(init)}
+    # each reached observation, by key, and its state id, named once
+    seen: dict[tuple, tuple[dict[str, Value], str]] = {
+        key(init): (dict(init), canonical_state_id(sig, init))}
     queue = [key(init)]
     transitions: set[tuple[str, str]] = set()
     while queue:
-        k = queue.pop()
-        obs = seen[k]
-        src = canonical_state_id(sig, obs)
+        obs, src = seen[queue.pop()]
         for rule in rules:
             if not evaluate(rule.guard, obs):
                 continue
@@ -283,12 +286,13 @@ def expand_rules(rules: Iterable[GuardedRule], sig: Signature,
             if not ok:
                 continue
             nk = key(new)
-            if nk not in seen:
-                seen[nk] = new
+            hit = seen.get(nk)
+            if hit is None:
+                hit = seen[nk] = (new, canonical_state_id(sig, new))
                 queue.append(nk)
-            transitions.add((src, canonical_state_id(sig, new)))
-    states = [BState(canonical_state_id(sig, obs), obs) for obs in seen.values()]
-    return BLevel(states, canonical_state_id(sig, init), transitions)
+            transitions.add((src, hit[1]))
+    states = [BState(q, obs) for obs, q in seen.values()]
+    return BLevel(states, states[0].id, transitions)
 
 
 # ---------------------------------------------------------------------------

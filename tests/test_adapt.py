@@ -12,6 +12,7 @@ from helpers import (
     rules_system,
 )
 
+from sbcheck import adapt, ctl
 from sbcheck.adapt import (
     STRONG_INNER,
     WEAK_INNER,
@@ -389,3 +390,20 @@ def test_weak_routes_can_diverge_on_doomed_escape_credit():
     # the strong routes agree with each other here
     assert check_strong(sys_).holds is False
     assert strong_relation(sys_) is None
+
+
+def test_weak_verdict_labels_its_formula_once(atv_s0, monkeypatch):
+    labelled = []
+    label = ctl.sat_set
+
+    def counted(k, phi):
+        labelled.append(phi)
+        return label(k, phi)
+
+    monkeypatch.setattr(ctl, "sat_set", counted)
+    monkeypatch.setattr(adapt, "sat_set", counted)
+    assert check_weak(atv_s0).holds
+    assert labelled == [adapt.WEAK_FORMULA]  # the witness reuses the verdict's set
+    labelled.clear()
+    assert check_strong(atv_s0).holds
+    assert labelled == [adapt.STRONG_FORMULA, ctl.eg(STRONG_INNER)]

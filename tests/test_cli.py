@@ -1,8 +1,10 @@
+import contextlib
+import io
 import json
 
 import pytest
 
-from sbcheck import adapt, models
+from sbcheck import adapt, cli, models
 from sbcheck.cli import gen_random, run, system_to_dsl
 from sbcheck.flatten import build_flat
 from sbcheck.model import parse_model, validate
@@ -265,3 +267,32 @@ def test_color_env(capsys, monkeypatch):
     monkeypatch.setenv("SBCHECK_COLOR", "0")
     run(["check", model_path("atv_s0"), "--mode", "weak"])
     assert "\x1b[" not in capsys.readouterr().out
+
+
+def _captured(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("error, message", [
+    (["check", "{model}", "--format", "json"], "the following arguments are required: --mode"),
+    (["bogus", "{model}"], "invalid choice: 'bogus'"),
+])
+def test_one_parser_per_process_answers_like_a_fresh_one(error, message):
+    calls = [error, ["--help"], ["check", "--help"],
+             ["check", "{model}", "--mode", "weak"], error]
+    calls = [[a.format(model=model_path("atv_s0")) for a in argv] for argv in calls]
+    cli._build_parser.cache_clear()
+    repeated = [_captured(argv) for argv in calls]
+    assert cli._build_parser.cache_info().misses == 1  # built once for all five
+    first = []
+    for argv in calls:
+        cli._build_parser.cache_clear()
+        first.append(_captured(argv))
+    assert repeated == first
+    assert [code for code, _, _ in repeated] == [2, 0, 0, 0, 2]
+    assert message in repeated[0][2] and repeated[0][1] == ""
+    assert repeated[1][1].startswith("usage: sbcheck") and repeated[1][2] == ""
+    assert "weak adaptability holds" in repeated[3][1]

@@ -428,6 +428,15 @@ def _lexes_alike(text) -> bool:
     return _outcome(tokenize, text) == _outcome(oracle_tokenize, text)
 
 
+def test_tokens_are_immutable():
+    tok = tokenize("  x")[0]
+    assert repr(tok) == "Token(kind='IDENT', text='x', line=1, col=3)"
+    assert (tok.kind, tok.text, tok.line, tok.col) == tuple(tok)
+    for field in ("kind", "text", "line", "col"):
+        with pytest.raises(AttributeError):
+            setattr(tok, field, None)
+
+
 def test_tokenize_matches_the_character_loop_on_every_code_point():
     for c in range(0x110000):
         ch = chr(c)

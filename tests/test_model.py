@@ -1,6 +1,9 @@
 import logging
+import random
 
 import pytest
+
+from sbcheck import model, models
 
 from sbcheck.cli import system_to_dsl
 from sbcheck.constraints import BoundedInt, Signature, parse_formula, tokenize
@@ -279,6 +282,45 @@ def test_simultaneous_updates_use_pre_state():
          ("y", parse_formula("x", sig, expect="int"))))]
     b = expand_rules(swapish, sig, {"x": 1, "y": 2})
     assert set(b.successors("1_2")) == {"2_1"}
+
+
+def test_expansion_names_each_reached_observation_once(bone_s0, monkeypatch):
+    calls = []
+    name = model.canonical_state_id
+    monkeypatch.setattr(model, "canonical_state_id",
+                        lambda sig, obs: calls.append(obs) or name(sig, obs))
+    sys_ = models.load("bone_s0")
+    assert len(calls) == len(sys_.b.states) == 41
+    assert list(sys_.b.states) == list(bone_s0.b.states)
+    assert sys_.b.transitions == bone_s0.b.transitions
+    assert sys_.b.initial == bone_s0.b.initial
+
+
+# ---------------------------------------------------------------------------
+# Behaviour levels
+
+
+def test_transitions_keep_the_order_of_sorted_string_pairs():
+    sig = Signature([("x", BoundedInt(0, 1))])
+    s = SLevel([("r0", parse_formula("true", sig))], "r0", [])
+    rng = random.Random(20141)
+    for trial in range(300):
+        n = rng.randint(1, 30)
+        declared = [f"s{i}" for i in range(n)]
+        # undeclared endpoints, and ids whose string order is not their
+        # numeric order (s9 > s10)
+        pool = declared + [f"s{n + i}" for i in range(rng.randint(0, 3))] + ["t", "9", "s"]
+        trans = [(rng.choice(pool), rng.choice(pool)) for _ in range(rng.randint(0, 4 * n))]
+        trans += rng.sample(trans, len(trans) // 3)  # duplicates
+        if trial % 3:  # listed by source, in numeric or reverse order
+            trans.sort(key=lambda pair: pool.index(pair[0]), reverse=trial % 3 == 2)
+        b = BLevel([BState(q, {"x": 0}) for q in declared], "s0", trans)
+        assert b.transitions == tuple(sorted(set(trans)))
+        ends = {q for pair in trans for q in pair}
+        for q in ends | set(declared):
+            assert b.successors(q) == tuple(d for src, d in b.transitions if src == q)
+        found = [d.message for d in validate(SBSystem("x", sig, b, s)) if d.code == "b-dangling"]
+        assert {m.split("'")[1] for m in found} == ends - set(declared)
 
 
 # ---------------------------------------------------------------------------

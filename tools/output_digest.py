@@ -25,6 +25,13 @@ prints one line per mutant (number, source, mutation, exit code, sha256 of
 stdout followed by stderr), and on stderr the combined digest ``MUTANTS``,
 which pins the diagnostics of the model parser as well as its verdicts.
 
+Then it runs usage errors (no command, an unknown command or option, a
+missing or invalid argument) and ``--help`` of the program and of every
+subcommand, the whole list twice in one process, with help wrapped at 80
+columns.  It prints one line per run (round, arguments, exit code, sha256
+of stdout followed by stderr), and on stderr the combined digest ``USAGE``,
+which pins the command-line parser's output on repeated in-process calls.
+
 Usage, from the root of a checkout:
 
     PYTHONPATH=src:tests python tools/output_digest.py DIR > digest.txt
@@ -63,6 +70,35 @@ N_MUTANTS = 2000
 MUTANT_SOURCES = 200  # acceptance systems mutated, after the bundled models
 MUTANT_SEED = 20141
 MUTATIONS = ("delete", "insert", "append", "swap", "duplicate")
+# each subcommand's required arguments; nothing reads these files, since
+# every case below fails or stops while its arguments are parsed
+REQUIRED = {
+    "validate": ["model.sb"],
+    "flatten": ["model.sb"],
+    "check": ["model.sb", "--mode", "weak"],
+    "relation": ["model.sb", "--mode", "weak"],
+    "verify-relation": ["model.sb", "--relation", "pairs.json", "--mode", "weak"],
+    "ctl": ["model.sb", "--ctl", "steady"],
+    "export": ["model.sb", "--format", "dot"],
+    "gen": ["--seed", "1", "-o", "out.sb"],
+}
+USAGE_CASES = (
+    [], ["-h"], ["--help"], ["bogus"], ["--bogus"],
+    *([sub, "--help"] for sub in REQUIRED),
+    *([sub] for sub in REQUIRED),
+    *([sub, *args, "--bogus"] for sub, args in REQUIRED.items()),
+    ["check", "model.sb"],
+    ["check", "model.sb", "--mode", "sideways"],
+    ["relation", "model.sb", "--mode"],
+    ["flatten", "model.sb", "--format", "xml"],
+    ["export", "model.sb", "--format", "png"],
+    ["verify-relation", "model.sb", "--mode", "weak"],
+    ["ctl", "model.sb"],
+    ["gen", "--seed", "x", "-o", "out.sb"],
+    ["gen", "--seed", "1", "--density", "dense", "-o", "out.sb"],
+)
+USAGE_ROUNDS = 2
+USAGE_COLUMNS = "80"
 JUNK = ("junk", "x", "0", "-1", "true", "state", "init", "trans", "inv",
         "{", "}", ",", ":", "->", "==", "&&", "(", "#", ".", "\u00b2", "\u00a0")
 
@@ -155,6 +191,21 @@ def run_mutants(out_dir: str, sources: list[str]) -> str:
     return total.hexdigest()
 
 
+def run_usage() -> str:
+    """Run every usage case ``USAGE_ROUNDS`` times; the combined digest.
+    Help text wraps at ``COLUMNS``, which this sets for the rest of the
+    process."""
+    os.environ["COLUMNS"] = USAGE_COLUMNS
+    total = hashlib.sha256()
+    for n in range(USAGE_ROUNDS):
+        for argv in USAGE_CASES:
+            code, out, err = capture(argv)
+            digest = hashlib.sha256((out + err).encode()).hexdigest()
+            print(f"usage{n}", " ".join(argv) or "(none)", code, digest)
+            total.update(f"{code} {digest}".encode())
+    return total.hexdigest()
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print(__doc__, file=sys.stderr)
@@ -172,9 +223,11 @@ def main(argv: list[str]) -> int:
         for command in CORRIDOR_COMMANDS:
             extended.update(run_command(path, command, list(command[1:])))
     mutants = run_mutants(argv[0], files[:len(models.NAMES) + MUTANT_SOURCES])
+    usage = run_usage()
     print("TOTAL", total.hexdigest(), file=sys.stderr)
     print("TOTAL+corridor", extended.hexdigest(), file=sys.stderr)
     print("MUTANTS", mutants, file=sys.stderr)
+    print("USAGE", usage, file=sys.stderr)
     return 0
 
 
