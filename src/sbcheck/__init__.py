@@ -42,6 +42,7 @@ from .model import (
     ModelError,
     SBSystem,
     SLevel,
+    StateBudgetError,
     STransition,
     expand_rules,
     load_model,

@@ -6,6 +6,15 @@ structure:
     weak:   EG((adapting => EF steady) && progress)
     strong: AG((adapting => AF steady) && progress)
 
+Both verdicts on one system share one Kripke structure rooted at the
+initial state: the first of ``check_weak`` and ``check_strong`` builds it,
+and the system keeps it as plain data (CSR arrays, successors, labels,
+predecessors) in a weak-keyed memo that holds nothing of the system, so the
+memo dies with the system by reference counting.  Each verdict labels one
+formula; a holding verdict draws its witness from that formula's set.
+Per-pair queries (``state_adaptable``) rebuild the flat semantics from
+their pair, and the relational route never reads the memo.
+
 The relational route builds adaptation relations over behaviour/structure
 state pairs directly from the flat semantics:
 
@@ -36,6 +45,7 @@ CTL checker; the CTL verdicts never call the relation code.
 
 from __future__ import annotations
 
+import weakref
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Literal, NamedTuple, Optional
@@ -51,12 +61,12 @@ from .ctl import (
     sat_set,
     witness_eg,
 )
-from .flatten import FlatState, _Rules, build_flat
+from .flatten import FlatLts, FlatState, _Rules, build_flat
 # the benchmark's tracer (perfbench/spans.py) wraps adapt.flat_successors
 from .flatten import flat_successors  # noqa: F401
 from .graph import cyclic_states, reach
 from .kripke import Kripke, to_kripke
-from .model import SBSystem
+from .model import SBSystem, StateBudgetError
 
 WEAK_INNER = parse_ctl("(adapting => EF steady) && progress")
 STRONG_INNER = parse_ctl("(adapting => AF steady) && progress")
@@ -320,14 +330,17 @@ def greatest_strong_relation(sys: SBSystem) -> AdaptRelation:
     return _greatest(sys, _strong_violations)
 
 
-def strong_relation(sys: SBSystem) -> Optional[AdaptRelation]:
+def strong_relation(sys: SBSystem,
+                    max_states: int | None = None) -> Optional[AdaptRelation]:
     """The reachable-steady-pairs candidate, if it is a strong adaptation.
 
     The candidate is the projection of the steady states reachable in the
     flat semantics; it is a strong adaptation relation exactly when the
-    system is strong adaptable, so the result is absent otherwise.
+    system is strong adaptable, so the result is absent otherwise.  The
+    flat semantics is built here, under ``max_states`` when given, never
+    taken from the CTL verdicts' memo.
     """
-    flat = build_flat(sys)
+    flat = build_flat(sys, max_states=max_states)
     candidate = AdaptRelation(flat.steady_pairs())
     return candidate if is_strong_adaptation(sys, candidate).ok else None
 
@@ -402,29 +415,80 @@ def _failing_evidence(k: Kripke, inner, t0: int) -> Evidence:
                     _as_states(k, lasso.cycle))
 
 
-def _verdict(sys: SBSystem, formula, inner) -> Verdict:
-    k = to_kripke(build_flat(sys))
+class _Structure(NamedTuple):
+    """The initial-rooted Kripke structure of a system, as plain data that
+    references nothing of the system."""
+
+    initial_code: int
+    codes: list[int]
+    offsets: list[int]
+    ranks: list[int]
+    targets: list[int]
+    succ: list[tuple[int, ...]]
+    labels: list[frozenset[str]]
+    self_looped: frozenset[int]
+    pred: list[tuple[int, ...]]
+
+
+# the entry of a system goes when the system does
+_structures: "weakref.WeakKeyDictionary[SBSystem, _Structure]" = weakref.WeakKeyDictionary()
+
+
+def _initial_kripke(sys: SBSystem, max_states: int | None) -> Kripke:
+    """The Kripke structure of the flat semantics rooted at the initial state.
+
+    Built once per system and memoised as a ``_Structure``; later calls wrap
+    the memoised arrays in fresh ``FlatLts`` and ``Kripke`` objects.  A
+    memoised structure larger than ``max_states`` fails as its build would.
+    """
+    data = _structures.get(sys)
+    if data is None:
+        k = to_kripke(build_flat(sys, max_states=max_states))
+        flat = k.flat
+        _structures[sys] = _Structure(
+            flat.codes[flat.initial_index], flat.codes, flat.offsets, flat.labels,
+            flat.targets, k.succ, k.labels, k.self_looped, k.pred)
+        return k
+    if max_states is not None and len(data.codes) > max_states:
+        raise StateBudgetError("build_flat", max_states, "flat states")
+    flat = FlatLts(sys, _Rules(sys), data.initial_code, data.codes, data.offsets,
+                   data.ranks, data.targets)
+    return Kripke(flat, flat.initial_index, data.succ, data.labels,
+                  data.self_looped, data.pred)
+
+
+def _verdict(sys: SBSystem, formula, inner, max_states: int | None) -> Verdict:
+    k = _initial_kripke(sys, max_states)
     sat = sat_set(k, formula)
     holds = k.initial in sat
     if holds:
-        # a sample run; under AG every run is good, so EG of the inner holds
-        # too; the weak formula is EG of its inner, whose set is labelled
-        lasso = witness_eg(k, inner, k.initial,
-                           sat if formula is WEAK_FORMULA else None)
+        # the witness walks the formula's own set: the weak formula is EG of
+        # its inner formula, and when the strong AG holds at the root, every
+        # state of k (all reachable from the root) satisfies AG, hence EG, of
+        # the inner formula, so the region walked is the one EG would give
+        lasso = witness_eg(k, inner, k.initial, sat)
         evidence = Evidence(_as_states(k, lasso.prefix), _as_states(k, lasso.cycle))
     else:
         evidence = _failing_evidence(k, inner, k.initial)
     return Verdict(holds, evidence)
 
 
-def check_weak(sys: SBSystem) -> Verdict:
-    """Whether the system is weak adaptable, with a witness or counterexample."""
-    return _verdict(sys, WEAK_FORMULA, WEAK_INNER)
+def check_weak(sys: SBSystem, max_states: int | None = None) -> Verdict:
+    """Whether the system is weak adaptable, with a witness or counterexample.
+
+    ``max_states`` bounds the flat build, which ``check_strong`` on the same
+    system shares.
+    """
+    return _verdict(sys, WEAK_FORMULA, WEAK_INNER, max_states)
 
 
-def check_strong(sys: SBSystem) -> Verdict:
-    """Whether the system is strong adaptable, with supporting evidence."""
-    return _verdict(sys, STRONG_FORMULA, STRONG_INNER)
+def check_strong(sys: SBSystem, max_states: int | None = None) -> Verdict:
+    """Whether the system is strong adaptable, with supporting evidence.
+
+    ``max_states`` bounds the flat build, which ``check_weak`` on the same
+    system shares.
+    """
+    return _verdict(sys, STRONG_FORMULA, STRONG_INNER, max_states)
 
 
 def state_adaptable(sys: SBSystem, q: str, r: str,

@@ -1,8 +1,9 @@
 """Command-line front end and the seeded random system generator.
 
 Exit codes: 0 when the checked property holds (or the command just
-succeeds), 1 when it fails, 2 for usage, parse, validation or file errors,
-3 for an internal error, reported with the exception's name.
+succeeds), 1 when it fails, 2 for usage, parse, validation or file errors
+and for a state space past its ``--max-states`` budget, 3 for an internal
+error, reported with the exception's name.
 
 :func:`run` builds its argument parser once per process, on first use, and
 is safe to call repeatedly in-process: each call parses into a fresh
@@ -28,6 +29,7 @@ from .model import (
     ModelError,
     SBSystem,
     SLevel,
+    StateBudgetError,
     STransition,
     load_model,
     validate,
@@ -187,8 +189,8 @@ def _print_evidence(e: adapt.Evidence, out):
             print(f"    {f}", file=out)
 
 
-def _load_valid(path) -> SBSystem:
-    sys_ = load_model(path)
+def _load_valid(args) -> SBSystem:
+    sys_ = load_model(args.file, args.max_states)
     problems = validate(sys_)
     if problems:
         raise ModelError("; ".join(str(p) for p in problems))
@@ -200,7 +202,7 @@ def _load_valid(path) -> SBSystem:
 
 
 def _cmd_validate(args) -> int:
-    sys_ = load_model(args.file)
+    sys_ = load_model(args.file, args.max_states)
     problems = validate(sys_)
     if not problems:
         print(f"{sys_.name}: valid")
@@ -211,8 +213,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_flatten(args) -> int:
-    sys_ = _load_valid(args.file)
-    flat = flatten.build_flat(sys_)
+    sys_ = _load_valid(args)
+    flat = flatten.build_flat(sys_, max_states=args.max_states)
     if args.format == "json":
         print(flatten.to_json(flat))
         return 0
@@ -229,8 +231,9 @@ def _cmd_flatten(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    sys_ = _load_valid(args.file)
-    verdict = adapt.check_weak(sys_) if args.mode == "weak" else adapt.check_strong(sys_)
+    sys_ = _load_valid(args)
+    check = adapt.check_weak if args.mode == "weak" else adapt.check_strong
+    verdict = check(sys_, args.max_states)
     if args.format == "json":
         print(_verdict_json(sys_, args.mode, verdict.holds, None, verdict.evidence))
     else:
@@ -240,13 +243,13 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_relation(args) -> int:
-    sys_ = _load_valid(args.file)
+    sys_ = _load_valid(args)
     if args.mode == "weak":
         rel = adapt.weak_relation(sys_)
         holds = (sys_.b.initial, sys_.s.initial) in rel
         shown = rel
     else:
-        rel = adapt.strong_relation(sys_)
+        rel = adapt.strong_relation(sys_, args.max_states)
         holds = rel is not None
         shown = rel if rel is not None else adapt.AdaptRelation(frozenset())
     if args.format == "json":
@@ -260,7 +263,7 @@ def _cmd_relation(args) -> int:
 
 
 def _cmd_verify_relation(args) -> int:
-    sys_ = _load_valid(args.file)
+    sys_ = _load_valid(args)
     with open(args.relation, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     pairs = doc.get("pairs") if isinstance(doc, dict) else None
@@ -281,7 +284,7 @@ def _cmd_verify_relation(args) -> int:
 
 
 def _cmd_ctl(args) -> int:
-    sys_ = _load_valid(args.file)
+    sys_ = _load_valid(args)
     phi = parse_ctl(args.ctl)
     root = None
     if args.at:
@@ -289,7 +292,7 @@ def _cmd_ctl(args) -> int:
         if len(parts) != 2:
             raise ModelError("--at expects '<q>,<r>'")
         root = (parts[0].strip(), parts[1].strip())
-    flat = flatten.build_flat(sys_, root=root)
+    flat = flatten.build_flat(sys_, root=root, max_states=args.max_states)
     k = kripke.to_kripke(flat)
     holds = k.initial in sat_set(k, phi)
     at = str(flat.initial)
@@ -298,8 +301,8 @@ def _cmd_ctl(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    sys_ = _load_valid(args.file)
-    flat = flatten.build_flat(sys_)
+    sys_ = _load_valid(args)
+    flat = flatten.build_flat(sys_, max_states=args.max_states)
     if args.stage == "flat":
         text = flatten.to_dot(flat) if args.format == "dot" else flatten.to_json(flat)
     else:
@@ -334,6 +337,17 @@ def _cmd_gen(args) -> int:
     print(f"wrote {args.output}: {args.b_states} behaviour states, "
           f"{args.s_states} structure states")
     return 0
+
+
+def _state_budget(text: str) -> int:
+    """The value of ``--max-states``: a positive number of states."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive number of states, got {text!r}")
+    return n
 
 
 @functools.cache
@@ -390,6 +404,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--density", type=float, default=0.3)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=_cmd_gen)
+
+    for name, p in sub.choices.items():
+        if name != "gen":  # every command that loads a model
+            p.add_argument("--max-states", type=_state_budget, metavar="N",
+                           help="stop with exit 2 once rule expansion or the "
+                                "flat build passes N states")
     return top
 
 
@@ -401,7 +421,7 @@ def run(argv) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except (ModelError, FormulaError, CtlError, GenerationError,
+    except (ModelError, FormulaError, CtlError, GenerationError, StateBudgetError,
             adapt.PreconditionError, OSError, ValueError) as exc:
         print(f"sbcheck: error: {exc}", file=_sys.stderr)
         return 2

@@ -269,7 +269,9 @@ def witness_eg(k: Kripke, inner: CtlFormula, t: int,
 
     Requires ``t`` to satisfy EG inner; the lasso stays inside the region of
     the EG set reachable from ``t``.  ``good`` is that set when the caller
-    has labelled it already; otherwise it is labelled here.  The prefix is
+    has labelled it already, or any subset of it from which ``t`` reaches
+    the same region, such as the AG set when AG inner holds at ``t``;
+    otherwise the EG set is labelled here.  The prefix is
     a shortest path to the nearest state on a cycle of the region, ties
     broken by state index; the cycle closes through the successor of that
     head nearest to it (lowest index among equals) along a shortest path

@@ -41,7 +41,7 @@ from functools import cached_property
 from typing import Iterator, Optional
 
 from .constraints import Formula, pretty
-from .model import SBSystem
+from .model import SBSystem, StateBudgetError
 
 Phase = tuple[Formula, str]  # (invariant, target structure state)
 
@@ -270,12 +270,14 @@ class FlatLts:
         return len(self.targets)
 
 
-def build_flat(sys: SBSystem, root: tuple[str, str] | None = None) -> FlatLts:
+def build_flat(sys: SBSystem, root: tuple[str, str] | None = None,
+               max_states: int | None = None) -> FlatLts:
     """Reachable closure of the flat semantics.
 
     By default exploration starts at the initial steady state; ``root``
     seeds it at an arbitrary steady (q, r, {}) instead, which need not be
-    reachable from the initial state.
+    reachable from the initial state.  Reaching more than ``max_states``
+    states, when given, raises :class:`StateBudgetError`.
     """
     if root is None:
         root = (sys.b.initial, sys.s.initial)
@@ -298,8 +300,11 @@ def build_flat(sys: SBSystem, root: tuple[str, str] | None = None) -> FlatLts:
             visit_labels += [p] * len(ts)
             visit_targets += ts
             new = [t for t in ts if t not in seen]
-            seen.update(new)
-            stack += new
+            if new:
+                seen.update(new)
+                stack += new
+                if max_states is not None and len(seen) > max_states:
+                    raise StateBudgetError("build_flat", max_states, "flat states")
         ends.append(len(visit_targets))
     # renumber densely in canonical order
     perm = sorted(range(len(order)), key=order.__getitem__)

@@ -36,12 +36,14 @@ class Kripke:
 
     ``states`` is a tuple of ``FlatState``s, or the ``FlatLts`` the
     structure was derived from, whose states are then decoded on first
-    access.
+    access.  ``pred``, the predecessor tuples, is derived from ``succ`` on
+    first access unless given.
     """
 
     def __init__(self, states: tuple[FlatState, ...] | FlatLts, initial: int,
                  succ: list[tuple[int, ...]], labels: list[frozenset[str]],
-                 self_looped: frozenset[int]):
+                 self_looped: frozenset[int],
+                 pred: list[tuple[int, ...]] | None = None):
         if isinstance(states, FlatLts):
             self.flat = states
         else:
@@ -52,6 +54,8 @@ class Kripke:
         self.labels = labels
         self.self_looped = self_looped  # states that were flat-dead
         self.n_edges = sum(map(len, succ))
+        if pred is not None:
+            self.pred = pred
 
     @cached_property
     def states(self) -> tuple[FlatState, ...]:

@@ -55,6 +55,13 @@ class ModelError(Exception):
         self.col = col
 
 
+class StateBudgetError(Exception):
+    """Raised when a state space grows past the budget its caller set."""
+
+    def __init__(self, layer: str, budget: int, what: str):
+        super().__init__(f"{layer} passed the state budget of {budget} {what}")
+
+
 @dataclass(eq=False)
 class BState:
     """A behaviour state: an id plus a total observation of the signature."""
@@ -247,13 +254,14 @@ def canonical_state_id(sig: Signature, obs: Mapping[str, Value]) -> str:
 
 
 def expand_rules(rules: Iterable[GuardedRule], sig: Signature,
-                 init: Mapping[str, Value]) -> BLevel:
+                 init: Mapping[str, Value], max_states: int | None = None) -> BLevel:
     """Expand guarded rules into the behaviour machine reachable from ``init``.
 
     A rule fires at a state when its guard holds and every updated value stays
     inside its sort bounds; out-of-range updates prune the firing with a
     warning.  The produced state set is the least fixpoint, so it does not
-    depend on rule order.
+    depend on rule order.  Reaching more than ``max_states`` states, when
+    given, raises :class:`StateBudgetError`.
     """
     sig.check_observation(init)
     rules = tuple(rules)
@@ -290,6 +298,8 @@ def expand_rules(rules: Iterable[GuardedRule], sig: Signature,
             if hit is None:
                 hit = seen[nk] = (new, canonical_state_id(sig, new))
                 queue.append(nk)
+                if max_states is not None and len(seen) > max_states:
+                    raise StateBudgetError("expand_rules", max_states, "behaviour states")
             transitions.add((src, hit[1]))
     states = [BState(q, obs) for obs, q in seen.values()]
     return BLevel(states, states[0].id, transitions)
@@ -592,7 +602,7 @@ def _parse_structure(head: Token, lines, sig) -> SLevel:
     return SLevel(*_parse_machine(head, lines, "structure", label, transition))
 
 
-def _parse_behaviour_rules(head: Token, lines, sig) -> BLevel:
+def _parse_behaviour_rules(head: Token, lines, sig, max_states: int | None) -> BLevel:
     init_obs = None
     rules: list[GuardedRule] = []
     names: set[str] = set()
@@ -634,23 +644,17 @@ def _parse_behaviour_rules(head: Token, lines, sig) -> BLevel:
         _end(toks, i)
     if init_obs is None:
         raise _error("rule behaviour misses 'init'", head)
-    return expand_rules(rules, sig, init_obs)
+    return expand_rules(rules, sig, init_obs, max_states)
 
 
-_LEVEL_PARSERS = {
-    "behaviour explicit": _parse_behaviour_explicit,
-    "behaviour rules": _parse_behaviour_rules,
-    "structure": _parse_structure,
-}
-
-
-def parse_model(text: str) -> SBSystem:
+def parse_model(text: str, max_states: int | None = None) -> SBSystem:
     """Parse a model description; rule-based behaviours are expanded.
 
     Syntactic problems, duplicate ids, dangling endpoints and ill-sorted
     formulas raise ModelError, located at the line and column of the
     offending token.  Semantic well-formedness (in particular the
-    initial-state condition) is reported by :func:`validate`.
+    initial-state condition) is reported by :func:`validate`.  A rule
+    expansion past ``max_states`` raises :class:`StateBudgetError`.
     """
     name, sections = _split_sections(text)
     sig = None
@@ -666,12 +670,17 @@ def parse_model(text: str) -> SBSystem:
             raise _error(f"{word} section before observables", head)
         if word in levels:
             raise _error(f"duplicate {word} section", head)
-        levels[word] = _LEVEL_PARSERS[kind](head, lines, sig)
+        if kind == "behaviour rules":
+            levels[word] = _parse_behaviour_rules(head, lines, sig, max_states)
+        elif kind == "behaviour explicit":
+            levels[word] = _parse_behaviour_explicit(head, lines, sig)
+        else:
+            levels[word] = _parse_structure(head, lines, sig)
     if sig is None or len(levels) < 2:
         raise ModelError("model needs observables, behaviour and structure sections")
     return SBSystem(name, sig, levels["behaviour"], levels["structure"])
 
 
-def load_model(path) -> SBSystem:
+def load_model(path, max_states: int | None = None) -> SBSystem:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_model(fh.read())
+        return parse_model(fh.read(), max_states)

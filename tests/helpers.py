@@ -5,9 +5,10 @@ oracle evaluates temporal operators by forward graph search and dual
 characterisations instead of backward fixpoints; the flat-space oracle
 re-derives reachability with direct formula evaluation and no caching or
 canonicalisation; the relation oracle explores every pair's phases afresh
-over ``FlatState`` objects and deletes by whole sweeps; the EG witness
-oracle closes its lasso with one forward search per successor of the cycle
-head, after a cycle-state pass over the whole region.  The last two run
+with the flat-space oracle's successor function and deletes by whole
+sweeps; the EG witness oracle closes its lasso with one forward search per
+successor of the cycle head, after a cycle-state pass over the whole
+region.  The last two run
 their graph searches on the package's ``graph`` kernel, which
 ``test_graph`` checks against brute force.  The reference parsers are
 recursive descent, one method per precedence level, where the package runs
@@ -63,7 +64,7 @@ from sbcheck.ctl import (
     eg,
     sat_set,
 )
-from sbcheck.flatten import AdaptPhase, FlatState, SteadyIn, build_flat, flat_successors
+from sbcheck.flatten import AdaptPhase, FlatState, SteadyIn
 from sbcheck.graph import cyclic_states, reach, shortest_path
 from sbcheck.kripke import AP, Kripke
 from sbcheck.model import BLevel, BState, SBSystem, SLevel, STransition, parse_model
@@ -160,25 +161,21 @@ def oracle_flat_size(sys, root=None) -> tuple[int, int]:
     return len(seen), n_edges
 
 
-def oracle_flat(sys, root=None):
-    """Reachable flat states and labelled edges, re-derived as plain sets.
+def oracle_successors(sys):
+    """The flat successor function, re-derived as plain sets.
 
-    States are ``(q, r, phase)`` tuples and edges ``(src, label, dst)`` with
-    ``("steady", r)`` or ``("adapt", r, inv, target)`` labels, found by
-    direct formula evaluation without the package's successor function,
-    caches, interning or orderings.
+    ``successors((q, r, phase))`` is the set of ``(label, (q2, r2, phase2))``
+    steps the five rules allow, with ``("steady", r)`` or
+    ``("adapt", r, inv, target)`` labels, found by direct formula evaluation
+    without the package's successor function, caches, interning or
+    orderings.
     """
     b, s = sys.b, sys.s
 
     def holds(q, phi):
         return bool(oracle_evaluate(phi, b.states[q].obs))
 
-    f0 = (root or (b.initial, s.initial)) + (None,)
-    seen = {f0}
-    edges = set()
-    stack = [f0]
-    while stack:
-        src = stack.pop()
+    def successors(src):
         q, r, ph = src
         nxt = set()
         if ph is None:
@@ -204,7 +201,25 @@ def oracle_flat(sys, root=None):
                 else:
                     nxt.update((lab, (q2, r, ph))
                                for q2 in b.successors(q) if holds(q2, inv))
-        for lab, dst in nxt:
+        return nxt
+
+    return successors
+
+
+def oracle_flat(sys, root=None):
+    """Reachable flat states and labelled edges, re-derived as plain sets.
+
+    States are ``(q, r, phase)`` tuples and edges ``(src, label, dst)``, as
+    ``oracle_successors`` gives them.
+    """
+    successors = oracle_successors(sys)
+    f0 = (root or (sys.b.initial, sys.s.initial)) + (None,)
+    seen = {f0}
+    edges = set()
+    stack = [f0]
+    while stack:
+        src = stack.pop()
+        for lab, dst in successors(src):
             edges.add((src, lab, dst))
             if dst not in seen:
                 seen.add(dst)
@@ -213,46 +228,49 @@ def oracle_flat(sys, root=None):
 
 
 # ---------------------------------------------------------------------------
-# Reference relation route: per-pair exploration over FlatState objects
+# Reference relation route: per-pair exploration over oracle successors
 
 
 def oracle_pair_facts(sys):
     """A function giving the relational facts of one grid pair ``(q, r)``.
 
     Each call explores the pair's successors and, for every adaptation label
-    in label order, the whole adapting subgraph its first states reach, by
-    ``flat_successors`` on ``FlatState`` objects; nothing is shared between
-    pairs but the successor memo.  The facts are a dict with ``progress``,
-    ``steady_pairs`` and ``phases``, a list of (label, endpoints, has_dead,
-    has_cycle).
+    in the package's phase order (target, then printed invariant), the whole
+    adapting subgraph its first states reach, by ``oracle_successors`` on
+    plain state tuples, so the package's rule code is never run; nothing is
+    shared between pairs but the successor memo.  The facts are a dict with
+    ``progress``, ``steady_pairs`` and ``phases``, a list of (label,
+    endpoints, has_dead, has_cycle).
     """
+    step = oracle_successors(sys)
     memo = {}
 
     def successors(f):
         if f not in memo:
-            memo[f] = flat_successors(sys, f)
+            memo[f] = step(f)
         return memo[f]
 
     def adapting(f):
-        return [y for _lab, y in successors(f) if not y.is_steady]
+        return [y for _lab, y in successors(f) if y[2] is not None]
 
     def facts(q, r):
-        succs = successors(FlatState(q, r, None))
+        succs = successors((q, r, None))
         starts = {}
         for lab, y in succs:
-            if isinstance(lab, AdaptPhase):
+            if lab[0] == "adapt":
                 starts.setdefault(lab, []).append(y)
         phases = []
-        for lab, firsts in starts.items():
-            nodes = reach(adapting, [y for y in firsts if not y.is_steady])
+        for lab in sorted(starts, key=lambda lab: (lab[3], oracle_pretty(lab[2]))):
+            firsts = starts[lab]
+            nodes = reach(adapting, [y for y in firsts if y[2] is not None])
             landed = firsts + [y for x in nodes for _lab, y in successors(x)]
-            phases.append((f"{r} -> {lab.target}",
-                           frozenset((y.q, y.r) for y in landed if y.is_steady),
+            phases.append((f"{r} -> {lab[3]}",
+                           frozenset((y[0], y[1]) for y in landed if y[2] is None),
                            any(not successors(x) for x in nodes),
                            bool(cyclic_states(adapting, nodes))))
         return {"progress": bool(succs),
-                "steady_pairs": frozenset((y.q, y.r) for lab, y in succs
-                                          if isinstance(lab, SteadyIn)),
+                "steady_pairs": frozenset((y[0], y[1]) for lab, y in succs
+                                          if lab[0] == "steady"),
                 "phases": phases}
 
     return facts
@@ -321,7 +339,7 @@ def oracle_relation(sys, mode):
 
 def oracle_strong_relation(sys):
     """The reachable steady pairs when they form a strong adaptation, else None."""
-    candidate = build_flat(sys).steady_pairs()
+    candidate = frozenset((q, r) for q, r, phase in oracle_flat(sys)[0] if phase is None)
     return None if oracle_check(sys, candidate, "strong") else candidate
 
 

@@ -1,8 +1,12 @@
+import functools
+import gc
 import random
+import weakref
 
 import pytest
 from helpers import (
     acceptance_schedule,
+    corridor_system,
     fan_system,
     ladder_system,
     oracle_check,
@@ -12,7 +16,7 @@ from helpers import (
     rules_system,
 )
 
-from sbcheck import adapt, ctl
+from sbcheck import adapt, ctl, models
 from sbcheck.adapt import (
     STRONG_INNER,
     WEAK_INNER,
@@ -32,7 +36,7 @@ from sbcheck.constraints import BoundedInt, Signature, parse_formula
 from sbcheck.ctl import sat_set
 from sbcheck.flatten import build_flat
 from sbcheck.kripke import to_kripke
-from sbcheck.model import BLevel, BState, SBSystem, SLevel, STransition
+from sbcheck.model import BLevel, BState, SBSystem, SLevel, StateBudgetError, STransition
 
 ATV_S0_PAIRS = {("0", "r0"), ("1", "r0"), ("2", "r0"), ("3", "r0"),
                 ("11", "r1"), ("10", "r1"), ("13", "r1")}
@@ -406,4 +410,107 @@ def test_weak_verdict_labels_its_formula_once(atv_s0, monkeypatch):
     assert labelled == [adapt.WEAK_FORMULA]  # the witness reuses the verdict's set
     labelled.clear()
     assert check_strong(atv_s0).holds
-    assert labelled == [adapt.STRONG_FORMULA, ctl.eg(STRONG_INNER)]
+    # under AG the witness region is the same in the AG set as in the EG set
+    assert labelled == [adapt.STRONG_FORMULA]
+
+
+# ---------------------------------------------------------------------------
+# One initial-rooted structure per system
+
+
+def _counting(monkeypatch, *names):
+    """Count the calls of ``adapt``'s functions ``names`` by name."""
+    calls = dict.fromkeys(names, 0)
+
+    def wrap(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    for name in names:
+        monkeypatch.setattr(adapt, name, wrap(name, getattr(adapt, name)))
+    return calls
+
+
+@pytest.mark.parametrize("first, second", [(check_weak, check_strong),
+                                           (check_strong, check_weak)])
+def test_both_verdicts_share_one_build(first, second, monkeypatch):
+    calls = _counting(monkeypatch, "build_flat", "to_kripke")
+    sys_ = models.load("atv_s1")
+    first(sys_)
+    second(sys_)
+    first(sys_)
+    assert calls == {"build_flat": 1, "to_kripke": 1}
+
+
+def test_a_checked_system_is_freed_by_reference_counting():
+    gc.collect()
+    gc.disable()  # from here on only reference counts free anything
+    try:
+        held = len(adapt._structures)
+        sys_ = models.load("bone_s1")
+        check_weak(sys_)
+        check_strong(sys_)
+        assert len(adapt._structures) == held + 1
+        ref = weakref.ref(sys_)
+        del sys_
+        assert ref() is None
+        assert len(adapt._structures) == held
+    finally:
+        gc.enable()
+
+
+def test_per_pair_queries_and_relation_route_build_their_own(monkeypatch):
+    sys_ = models.load("atv_s0")
+    check_weak(sys_)
+    check_strong(sys_)
+    read = []
+
+    class Watched(weakref.WeakKeyDictionary):
+        def get(self, key, default=None):
+            read.append(key)
+            return super().get(key, default)
+
+    watched = Watched(adapt._structures)
+    monkeypatch.setattr(adapt, "_structures", watched)
+    calls = _counting(monkeypatch, "build_flat")
+    for q, r in sorted(ATV_S0_PAIRS):
+        state_adaptable(sys_, q, r, "weak")
+        state_adaptable(sys_, q, r, "strong")
+    assert calls["build_flat"] == 2 * len(ATV_S0_PAIRS)
+    assert strong_relation(sys_) is not None
+    assert calls["build_flat"] == 2 * len(ATV_S0_PAIRS) + 1
+    weak_relation(sys_)
+    greatest_strong_relation(sys_)
+    rel = AdaptRelation.of(ATV_S0_PAIRS)
+    assert is_weak_adaptation(sys_, rel).ok and is_strong_adaptation(sys_, rel).ok
+    assert calls["build_flat"] == 2 * len(ATV_S0_PAIRS) + 1
+    assert read == []
+    check_strong(sys_)  # the verdicts do read it
+    assert read == [sys_] and calls["build_flat"] == 2 * len(ATV_S0_PAIRS) + 1
+
+
+def test_memoised_verdicts_equal_fresh_ones():
+    makers = [functools.partial(models.load, name) for name in models.NAMES]
+    makers += [functools.partial(gen_random, seed, *acceptance_schedule(seed))
+               for seed in range(500)]
+    makers += [functools.partial(corridor_system, n) for n in (1, 2, 3)]
+    makers += [functools.partial(rules_system, seed) for seed in range(50)]
+    for make in makers:
+        fresh = check_weak(make()), check_strong(make())
+        sys_ = make()
+        assert (check_weak(sys_), check_strong(sys_)) == fresh, sys_.name
+        sys_ = make()
+        strong = check_strong(sys_)
+        assert (check_weak(sys_), strong) == fresh, sys_.name
+
+
+def test_a_memoised_structure_keeps_to_the_budget():
+    sys_ = models.load("atv_s0")  # 9 flat states
+    with pytest.raises(StateBudgetError, match="build_flat passed the state budget of 8"):
+        check_weak(sys_, max_states=8)
+    assert check_weak(sys_, max_states=9).holds
+    with pytest.raises(StateBudgetError, match="build_flat passed the state budget of 8"):
+        check_strong(sys_, max_states=8)
+    assert check_strong(sys_).holds

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import time
 
 import pytest
 
@@ -100,7 +101,7 @@ def test_directory_as_model(tmp_path, capsys):
 
 
 def test_internal_error_exits_3(monkeypatch, capsys):
-    def broken(sys_):
+    def broken(sys_, max_states=None):
         raise RuntimeError("boom")
 
     monkeypatch.setattr(adapt, "check_weak", broken)
@@ -214,6 +215,66 @@ def test_export_subcommand(tmp_path, capsys):
                 "--stage", "kripke"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert {"state", "labels"} == set(doc["states"][0])
+
+
+RUNAWAY_RULES = """system runaway
+observables
+  x : int 0..100000000
+behaviour rules
+  init x=0
+  rule Inc: x < 100000000 -> x := x + 1
+structure
+  state r0 : x >= 0
+  init r0
+"""
+
+
+def test_state_budget_stops_a_runaway_rule_expansion(tmp_path, capsys):
+    model = tmp_path / "runaway.sb"
+    model.write_text(RUNAWAY_RULES)
+    start = time.perf_counter()
+    assert run(["check", str(model), "--mode", "weak", "--max-states", "1000"]) == 2
+    assert time.perf_counter() - start < 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("sbcheck: error: expand_rules passed the state budget "
+                            "of 1000 behaviour states\n")
+
+
+@pytest.mark.parametrize("command", [
+    ["validate"], ["flatten"], ["check", "--mode", "weak"], ["check", "--mode", "strong"],
+    ["relation", "--mode", "weak"], ["relation", "--mode", "strong"],
+    ["verify-relation", "--mode", "strong", "--relation", "{relation}"],
+    ["ctl", "--ctl", "steady"], ["ctl", "--ctl", "steady", "--at", "3,r0"],
+    ["export", "--format", "json"],
+])
+def test_every_model_command_takes_a_state_budget(command, tmp_path, capsys):
+    relation = tmp_path / "rel.json"
+    relation.write_text('{"pairs": [["0", "r0"]]}')
+    command = [a.format(relation=relation) for a in command]
+    rules = tmp_path / "runaway.sb"
+    rules.write_text(RUNAWAY_RULES)
+    assert run([command[0], str(rules), *command[1:], "--max-states", "50"]) == 2
+    assert "expand_rules passed the state budget of 50" in capsys.readouterr().err
+    explicit = model_path("atv_s0")  # 9 behaviour states, 9 flat states
+    unbounded = run([command[0], explicit, *command[1:]])
+    out = capsys.readouterr().out
+    assert run([command[0], explicit, *command[1:], "--max-states", "9"]) == unbounded
+    assert capsys.readouterr().out == out
+    code = run([command[0], explicit, *command[1:], "--max-states", "8"])
+    err = capsys.readouterr().err
+    builds = command[0] in ("flatten", "check", "ctl", "export") or command[-1] == "strong"
+    if builds:
+        assert code == 2 and "build_flat passed the state budget of 8 flat states" in err
+    else:
+        assert code == unbounded and err == ""
+
+
+@pytest.mark.parametrize("value", ["0", "-3", "x", "1.5"])
+def test_state_budget_must_be_a_positive_integer(value, capsys):
+    assert run(["check", model_path("atv_s0"), "--mode", "weak", "--max-states", value]) == 2
+    err = capsys.readouterr().err
+    assert f"argument --max-states: expected a positive number of states, got {value!r}" in err
 
 
 def test_usage_and_parse_errors(tmp_path, capsys):

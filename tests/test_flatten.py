@@ -23,6 +23,7 @@ from sbcheck.flatten import (
     to_json,
 )
 from sbcheck.kripke import to_kripke
+from sbcheck.model import StateBudgetError
 
 ATV_S0_STEADY = {("0", "r0"), ("1", "r0"), ("2", "r0"), ("3", "r0"),
                  ("11", "r1"), ("10", "r1"), ("13", "r1")}
@@ -261,3 +262,14 @@ def test_build_matches_oracle_at_every_grid_root():
             for r in sys_.s.states:
                 if sys_.sat(q, sys_.s.label(r)):
                     assert_flat_matches_oracle(sys_, root=(q, r))
+
+
+def test_flat_build_stops_past_its_state_budget(bundled):
+    for sys_ in bundled.values():
+        full = build_flat(sys_)
+        n = full.n_states
+        kept = build_flat(sys_, max_states=n)
+        assert (kept.codes, kept.targets) == (full.codes, full.targets)
+        with pytest.raises(StateBudgetError) as exc:
+            build_flat(sys_, max_states=n - 1)
+        assert str(exc.value) == f"build_flat passed the state budget of {n - 1} flat states"

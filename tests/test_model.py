@@ -13,6 +13,7 @@ from sbcheck.model import (
     ModelError,
     SBSystem,
     SLevel,
+    StateBudgetError,
     STransition,
     expand_rules,
     parse_model,
@@ -376,3 +377,25 @@ def test_dsl_round_trip(bundled):
         assert back.s.states == sys_.s.states
         assert back.s.transitions == sys_.s.transitions
 
+
+
+def test_rule_expansion_stops_past_its_state_budget(tmp_path):
+    text = """system count
+observables
+  x : int 0..9
+behaviour rules
+  init x=0
+  rule Up: x < 9 -> x := x + 1
+structure
+  state r0 : x >= 0
+  init r0
+"""
+    assert len(parse_model(text).b.states) == 10
+    assert parse_model(text, max_states=10).b.transitions == parse_model(text).b.transitions
+    with pytest.raises(StateBudgetError) as exc:
+        parse_model(text, max_states=9)
+    assert str(exc.value) == "expand_rules passed the state budget of 9 behaviour states"
+    path = tmp_path / "count.sb"
+    path.write_text(text)
+    with pytest.raises(StateBudgetError):
+        model.load_model(path, 9)
