@@ -8,12 +8,13 @@ structure:
 
 Both verdicts on one system share one Kripke structure rooted at the
 initial state: the first of ``check_weak`` and ``check_strong`` builds it,
-and the system keeps it as plain data (CSR arrays, successors, labels,
-predecessors) in a weak-keyed memo that holds nothing of the system, so the
-memo dies with the system by reference counting.  Each verdict labels one
-formula; a holding verdict draws its witness from that formula's set.
-Per-pair queries (``state_adaptable``) rebuild the flat semantics from
-their pair, and the relational route never reads the memo.
+and the system keeps it, with the flat codes of its states, in a weak-keyed
+memo.  Both hold only ints and frozensets, nothing of the system, so the
+memo dies with the system by reference counting; evidence states are
+decoded from their codes.  Each verdict labels one formula; a holding
+verdict draws its witness from that formula's set.  Per-pair queries
+(``state_adaptable``) rebuild the flat semantics from their pair, and the
+relational route never reads the memo.
 
 The relational route builds adaptation relations over behaviour/structure
 state pairs directly from the flat semantics:
@@ -61,7 +62,7 @@ from .ctl import (
     sat_set,
     witness_eg,
 )
-from .flatten import FlatLts, FlatState, _Rules, build_flat
+from .flatten import FlatState, _Rules, build_flat
 # the benchmark's tracer (perfbench/spans.py) wraps adapt.flat_successors
 from .flatten import flat_successors  # noqa: F401
 from .graph import cyclic_states, reach
@@ -386,12 +387,13 @@ def is_strong_adaptation(sys: SBSystem, rel: AdaptRelation) -> RelationCheck:
 # CTL-side verdicts
 
 
-def _as_states(k: Kripke, indices) -> tuple[FlatState, ...]:
+def _as_states(state: Callable[[int], FlatState], indices) -> tuple[FlatState, ...]:
     """The flat states at ``indices``, decoded one by one."""
-    return tuple(map(k.flat.state, indices))
+    return tuple(map(state, indices))
 
 
-def _failing_evidence(k: Kripke, inner, t0: int) -> Evidence:
+def _failing_evidence(k: Kripke, state: Callable[[int], FlatState], inner,
+                      t0: int) -> Evidence:
     """A run from ``t0`` showing how the checked property degenerates.
 
     Prefers a shortest path to a dead state (a progress violation, reported
@@ -402,7 +404,7 @@ def _failing_evidence(k: Kripke, inner, t0: int) -> Evidence:
     """
     try:
         path = list(counterexample_ag(k, CtlAtom("progress"), t0))
-        return Evidence(_as_states(k, path[:-1]), _as_states(k, path[-1:]))
+        return Evidence(_as_states(state, path[:-1]), _as_states(state, path[-1:]))
     except CtlWitnessError:
         pass
     path = list(counterexample_ag(k, inner, t0))
@@ -410,55 +412,39 @@ def _failing_evidence(k: Kripke, inner, t0: int) -> Evidence:
     try:
         lasso = witness_eg(k, CtlNot(CtlAtom("steady")), v)
     except CtlWitnessError:
-        return Evidence(_as_states(k, path), ())
-    return Evidence(_as_states(k, path[:-1] + list(lasso.prefix)),
-                    _as_states(k, lasso.cycle))
-
-
-class _Structure(NamedTuple):
-    """The initial-rooted Kripke structure of a system, as plain data that
-    references nothing of the system."""
-
-    initial_code: int
-    codes: list[int]
-    offsets: list[int]
-    ranks: list[int]
-    targets: list[int]
-    succ: list[tuple[int, ...]]
-    labels: list[frozenset[str]]
-    self_looped: frozenset[int]
-    pred: list[tuple[int, ...]]
+        return Evidence(_as_states(state, path), ())
+    return Evidence(_as_states(state, path[:-1] + list(lasso.prefix)),
+                    _as_states(state, lasso.cycle))
 
 
 # the entry of a system goes when the system does
-_structures: "weakref.WeakKeyDictionary[SBSystem, _Structure]" = weakref.WeakKeyDictionary()
+_structures: "weakref.WeakKeyDictionary[SBSystem, tuple[Kripke, list[int]]]" = \
+    weakref.WeakKeyDictionary()
 
 
-def _initial_kripke(sys: SBSystem, max_states: int | None) -> Kripke:
-    """The Kripke structure of the flat semantics rooted at the initial state.
+def _initial_kripke(sys: SBSystem, max_states: int | None) -> tuple[Kripke, list[int]]:
+    """The Kripke structure of the flat semantics rooted at the initial
+    state, and the flat codes of its states.
 
-    Built once per system and memoised as a ``_Structure``; later calls wrap
-    the memoised arrays in fresh ``FlatLts`` and ``Kripke`` objects.  A
-    memoised structure larger than ``max_states`` fails as its build would.
+    Built once per system and memoised.  A memoised structure larger than
+    ``max_states`` fails as its build would.
     """
-    data = _structures.get(sys)
-    if data is None:
-        k = to_kripke(build_flat(sys, max_states=max_states))
-        flat = k.flat
-        _structures[sys] = _Structure(
-            flat.codes[flat.initial_index], flat.codes, flat.offsets, flat.labels,
-            flat.targets, k.succ, k.labels, k.self_looped, k.pred)
-        return k
-    if max_states is not None and len(data.codes) > max_states:
+    hit = _structures.get(sys)
+    if hit is None:
+        flat = build_flat(sys, max_states=max_states)
+        hit = _structures[sys] = (to_kripke(flat), flat.codes)
+    elif max_states is not None and hit[0].n_states > max_states:
         raise StateBudgetError("build_flat", max_states, "flat states")
-    flat = FlatLts(sys, _Rules(sys), data.initial_code, data.codes, data.offsets,
-                   data.ranks, data.targets)
-    return Kripke(flat, flat.initial_index, data.succ, data.labels,
-                  data.self_looped, data.pred)
+    return hit
 
 
 def _verdict(sys: SBSystem, formula, inner, max_states: int | None) -> Verdict:
-    k = _initial_kripke(sys, max_states)
+    k, codes = _initial_kripke(sys, max_states)
+    decode = _Rules(sys).decode
+
+    def state(i: int) -> FlatState:
+        return decode(codes[i])
+
     sat = sat_set(k, formula)
     holds = k.initial in sat
     if holds:
@@ -467,9 +453,10 @@ def _verdict(sys: SBSystem, formula, inner, max_states: int | None) -> Verdict:
         # state of k (all reachable from the root) satisfies AG, hence EG, of
         # the inner formula, so the region walked is the one EG would give
         lasso = witness_eg(k, inner, k.initial, sat)
-        evidence = Evidence(_as_states(k, lasso.prefix), _as_states(k, lasso.cycle))
+        evidence = Evidence(_as_states(state, lasso.prefix),
+                            _as_states(state, lasso.cycle))
     else:
-        evidence = _failing_evidence(k, inner, k.initial)
+        evidence = _failing_evidence(k, state, inner, k.initial)
     return Verdict(holds, evidence)
 
 

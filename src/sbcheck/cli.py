@@ -308,7 +308,7 @@ def _cmd_export(args) -> int:
     else:
         k = kripke.to_kripke(flat)
         if args.format == "dot":
-            text = kripke.to_dot(k)
+            text = kripke.to_dot(flat, k)
         else:
             doc = {
                 "system": sys_.name,
@@ -316,7 +316,7 @@ def _cmd_export(args) -> int:
                 "states": [
                     {"state": flatten.state_json(f),
                      "labels": sorted(k.labels[i])}
-                    for i, f in enumerate(k.states)
+                    for i, f in enumerate(flat.states)
                 ],
                 "edges": [[i, j] for i in range(k.n_states) for j in k.succ[i]],
             }

@@ -202,8 +202,7 @@ class FlatLts:
     its transitions are ``(labels[e], targets[e])`` for ``e`` in
     ``offsets[i]:offsets[i + 1]``, in canonical (label, target) order.  A
     label is a phase rank, 0 for a steady step.  ``FlatState`` and label
-    objects are decoded on demand; ``states``, ``index`` and ``transitions``
-    are built on first access.
+    objects are decoded on demand; ``states`` is built on first access.
     """
 
     def __init__(self, system: SBSystem, rules: _Rules, initial_code: int,
@@ -225,30 +224,12 @@ class FlatLts:
     def states(self) -> tuple[FlatState, ...]:
         return tuple(map(self._rules.decode, self.codes))
 
-    @cached_property
-    def index(self) -> dict[FlatState, int]:
-        return {f: i for i, f in enumerate(self.states)}
-
     def edges(self) -> Iterator[tuple[int, FlatLabel, int]]:
         """(source index, label, target index) of every transition, in order."""
         label, codes, offsets = self._rules.label, self.codes, self.offsets
         for i, code in enumerate(codes):
             for e in range(offsets[i], offsets[i + 1]):
                 yield i, label(code, self.labels[e]), self.targets[e]
-
-    @cached_property
-    def transitions(self) -> tuple[tuple[FlatState, FlatLabel, FlatState], ...]:
-        states = self.states
-        return tuple((states[i], lab, states[j]) for i, lab, j in self.edges())
-
-    def successors(self, f: FlatState) -> tuple[tuple[FlatLabel, FlatState], ...]:
-        code = self._rules.encode(f)
-        i = bisect_left(self.codes, code)
-        if i == len(self.codes) or self.codes[i] != code:
-            raise KeyError(f)
-        label = self._rules.label
-        return tuple((label(code, self.labels[e]), self.state(self.targets[e]))
-                     for e in range(self.offsets[i], self.offsets[i + 1]))
 
     def steady_pairs(self) -> frozenset[tuple[str, str]]:
         P, RP = self._rules.P, self._rules.RP

@@ -12,15 +12,15 @@ progress-free.
 
 ``to_kripke`` reads the flat system's CSR arrays: a state's successors are
 its distinct flat targets, and its labels follow from its label ranks and
-its phase.  States keep the flat system's dense indices; the ``FlatState``
-objects are decoded only when ``states`` is first read.
+its phase.  The structure is plain CTL data: states are the flat system's
+dense indices, and only the flat system names them.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
 
-from .flatten import FlatLts, FlatState
+from .flatten import FlatLts
 
 AP = ("adapting", "steady", "progress")
 
@@ -32,34 +32,16 @@ _BORDER = frozenset({"adapting", "steady", "progress"})
 
 
 class Kripke:
-    """States ``0..n-1`` with ascending successor tuples ``succ[i]``.
+    """States ``0..n-1`` with ascending successor tuples ``succ[i]`` and
+    atomic labels ``labels[i]``.  ``pred``, the predecessor tuples, is
+    derived from ``succ`` on first access."""
 
-    ``states`` is a tuple of ``FlatState``s, or the ``FlatLts`` the
-    structure was derived from, whose states are then decoded on first
-    access.  ``pred``, the predecessor tuples, is derived from ``succ`` on
-    first access unless given.
-    """
-
-    def __init__(self, states: tuple[FlatState, ...] | FlatLts, initial: int,
-                 succ: list[tuple[int, ...]], labels: list[frozenset[str]],
-                 self_looped: frozenset[int],
-                 pred: list[tuple[int, ...]] | None = None):
-        if isinstance(states, FlatLts):
-            self.flat = states
-        else:
-            self.flat = None
-            self.states = states
+    def __init__(self, initial: int, succ: list[tuple[int, ...]],
+                 labels: list[frozenset[str]]):
         self.initial = initial
         self.succ = succ
         self.labels = labels
-        self.self_looped = self_looped  # states that were flat-dead
         self.n_edges = sum(map(len, succ))
-        if pred is not None:
-            self.pred = pred
-
-    @cached_property
-    def states(self) -> tuple[FlatState, ...]:
-        return self.flat.states
 
     @property
     def n_states(self) -> int:
@@ -80,13 +62,11 @@ def to_kripke(flat: FlatLts) -> Kripke:
     P = len(flat.system.s.phases)
     succ: list[tuple[int, ...]] = []
     labels: list[frozenset[str]] = []
-    looped: list[int] = []
     for i, code in enumerate(flat.codes):
         a, b = offsets[i], offsets[i + 1]
         if a == b:
             succ.append((i,))
             labels.append(_NONE)
-            looped.append(i)
             continue
         if ranks[a] == ranks[b - 1]:
             # one label: its targets are already distinct and ascending
@@ -98,21 +78,24 @@ def to_kripke(flat: FlatLts) -> Kripke:
             labels.append(_BORDER if adapting else _STEADY)
         else:
             labels.append(_ADAPTING if adapting else _PROGRESS)
-    return Kripke(flat, flat.initial_index, succ, labels, frozenset(looped))
+    return Kripke(flat.initial_index, succ, labels)
 
 
-def to_dot(k: Kripke) -> str:
+def to_dot(flat: FlatLts, k: Kripke) -> str:
+    """Graphviz rendering of ``k``, derived from ``flat``; the self-loops
+    added at flat-dead states are dashed."""
+    off = flat.offsets
     lines = ["digraph kripke {", "  rankdir=LR;"]
-    for i, f in enumerate(k.states):
-        label = str(f)
+    for i, f in enumerate(flat.states):
         props = ",".join(sorted(k.labels[i]))
-        text = (label + "\\n{" + props + "}").replace('"', r"\"")
+        text = (str(f) + "\\n{" + props + "}").replace('"', r"\"")
         style = "filled" if f.is_steady else "solid"
         marks = " peripheries=2" if i == k.initial else ""
         lines.append(f'  n{i} [label="{text}" style={style}{marks}];')
     for i, targets in enumerate(k.succ):
+        dead = off[i] == off[i + 1]
         for j in targets:
-            extra = " [style=dashed]" if i == j and i in k.self_looped else ""
+            extra = " [style=dashed]" if dead else ""
             lines.append(f"  n{i} -> n{j}{extra};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -64,7 +64,7 @@ from sbcheck.ctl import (
     eg,
     sat_set,
 )
-from sbcheck.flatten import AdaptPhase, FlatState, SteadyIn
+from sbcheck.flatten import AdaptPhase, SteadyIn
 from sbcheck.graph import cyclic_states, reach, shortest_path
 from sbcheck.kripke import AP, Kripke
 from sbcheck.model import BLevel, BState, SBSystem, SLevel, STransition, parse_model
@@ -79,7 +79,13 @@ def prop1_violations(sys, flat) -> list[str]:
     out = []
     steady_edges = set()
     adapt_edges = set()
-    for src, lab, dst in flat.transitions:
+    states = flat.states
+    out_labels = [[] for _ in states]
+    out_targets = [[] for _ in states]
+    for i, lab, j in flat.edges():
+        src, dst = states[i], states[j]
+        out_labels[i].append(lab)
+        out_targets[i].append(dst)
         if isinstance(lab, SteadyIn):
             steady_edges.add((src, dst))
             if not src.is_steady:
@@ -95,8 +101,7 @@ def prop1_violations(sys, flat) -> list[str]:
     overlap = steady_edges & adapt_edges
     if overlap:
         out.append(f"(iv) families overlap on {sorted(map(str, overlap))[:3]}")
-    for f in flat.states:
-        labs = [lab for lab, _ in flat.successors(f)]
+    for f, labs, targets in zip(states, out_labels, out_targets):
         has_steady = any(isinstance(l, SteadyIn) for l in labs)
         has_adapt = any(isinstance(l, AdaptPhase) for l in labs)
         if f.is_steady and has_steady and has_adapt:
@@ -104,7 +109,6 @@ def prop1_violations(sys, flat) -> list[str]:
         if f.is_steady and not sys.sat(f.q, sys.s.label(f.r)):
             out.append(f"(vii) reachable steady state {f} violates its constraints")
         if not f.is_steady:
-            targets = [g for _, g in flat.successors(f)]
             ends = [g for g in targets if g.is_steady]
             mids = [g for g in targets if not g.is_steady]
             if ends and mids:
@@ -117,48 +121,16 @@ def prop1_violations(sys, flat) -> list[str]:
     return out
 
 
+def flat_out(flat, f) -> list:
+    """The (label, target state) transitions of ``flat`` leaving state ``f``."""
+    i = flat.states.index(f)
+    return [(lab, flat.state(j)) for src, lab, j in flat.edges() if src == i]
+
+
 def oracle_flat_size(sys, root=None) -> tuple[int, int]:
-    """Reachable flat state and edge counts, re-derived without the package's
-    successor function, caches or orderings."""
-    b, s = sys.b, sys.s
-
-    def holds(q, phi):
-        return bool(oracle_evaluate(phi, b.states[q].obs))
-
-    f0 = (root or (b.initial, s.initial)) + (None,)
-    seen = {f0}
-    stack = [f0]
-    n_edges = 0
-    while stack:
-        q, r, ph = stack.pop()
-        nxt = set()
-        if ph is None:
-            if holds(q, s.label(r)):
-                good = [q2 for q2 in b.successors(q) if holds(q2, s.label(r))]
-                if good:
-                    nxt.update((q2, r, None) for q2 in good)
-                elif b.successors(q):
-                    for tr in s.transitions_from(r):
-                        for q2 in b.successors(q):
-                            if holds(q2, s.label(tr.target)):
-                                nxt.add((q2, tr.target, None))
-                            elif holds(q2, tr.inv):
-                                nxt.add((q2, r, (tr.inv, tr.target)))
-        else:
-            inv, target = ph
-            if holds(q, inv) and not holds(q, s.label(target)):
-                ends = [q2 for q2 in b.successors(q) if holds(q2, s.label(target))]
-                if ends:
-                    nxt.update((q2, target, None) for q2 in ends)
-                else:
-                    nxt.update((q2, r, ph)
-                               for q2 in b.successors(q) if holds(q2, inv))
-        n_edges += len(nxt)
-        for g in nxt:
-            if g not in seen:
-                seen.add(g)
-                stack.append(g)
-    return len(seen), n_edges
+    """Reachable flat state and labelled edge counts of ``oracle_flat``."""
+    states, edges = oracle_flat(sys, root)
+    return len(states), len(edges)
 
 
 def oracle_successors(sys):
@@ -474,6 +446,11 @@ _ORACLE_SYMBOLS = (
     "<=>", "==", "!=", "<=", ">=", "&&", "||", "=>", "->", ":=", "..",
     "(", ")", "{", "}", "[", "]", ",", ":", "+", "-", "*", "<", ">", "!", "=",
 )
+# the symbols by first character, longest first: a character that starts
+# none is rejected without a probe
+_ORACLE_SYMBOLS_AT: dict[str, list[str]] = {}
+for _sym in _ORACLE_SYMBOLS:
+    _ORACLE_SYMBOLS_AT.setdefault(_sym[0], []).append(_sym)
 
 
 def oracle_tokenize(text: str, first_line: int = 1) -> list[Token]:
@@ -513,7 +490,7 @@ def oracle_tokenize(text: str, first_line: int = 1) -> list[Token]:
             col += j - i
             i = j
             continue
-        for sym in _ORACLE_SYMBOLS:
+        for sym in _ORACLE_SYMBOLS_AT.get(ch, ()):
             if text.startswith(sym, i):
                 toks.append(Token("SYM", sym, line, col))
                 col += len(sym)
@@ -792,20 +769,15 @@ class OracleCtlParser:
 
 
 def random_kripke(rng: random.Random, n_states: int, out_degree: int = 3) -> Kripke:
-    states = tuple(FlatState(f"s{i}", "r0", None) for i in range(n_states))
     succ = []
-    looped = set()
     for i in range(n_states):
         k = rng.randint(0, out_degree)
         targets = sorted({rng.randrange(n_states) for _ in range(k)})
-        if not targets:
-            targets = [i]
-            looped.add(i)
-        succ.append(tuple(targets))
+        succ.append(tuple(targets or [i]))
     labels = [frozenset(p for p in ("adapting", "steady", "progress")
                         if rng.random() < 0.4)
               for _ in range(n_states)]
-    return Kripke(states, 0, succ, labels, frozenset(looped))
+    return Kripke(0, succ, labels)
 
 
 def random_ctl(rng: random.Random, depth: int):

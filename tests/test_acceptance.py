@@ -15,6 +15,7 @@ from helpers import (
     acceptance_schedule,
     corridor_system,
     fan_system,
+    flat_out,
     ladder_system,
     oracle_sat,
     prop1_violations,
@@ -62,12 +63,13 @@ def _report(criterion, description):
 
 @pytest.fixture(scope="module")
 def generated():
-    """The fixed population of random systems shared by criteria 4-6."""
+    """The fixed population of random systems shared by criteria 4-6, with
+    their flat systems."""
     out = []
     for seed in range(N_RANDOM_SYSTEMS):
         n_b, n_s, density = acceptance_schedule(seed)
         sys_ = gen_random(seed, n_b, n_s, density)
-        out.append((sys_, to_kripke(build_flat(sys_))))
+        out.append((sys_, build_flat(sys_)))
     return out
 
 
@@ -100,8 +102,8 @@ def test_criterion_3_deadlock_witness(bone_s1):
     flat = build_flat(bone_s1)
     dead = FlatState("0_1_0", "r4",
                      (parse_formula("Ob>0 && Oy==0", bone_s1.sig), "r5"))
-    assert dead in flat.index
-    assert flat.successors(dead) == ()
+    assert dead in flat.states
+    assert flat_out(flat, dead) == []
     verdict = check_strong(bone_s1)
     assert not verdict.holds
     cycle = verdict.evidence.cycle
@@ -114,16 +116,17 @@ def test_criterion_3_deadlock_witness(bone_s1):
 @_report(4, "theorem equivalence, relational vs logical")
 def test_criterion_4_theorem_equivalence(bundled, generated):
     checked = 0
-    population = [(s, to_kripke(build_flat(s))) for s in bundled.values()]
+    population = [(s, build_flat(s)) for s in bundled.values()]
     population += list(generated)
-    for sys_, k in population:
+    for sys_, flat in population:
+        k = to_kripke(flat)
         sat_w = sat_set(k, WEAK_FORMULA)
         sat_s = sat_set(k, STRONG_FORMULA)
         rel_w = weak_relation(sys_)
         rel_s = greatest_strong_relation(sys_)
         assert (strong_relation(sys_) is not None) == (k.initial in sat_s)
         assert ((sys_.b.initial, sys_.s.initial) in rel_w) == (k.initial in sat_w)
-        for i, f in enumerate(k.states):
+        for i, f in enumerate(flat.states):
             if not f.is_steady:
                 continue
             assert sys_.sat(f.q, sys_.s.label(f.r))
@@ -137,14 +140,14 @@ def test_criterion_4_theorem_equivalence(bundled, generated):
 def test_criterion_5_flat_invariants(bundled, flats, generated):
     for name, flat in flats.items():
         assert prop1_violations(bundled[name], flat) == [], name
-    for sys_, _k in generated:
-        assert prop1_violations(sys_, build_flat(sys_)) == [], sys_.name
+    for sys_, flat in generated:
+        assert prop1_violations(sys_, flat) == [], sys_.name
 
 
 @_report(6, "relation algebra suite")
 def test_criterion_6_relation_algebra(generated):
     rng = random.Random(2024)
-    for sys_, _k in generated:
+    for sys_, _flat in generated:
         rel_w = weak_relation(sys_)
         rel_s = greatest_strong_relation(sys_)
         # strong implies weak
@@ -159,7 +162,7 @@ def test_criterion_6_relation_algebra(generated):
         assert is_strong_adaptation(sys_, rel_s).ok, sys_.name
     # union closure, spot-checked on a sample with non-trivial relations
     sampled = 0
-    for sys_, _k in generated:
+    for sys_, _flat in generated:
         rel_w = weak_relation(sys_)
         if len(rel_w) < 2:
             continue

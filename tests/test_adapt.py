@@ -64,13 +64,14 @@ def test_verdict_table(bundled):
 def _assert_run(sys_, evidence, inner=None):
     """Evidence states must be edge-connected in the Kripke structure and,
     when ``inner`` is given, all satisfy it."""
-    k = to_kripke(build_flat(sys_))
-    seq = [k.states.index(f) for f in evidence.states()]
+    flat = build_flat(sys_)
+    k = to_kripke(flat)
+    seq = [flat.states.index(f) for f in evidence.states()]
     for a, b in zip(seq, seq[1:]):
         assert b in k.succ[a]
     if evidence.cycle:
-        head = k.states.index(evidence.cycle[0])
-        last = k.states.index(evidence.cycle[-1])
+        head = flat.states.index(evidence.cycle[0])
+        last = flat.states.index(evidence.cycle[-1])
         assert head in k.succ[last]
     if inner is not None:
         good = sat_set(k, inner)

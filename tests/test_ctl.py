@@ -40,8 +40,8 @@ from sbcheck.flatten import FlatState, build_flat
 from sbcheck.kripke import to_kripke
 
 
-def idx(k, q, r, ph=None):
-    return k.states.index(FlatState(q, r, ph))
+def idx(flat, q, r, ph=None):
+    return flat.states.index(FlatState(q, r, ph))
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +89,7 @@ def test_eg_true_is_everything(kripkes):
         assert sat_set(k, eg(CtlTrue())) == frozenset(range(k.n_states))
 
 
-def test_ef_steady_on_atv_s1(atv_s1, kripkes):
+def test_ef_steady_on_atv_s1(atv_s1, flats, kripkes):
     k = kripkes["atv_s1"]
     got = sat_set(k, parse_ctl("E[true U steady]"))
     assert got == oracle_sat(k, ef(CtlAtom("steady")))
@@ -98,13 +98,13 @@ def test_ef_steady_on_atv_s1(atv_s1, kripkes):
     path = [("3", "r0", None), ("8", "r0", ph), ("11", "r0", ph),
             ("10", "r0", ph), ("13", "r0", ph), ("4", "r0", ph), ("0", "r0", None)]
     for q, r, p in path:
-        assert idx(k, q, r, p) in got
+        assert idx(flats["atv_s1"], q, r, p) in got
 
 
-def test_af_steady_false_at_dead_state(bone_s1, kripkes):
+def test_af_steady_false_at_dead_state(bone_s1, flats, kripkes):
     k = kripkes["bone_s1"]
     ph = (parse_formula("Ob>0 && Oy==0", bone_s1.sig), "r5")
-    t = idx(k, "0_1_0", "r4", ph)
+    t = idx(flats["bone_s1"], "0_1_0", "r4", ph)
     assert t not in sat_set(k, parse_ctl("AF steady"))
 
 

@@ -22,6 +22,7 @@ from sbcheck.flatten import (
     to_dot,
     to_json,
 )
+from sbcheck.kripke import to_dot as kripke_dot
 from sbcheck.kripke import to_kripke
 from sbcheck.model import StateBudgetError
 
@@ -69,8 +70,8 @@ def test_bone_s0_steady_projection(flats):
 def test_single_self_loop_system():
     flat = build_flat(single_loop_system())
     assert flat.n_states == 1
-    assert flat.transitions == (
-        (flat.initial, SteadyIn("r0"), flat.initial),)
+    assert [(flat.state(i), lab, flat.state(j)) for i, lab, j in flat.edges()] == [
+        (flat.initial, SteadyIn("r0"), flat.initial)]
 
 
 def test_progress_examples(atv_s0, bone_s0):
@@ -96,7 +97,7 @@ def test_unsatisfied_steady_state_has_no_successors(atv_s0):
 def test_seeded_build_materialises_unreachable_pairs(bone_s0):
     flat = build_flat(bone_s0, root=("0_2_0", "r2"))
     assert flat.initial == FlatState("0_2_0", "r2", None)
-    assert FlatState("0_2_0", "r2", None) in flat.index
+    assert FlatState("0_2_0", "r2", None) in flat.states
     with pytest.raises(ValueError):
         build_flat(bone_s0, root=("nope", "r2"))
 
@@ -105,7 +106,7 @@ def test_build_is_deterministic(bone_s1):
     a = build_flat(bone_s1)
     b = build_flat(bone_s1)
     assert a.states == b.states
-    assert a.transitions == b.transitions
+    assert list(a.edges()) == list(b.edges())
 
 
 def test_prop1_suite_on_bundled(bundled, flats):
@@ -172,8 +173,8 @@ def test_json_export_round_trips(flats):
     states = [from_json(e) for e in doc["states"]]
     assert states == [from_state(f) for f in flat.states]
     edges = {(states[t["from"]], states[t["to"]]) for t in doc["transitions"]}
-    assert edges == {(from_state(a), from_state(b))
-                     for a, _, b in flat.transitions}
+    assert edges == {(from_state(flat.state(i)), from_state(flat.state(j)))
+                     for i, _, j in flat.edges()}
 
 
 # ---------------------------------------------------------------------------
@@ -203,39 +204,43 @@ def assert_flat_matches_oracle(sys_, root=None):
     states, edges = oracle_flat(sys_, root)
     got = [(f.q, f.r, f.phase) for f in flat.states]
     assert len(got) == len(states) and set(got) == states
+    transitions = [(flat.state(i), lab, flat.state(j)) for i, lab, j in flat.edges()]
     got_edges = [((a.q, a.r, a.phase), _oracle_label(lab), (b.q, b.r, b.phase))
-                 for a, lab, b in flat.transitions]
+                 for a, lab, b in transitions]
     assert len(got_edges) == len(edges) and set(got_edges) == edges
     assert flat.initial == FlatState(*(root or (sys_.b.initial, sys_.s.initial)))
-    assert flat.states[flat.index[flat.initial]] == flat.initial
+    assert flat.state(flat.initial_index) == flat.initial
     # canonical order: states ascending, each state's transitions ascending
     keys = [_state_key(f) for f in flat.states]
     assert keys == sorted(set(keys))
-    for f in flat.states:
-        succ = flat.successors(f)
-        assert list(succ) == flat_successors(sys_, f)
+    out = [[] for _ in flat.states]
+    for a, lab, b in transitions:
+        out[flat.states.index(a)].append((lab, b))
+    for f, succ in zip(flat.states, out):
+        assert succ == flat_successors(sys_, f)
         order = [(_label_key(lab), _state_key(g)) for lab, g in succ]
         assert order == sorted(set(order))
-    assert [t for t in flat.transitions] == [
-        (f, lab, g) for f in flat.states for lab, g in flat.successors(f)]
+    assert transitions == [(f, lab, g) for f, succ in zip(flat.states, out)
+                           for lab, g in succ]
 
     # the Kripke structure is what the flat transitions imply
     k = to_kripke(flat)
     succ = [set() for _ in flat.states]
     labels = [set() for _ in flat.states]
-    for a, lab, b in flat.transitions:
-        i = flat.index[a]
-        succ[i].add(flat.index[b])
+    for i, lab, j in flat.edges():
+        succ[i].add(j)
         labels[i].add("progress")
-        if a.is_steady:
+        if flat.state(i).is_steady:
             labels[i].add("steady")
         if isinstance(lab, AdaptPhase):
             labels[i].add("adapting")
     dead = {i for i, ts in enumerate(succ) if not ts}
     assert k.succ == [tuple(sorted(ts or {i})) for i, ts in enumerate(succ)]
     assert k.labels == [frozenset(ls) for ls in labels]
-    assert k.self_looped == dead
-    assert k.states == flat.states and k.initial == flat.index[flat.initial]
+    # the rendering dashes exactly the self-loops added at dead states
+    dashed = [line for line in kripke_dot(flat, k).splitlines() if "dashed" in line]
+    assert dashed == [f"  n{i} -> n{i} [style=dashed];" for i in sorted(dead)]
+    assert k.n_states == flat.n_states and k.initial == flat.initial_index
     assert k.n_edges == sum(len(ts) for ts in k.succ)
 
 

@@ -2,6 +2,8 @@
 
 import random
 
+from helpers import flat_out
+
 from sbcheck.adapt import (
     check_strong,
     check_weak,
@@ -39,10 +41,10 @@ def test_parallel_transitions_are_distinct_phases():
     flat = build_flat(sys_)
     low = (parse_formula("x <= 2", sig), "r1")
     high = (parse_formula("x >= 2", sig), "r1")
-    assert FlatState("a", "r0", low) in flat.index
-    assert FlatState("a", "r0", high) in flat.index
+    assert FlatState("a", "r0", low) in flat.states
+    assert FlatState("a", "r0", high) in flat.states
     # the low-invariant phase dies at a; the high one completes at (c, r1)
-    assert flat.successors(FlatState("a", "r0", low)) == ()
+    assert flat_out(flat, FlatState("a", "r0", low)) == []
     assert ("c", "r1") in {(f.q, f.r) for f in flat.states if f.is_steady}
     # one completing phase is enough for weak, the dead one kills strong
     assert check_weak(sys_).holds is True
@@ -72,7 +74,7 @@ def test_transitions_and_phases_are_told_apart_by_printed_invariant():
         == [("x >= 2", "r1"), ("x >= 2", "r2")]
     assert sys_.s.phase_rank == {("x >= 2", "r1"): 1, ("x >= 2", "r2"): 2}
     flat = build_flat(sys_)
-    assert FlatState("a", "r0", (parse_formula("x>=2", sig), "r1")) in flat.index
+    assert FlatState("a", "r0", (parse_formula("x>=2", sig), "r1")) in flat.states
 
 
 def test_immediate_and_gradual_start_coexist():
@@ -89,7 +91,7 @@ def test_immediate_and_gradual_start_coexist():
     assert validate(sys_) == []
     flat = build_flat(sys_)
     start = FlatState("q0", "r0", None)
-    succs = flat.successors(start)
+    succs = flat_out(flat, start)
     assert len(succs) == 2
     labels = {type(lab) for lab, _ in succs}
     assert labels == {AdaptPhase}

@@ -32,6 +32,11 @@ columns.  It prints one line per run (round, arguments, exit code, sha256
 of stdout followed by stderr), and on stderr the combined digest ``USAGE``,
 which pins the command-line parser's output on repeated in-process calls.
 
+Last, it runs ``export --format dot`` at ``--stage flat`` and ``--stage
+kripke`` on the bundled models and the acceptance systems.  It prints one
+line per run, like the population's, and on stderr the combined digest
+``DOT``, which pins both Graphviz renderers.
+
 Usage, from the root of a checkout:
 
     PYTHONPATH=src:tests python tools/output_digest.py DIR > digest.txt
@@ -65,6 +70,10 @@ COMMANDS = (
 )
 N_SYSTEMS = 500
 CORRIDOR_COMMANDS = COMMANDS[:2]
+DOT_COMMANDS = (
+    ("export", "--stage", "flat", "--format", "dot"),
+    ("export", "--stage", "kripke", "--format", "dot"),
+)
 CORRIDOR_BLOCKS = (1, 2, 3)
 N_MUTANTS = 2000
 MUTANT_SOURCES = 200  # acceptance systems mutated, after the bundled models
@@ -224,10 +233,15 @@ def main(argv: list[str]) -> int:
             extended.update(run_command(path, command, list(command[1:])))
     mutants = run_mutants(argv[0], files[:len(models.NAMES) + MUTANT_SOURCES])
     usage = run_usage()
+    dot = hashlib.sha256()
+    for path in files:
+        for command in DOT_COMMANDS:
+            dot.update(run_command(path, command, list(command[1:])))
     print("TOTAL", total.hexdigest(), file=sys.stderr)
     print("TOTAL+corridor", extended.hexdigest(), file=sys.stderr)
     print("MUTANTS", mutants, file=sys.stderr)
     print("USAGE", usage, file=sys.stderr)
+    print("DOT", dot.hexdigest(), file=sys.stderr)
     return 0
 
 
