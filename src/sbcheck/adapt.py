@@ -33,15 +33,17 @@ system.  Both greatest relations share one worklist: a deleted pair queues
 the pairs whose clauses mention it.  A clause only becomes more violated as
 pairs leave, so the fixpoint reached does not depend on deletion order.
 
-The relational route runs on the interned flat states of ``flatten._Rules``:
-a state pair is the int ``q*R + r`` of its behaviour and structure ranks,
-and each entry point steps every pair it needs once.  An adaptation phase is
+The relational route runs on the flat codes of ``flatten._Rules``: a state
+pair is keyed by the code of its steady flat state, and each entry point
+steps every pair it needs once, under ``max_states`` when given: past that
+many stepped codes it raises ``StateBudgetError``.  An adaptation phase is
 explored once per distinct adapting start state, with one ``graph.reach``
 and one ``graph.cyclic_states``; its facts (steady endpoints, a reachable
 dead end, a cycle) are memoised by that start, so every pair entering the
-same phase shares them.  Pairs are decoded to ids only for the returned
-relation and for violation messages.  The relational route never calls the
-CTL checker; the CTL verdicts never call the relation code.
+same phase shares them.  Codes are decoded to id pairs, by ``_Rules.pair``,
+only for the returned relation and for violation messages.  The relational
+route never calls the CTL checker; the CTL verdicts never call the relation
+code.
 """
 
 from __future__ import annotations
@@ -133,7 +135,6 @@ class Evidence:
 class Verdict:
     holds: bool
     evidence: Evidence
-    relation: Optional[AdaptRelation] = None
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +149,7 @@ class _PhaseFacts(NamedTuple):
 
 
 class _PairFacts(NamedTuple):
-    pair: int
+    pair: int                       # the pair's steady flat code
     progress: bool
     steady_pairs: frozenset[int]
     phases: tuple[_PhaseFacts, ...]
@@ -156,50 +157,56 @@ class _PairFacts(NamedTuple):
 
 
 class _Analysis:
-    """Phase facts of one system over the interned flat states of ``_Rules``.
+    """Phase facts of one system over the flat codes of ``_Rules``.
 
-    A state pair is the int ``q*R + r`` of its behaviour and structure ranks,
-    so int order is the order of the id pairs; its steady flat state is
-    ``pair * P``.  The successors of adapting states are memoised, and so
-    are the facts of every adapting state that starts a phase: all pairs
-    entering the same phase share one exploration of it.
+    A state pair is keyed by its steady flat code, so int order is the
+    order of the id pairs, and a steady successor or phase endpoint is
+    already the pair it lands on.  The successors of adapting states are
+    memoised, and so are the facts of every adapting state that starts a
+    phase: all pairs entering the same phase share one exploration of it.
+    ``stepped`` counts the codes stepped, grid pairs and adapting states
+    alike; past ``max_states``, when given, a step raises
+    :class:`StateBudgetError`.
     """
 
-    def __init__(self, sys: SBSystem):
+    def __init__(self, sys: SBSystem, max_states: int | None = None):
         self.sys = sys
         self.rules = _Rules(sys)
         self.P = self.rules.P
-        self.R = len(sys.s.ids)
+        self.max_states = max_states
+        self.stepped = 0
         self._succ: dict[int, list[int]] = {}
         self._starts: dict[int, tuple[frozenset[int], bool, bool]] = {}
 
     def grid(self) -> list[int]:
-        """The satisfaction-grid pairs (q satisfies the label of r), ascending."""
-        s, R = self.sys.s, self.R
+        """The steady codes of the satisfaction-grid pairs (q satisfies the
+        label of r), ascending."""
+        s, P = self.sys.s, self.P
+        R = len(s.ids)
         rows = [self.sys.sat_row(s.label(rid)) for rid in s.ids]
-        return [q * R + r for q in range(len(self.sys.b.ids))
+        return [(q * R + r) * P for q in range(len(self.sys.b.ids))
                 for r in range(R) if rows[r][q]]
 
-    def code(self, pair: Pair) -> int:
-        q, r = pair
-        return self.sys.b.rank[q] * self.R + self.sys.s.rank[r]
-
-    def pair(self, code: int) -> Pair:
-        q, r = divmod(code, self.R)
-        return self.sys.b.ids[q], self.sys.s.ids[r]
-
     def sorted_pairs(self, codes) -> list[Pair]:
-        return [self.pair(c) for c in sorted(codes)]
+        return [self.rules.pair(c) for c in sorted(codes)]
 
     def phase_label(self, pf: _PairFacts, ph: _PhaseFacts) -> str:
-        return f"{self.sys.s.ids[pf.pair % self.R]} -> {self.sys.s.phases[ph.p][1]}"
+        return f"{self.rules.pair(pf.pair)[1]} -> {self.sys.s.phases[ph.p][1]}"
+
+    def _step(self, code: int) -> list[tuple[int, list[int]]]:
+        """``_Rules.step`` of ``code``, counted against the budget; each
+        code is stepped once."""
+        self.stepped += 1
+        if self.max_states is not None and self.stepped > self.max_states:
+            raise StateBudgetError("relation route", self.max_states, "flat states")
+        return self.rules.step(code)
 
     def _targets(self, code: int) -> list[int]:
         """The successors of adapting state ``code``: all steady after an
         AdaptEnd step, all adapting after an Adapt step."""
         hit = self._succ.get(code)
         if hit is None:
-            groups = self.rules.step(code)
+            groups = self._step(code)
             hit = self._succ[code] = groups[0][1] if groups else []
         return hit
 
@@ -212,7 +219,6 @@ class _Analysis:
         state ``code``."""
         hit = self._starts.get(code)
         if hit is None:
-            P = self.P
             nodes = reach(self._adapting, (code,))
             ends: set[int] = set()
             dead = False
@@ -220,8 +226,8 @@ class _Analysis:
                 ts = self._targets(x)
                 if not ts:
                     dead = True
-                elif ts[0] % P == 0:
-                    ends.update(t // P for t in ts)
+                elif ts[0] % self.P == 0:
+                    ends.update(ts)
             hit = self._starts[code] = (frozenset(ends), dead,
                                         bool(cyclic_states(self._adapting, nodes)))
         return hit
@@ -231,15 +237,15 @@ class _Analysis:
         per adaptation label, the pairs its AdaptStartEnd steps land on
         merged with the phase facts of its adapting first states."""
         P = self.P
-        groups = self.rules.step(pair * P)
+        groups = self._step(pair)
         steady: frozenset[int] = frozenset()
         phases = []
         weak: frozenset[int] = frozenset()
         for p, ts in groups:
             if p == 0:
-                steady = frozenset(t // P for t in ts)
+                steady = frozenset(ts)
                 continue
-            ends = frozenset(t // P for t in ts if t % P == 0)
+            ends = frozenset(t for t in ts if t % P == 0)
             dead = cycle = False
             for t in ts:
                 if t % P:
@@ -290,16 +296,16 @@ def _strong_violations(an: _Analysis, pf: _PairFacts, rel) -> Iterator[tuple[str
                                                    f"{an.sorted_pairs(ends)}")
 
 
-def _greatest(sys: SBSystem, violations) -> AdaptRelation:
+def _greatest(sys: SBSystem, violations, max_states: int | None) -> AdaptRelation:
     """Greatest relation of progressing grid pairs breaking no clause.
 
-    Works on int pairs over one ``_Analysis``, so every pair entering the
+    Works on pair codes over one ``_Analysis``, so every pair entering the
     same adaptation phase shares that phase's facts.  Deletes violating
     pairs through a worklist; a deleted pair queues the pairs whose steady
     successors or phase endpoints contain it, since only their clauses can
     change.  The result is decoded to id pairs once, at the end.
     """
-    an = _Analysis(sys)
+    an = _Analysis(sys, max_states)
     facts = {pf.pair: pf for pf in map(an.facts, an.grid())}
     rel = {pair for pair, pf in facts.items() if pf.progress}
     mentioned_by: defaultdict[int, list[int]] = defaultdict(list)
@@ -312,23 +318,26 @@ def _greatest(sys: SBSystem, violations) -> AdaptRelation:
         if pair in rel and next(violations(an, facts[pair], rel), None):
             rel.remove(pair)
             work.extend(mentioned_by[pair])
-    return AdaptRelation(frozenset(map(an.pair, rel)))
+    return AdaptRelation(frozenset(map(an.rules.pair, rel)))
 
 
-def weak_relation(sys: SBSystem) -> AdaptRelation:
+def weak_relation(sys: SBSystem, max_states: int | None = None) -> AdaptRelation:
     """Greatest weak adaptation relation over the whole state grid.
 
     Starts from every pair whose behaviour state satisfies the structure
     constraints and can progress, then deletes pairs whose steady moves all
     leave the relation or whose adaptation phases never complete on a related
-    pair, until nothing changes.
+    pair, until nothing changes.  Stepping more than ``max_states`` flat
+    states, when given, raises :class:`StateBudgetError`.
     """
-    return _greatest(sys, _weak_violations)
+    return _greatest(sys, _weak_violations, max_states)
 
 
-def greatest_strong_relation(sys: SBSystem) -> AdaptRelation:
-    """Greatest strong adaptation relation over the whole state grid."""
-    return _greatest(sys, _strong_violations)
+def greatest_strong_relation(sys: SBSystem,
+                             max_states: int | None = None) -> AdaptRelation:
+    """Greatest strong adaptation relation over the whole state grid, under
+    ``max_states`` as in :func:`weak_relation`."""
+    return _greatest(sys, _strong_violations, max_states)
 
 
 def strong_relation(sys: SBSystem,
@@ -338,33 +347,35 @@ def strong_relation(sys: SBSystem,
     The candidate is the projection of the steady states reachable in the
     flat semantics; it is a strong adaptation relation exactly when the
     system is strong adaptable, so the result is absent otherwise.  The
-    flat semantics is built here, under ``max_states`` when given, never
-    taken from the CTL verdicts' memo.
+    flat semantics is built here, never taken from the CTL verdicts' memo;
+    both it and the check of the candidate run under ``max_states`` when
+    given.
     """
     flat = build_flat(sys, max_states=max_states)
     candidate = AdaptRelation(flat.steady_pairs())
-    return candidate if is_strong_adaptation(sys, candidate).ok else None
+    return candidate if is_strong_adaptation(sys, candidate, max_states).ok else None
 
 
 # ---------------------------------------------------------------------------
 # Relation verification
 
 
-def _check(sys: SBSystem, rel: AdaptRelation, violations) -> RelationCheck:
+def _check(sys: SBSystem, rel: AdaptRelation, violations,
+           max_states: int | None) -> RelationCheck:
     """Clause (i) for every pair of ``rel``, then the mode's ``violations``."""
     for q, r in rel.pairs:
         if q not in sys.b.states:
             raise ValueError(f"unknown behaviour state {q!r} in relation")
         if r not in sys.s.states:
             raise ValueError(f"unknown structure state {r!r} in relation")
-    an = _Analysis(sys)
-    codes = set(map(an.code, rel.pairs))
+    an = _Analysis(sys, max_states)
+    codes = {an.rules.steady(q, r) for q, r in rel.pairs}
     found: list[Violation] = []
     for q, r in sorted(rel.pairs):
         if not sys.sat(q, sys.s.label(r)):
             found.append(Violation((q, r), "i", "constraints not satisfied"))
             continue
-        pf = an.facts(an.code((q, r)))
+        pf = an.facts(an.rules.steady(q, r))
         if not pf.progress:
             found.append(Violation((q, r), "i", "no flat successor (progress fails)"))
             continue
@@ -373,23 +384,22 @@ def _check(sys: SBSystem, rel: AdaptRelation, violations) -> RelationCheck:
     return RelationCheck(not found, tuple(found))
 
 
-def is_weak_adaptation(sys: SBSystem, rel: AdaptRelation) -> RelationCheck:
-    """Check the weak adaptation clauses for every pair of ``rel``."""
-    return _check(sys, rel, _weak_violations)
+def is_weak_adaptation(sys: SBSystem, rel: AdaptRelation,
+                       max_states: int | None = None) -> RelationCheck:
+    """Check the weak adaptation clauses for every pair of ``rel``, under
+    ``max_states`` as in :func:`weak_relation`."""
+    return _check(sys, rel, _weak_violations, max_states)
 
 
-def is_strong_adaptation(sys: SBSystem, rel: AdaptRelation) -> RelationCheck:
-    """Check the strong adaptation clauses for every pair of ``rel``."""
-    return _check(sys, rel, _strong_violations)
+def is_strong_adaptation(sys: SBSystem, rel: AdaptRelation,
+                         max_states: int | None = None) -> RelationCheck:
+    """Check the strong adaptation clauses for every pair of ``rel``, under
+    ``max_states`` as in :func:`weak_relation`."""
+    return _check(sys, rel, _strong_violations, max_states)
 
 
 # ---------------------------------------------------------------------------
 # CTL-side verdicts
-
-
-def _as_states(state: Callable[[int], FlatState], indices) -> tuple[FlatState, ...]:
-    """The flat states at ``indices``, decoded one by one."""
-    return tuple(map(state, indices))
 
 
 def _failing_evidence(k: Kripke, state: Callable[[int], FlatState], inner,
@@ -404,7 +414,7 @@ def _failing_evidence(k: Kripke, state: Callable[[int], FlatState], inner,
     """
     try:
         path = list(counterexample_ag(k, CtlAtom("progress"), t0))
-        return Evidence(_as_states(state, path[:-1]), _as_states(state, path[-1:]))
+        return Evidence(tuple(map(state, path[:-1])), tuple(map(state, path[-1:])))
     except CtlWitnessError:
         pass
     path = list(counterexample_ag(k, inner, t0))
@@ -412,9 +422,9 @@ def _failing_evidence(k: Kripke, state: Callable[[int], FlatState], inner,
     try:
         lasso = witness_eg(k, CtlNot(CtlAtom("steady")), v)
     except CtlWitnessError:
-        return Evidence(_as_states(state, path), ())
-    return Evidence(_as_states(state, path[:-1] + list(lasso.prefix)),
-                    _as_states(state, lasso.cycle))
+        return Evidence(tuple(map(state, path)), ())
+    return Evidence(tuple(map(state, path[:-1] + list(lasso.prefix))),
+                    tuple(map(state, lasso.cycle)))
 
 
 # the entry of a system goes when the system does
@@ -453,8 +463,8 @@ def _verdict(sys: SBSystem, formula, inner, max_states: int | None) -> Verdict:
         # state of k (all reachable from the root) satisfies AG, hence EG, of
         # the inner formula, so the region walked is the one EG would give
         lasso = witness_eg(k, inner, k.initial, sat)
-        evidence = Evidence(_as_states(state, lasso.prefix),
-                            _as_states(state, lasso.cycle))
+        evidence = Evidence(tuple(map(state, lasso.prefix)),
+                            tuple(map(state, lasso.cycle)))
     else:
         evidence = _failing_evidence(k, state, inner, k.initial)
     return Verdict(holds, evidence)

@@ -245,7 +245,7 @@ def _cmd_check(args) -> int:
 def _cmd_relation(args) -> int:
     sys_ = _load_valid(args)
     if args.mode == "weak":
-        rel = adapt.weak_relation(sys_)
+        rel = adapt.weak_relation(sys_, args.max_states)
         holds = (sys_.b.initial, sys_.s.initial) in rel
         shown = rel
     else:
@@ -274,7 +274,7 @@ def _cmd_verify_relation(args) -> int:
                          "is a list of [behaviour state, structure state] pairs")
     rel = adapt.AdaptRelation.of((q, r) for q, r in pairs)
     checker = adapt.is_weak_adaptation if args.mode == "weak" else adapt.is_strong_adaptation
-    result = checker(sys_, rel)
+    result = checker(sys_, rel, args.max_states)
     word = "is" if result.ok else "is not"
     print(f"{sys_.name}: given relation {word} a {args.mode} adaptation "
           f"({len(rel)} pairs)")
@@ -408,8 +408,9 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, p in sub.choices.items():
         if name != "gen":  # every command that loads a model
             p.add_argument("--max-states", type=_state_budget, metavar="N",
-                           help="stop with exit 2 once rule expansion or the "
-                                "flat build passes N states")
+                           help="stop with exit 2 once rule expansion, the "
+                                "flat build or the relation route passes N "
+                                "states")
     return top
 
 

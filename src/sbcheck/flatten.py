@@ -25,10 +25,11 @@ distinct (invariant, target) phases are ranked in sorted order (phases by
 target, then printed invariant), and a flat state is the single int
 ``(q*R + r)*P + phase``, with phase 0 meaning steady; int order is the
 canonical state order.  Formula satisfaction is read from the system's
-table rows (``SBSystem.sat_row``).  ``build_flat`` stores the reachable
-system as CSR arrays (offsets, label ranks, targets) over dense state
-indices, emitted already in canonical order; ``FlatState`` and label objects
-are decoded only for the views that ask for them.  ``flat_successors``
+table rows (``SBSystem.sat_row``).  A transition is labelled by its phase
+rank, 0 when steady; its structure state is its source's.  ``build_flat``
+stores the reachable system as CSR arrays (offsets, phase ranks, targets)
+over dense state indices, in canonical order; ``FlatState`` objects and
+phases are decoded only for the views that ask for them.  ``flat_successors``
 encodes a ``FlatState``, runs the same rules and decodes the result.
 """
 
@@ -44,6 +45,7 @@ from .constraints import Formula, pretty
 from .model import SBSystem, StateBudgetError
 
 Phase = tuple[Formula, str]  # (invariant, target structure state)
+FlatLabel = Optional[Phase]  # None for a steady transition, else its phase
 
 
 @dataclass(frozen=True)
@@ -63,29 +65,17 @@ class FlatState:
         return f"({self.q}, {self.r}, {{({pretty(inv)}, {target})}})"
 
 
-@dataclass(frozen=True)
-class SteadyIn:
-    r: str
-
-
-@dataclass(frozen=True)
-class AdaptPhase:
-    r: str
-    inv: Formula
-    target: str
-
-
-FlatLabel = SteadyIn | AdaptPhase
-
-
 class _Rules:
     """The five rules of one system over interned ids.
 
     A flat state is the int ``(q*R + r)*P + p`` of its behaviour rank ``q``,
     structure rank ``r`` and phase rank ``p`` (0 when steady), with ``R``
     structure states and ``P - 1`` phases.  Every rank follows the sorted
-    ids, so int order is the canonical state order.  The satisfaction rows
-    a structure state or a phase needs are fetched on its first visit.
+    ids, so int order is the canonical state order.  This class is the one
+    place that knows the layout; the one property of it used elsewhere is
+    that a code is steady exactly when it is a multiple of ``P``.  The
+    satisfaction rows a structure state or a phase needs are fetched on its
+    first visit.
     """
 
     def __init__(self, sys: SBSystem):
@@ -95,7 +85,6 @@ class _Rules:
         self.RP = len(sys.s.ids) * self.P
         self._steady: list = [None] * len(sys.s.ids)
         self._phase: list = [None] * self.P
-        self._labels: dict[tuple[int, int], FlatLabel] = {}
 
     def _phase_rules(self, p: int):
         """(invariant row, target steady offset, target label row) of phase ``p``."""
@@ -156,42 +145,33 @@ class _Rules:
         return [(p, mids)] if mids else []                         # Adapt
 
     def encode(self, f: FlatState) -> int:
-        s = self.sys.s
         if f.phase is None:
             p = 0
         else:
-            p = s.phase_rank.get((pretty(f.phase[0]), f.phase[1]))
+            p = self.sys.s.phase_rank.get((pretty(f.phase[0]), f.phase[1]))
             if p is None:
                 raise ValueError(f"{f} is in no phase of the system")
-        return (self.sys.b.rank[f.q] * len(s.ids) + s.rank[f.r]) * self.P + p
+        return self.steady(f.q, f.r) + p
+
+    def steady(self, q: str, r: str) -> int:
+        """The code of the steady flat state (q, r, {})."""
+        return self.sys.b.rank[q] * self.RP + self.sys.s.rank[r] * self.P
+
+    def pair(self, code: int) -> tuple[str, str]:
+        """The behaviour and structure ids of flat state ``code``."""
+        q, rest = divmod(code, self.RP)
+        return self.sys.b.ids[q], self.sys.s.ids[rest // self.P]
 
     def decode(self, code: int) -> FlatState:
-        s = self.sys.s
-        q, rest = divmod(code, self.RP)
-        r, p = divmod(rest, self.P)
-        return FlatState(self.sys.b.ids[q], s.ids[r], s.phases[p])
-
-    def label(self, code: int, p: int) -> FlatLabel:
-        """The label ``p`` of a transition leaving flat state ``code``."""
-        r = code % self.RP // self.P
-        hit = self._labels.get((r, p))
-        if hit is None:
-            s = self.sys.s
-            if p == 0:
-                hit = SteadyIn(s.ids[r])
-            else:
-                inv, target = s.phases[p]
-                hit = AdaptPhase(s.ids[r], inv, target)
-            self._labels[r, p] = hit
-        return hit
+        return FlatState(*self.pair(code), self.sys.s.phases[code % self.P])
 
 
 def flat_successors(sys: SBSystem, f: FlatState) -> list[tuple[FlatLabel, FlatState]]:
     """All rule-derivable successors of ``f``, deduplicated, in canonical order."""
     rules = _Rules(sys)
-    code = rules.encode(f)
-    return [(rules.label(code, p), rules.decode(t))
-            for p, ts in rules.step(code) for t in ts]
+    phases = sys.s.phases
+    return [(phases[p], rules.decode(t))
+            for p, ts in rules.step(rules.encode(f)) for t in ts]
 
 
 class FlatLts:
@@ -201,8 +181,9 @@ class FlatLts:
     ``i``-th reachable state in canonical order, with int code ``codes[i]``;
     its transitions are ``(labels[e], targets[e])`` for ``e`` in
     ``offsets[i]:offsets[i + 1]``, in canonical (label, target) order.  A
-    label is a phase rank, 0 for a steady step.  ``FlatState`` and label
-    objects are decoded on demand; ``states`` is built on first access.
+    label is a phase rank, 0 for a steady step; a transition's structure
+    state is its source's.  ``FlatState`` objects and phases are decoded on
+    demand; ``states`` is built on first access.
     """
 
     def __init__(self, system: SBSystem, rules: _Rules, initial_code: int,
@@ -226,16 +207,14 @@ class FlatLts:
 
     def edges(self) -> Iterator[tuple[int, FlatLabel, int]]:
         """(source index, label, target index) of every transition, in order."""
-        label, codes, offsets = self._rules.label, self.codes, self.offsets
-        for i, code in enumerate(codes):
+        phases, offsets = self.system.s.phases, self.offsets
+        for i in range(len(self.codes)):
             for e in range(offsets[i], offsets[i + 1]):
-                yield i, label(code, self.labels[e]), self.targets[e]
+                yield i, phases[self.labels[e]], self.targets[e]
 
     def steady_pairs(self) -> frozenset[tuple[str, str]]:
-        P, RP = self._rules.P, self._rules.RP
-        qids, rids = self.system.b.ids, self.system.s.ids
-        return frozenset((qids[c // RP], rids[c % RP // P])
-                         for c in self.codes if c % P == 0)
+        P = self._rules.P
+        return frozenset(self._rules.pair(c) for c in self.codes if c % P == 0)
 
     def dead_states(self) -> tuple[FlatState, ...]:
         off = self.offsets
@@ -320,10 +299,8 @@ def to_dot(flat: FlatLts) -> str:
         marks = ' peripheries=2' if i == flat.initial_index else ""
         lines.append(f"  {ids[i]} [style={style}{marks}];")
     for i, lab, j in flat.edges():
-        if isinstance(lab, SteadyIn):
-            text = lab.r
-        else:
-            text = f"{lab.r},{pretty(lab.inv)},{lab.target}"
+        r = flat.states[i].r
+        text = r if lab is None else f"{r},{pretty(lab[0])},{lab[1]}"
         text = text.replace('"', r"\"")
         lines.append(f'  {ids[i]} -> {ids[j]} [label="{text}"];')
     lines.append("}")
@@ -348,10 +325,10 @@ def to_json(flat: FlatLts) -> str:
             {
                 "from": i,
                 "label": (
-                    {"kind": "steady", "r": lab.r}
-                    if isinstance(lab, SteadyIn)
-                    else {"kind": "adapt", "r": lab.r,
-                          "inv": pretty(lab.inv), "target": lab.target}
+                    {"kind": "steady", "r": flat.states[i].r}
+                    if lab is None
+                    else {"kind": "adapt", "r": flat.states[i].r,
+                          "inv": pretty(lab[0]), "target": lab[1]}
                 ),
                 "to": j,
             }

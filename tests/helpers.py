@@ -64,7 +64,6 @@ from sbcheck.ctl import (
     eg,
     sat_set,
 )
-from sbcheck.flatten import AdaptPhase, SteadyIn
 from sbcheck.graph import cyclic_states, reach, shortest_path
 from sbcheck.kripke import AP, Kripke
 from sbcheck.model import BLevel, BState, SBSystem, SLevel, STransition, parse_model
@@ -86,24 +85,24 @@ def prop1_violations(sys, flat) -> list[str]:
         src, dst = states[i], states[j]
         out_labels[i].append(lab)
         out_targets[i].append(dst)
-        if isinstance(lab, SteadyIn):
+        if lab is None:
             steady_edges.add((src, dst))
             if not src.is_steady:
                 out.append(f"(iii) steady transition out of adapting {src}")
-            if not (dst.is_steady and dst.r == src.r == lab.r):
+            if not (dst.is_steady and dst.r == src.r):
                 out.append(f"(vi) steady transition changes structure state at {src}")
         else:
             adapt_edges.add((src, dst))
-            ok_target = (dst.is_steady and dst.r == lab.target) or (
-                not dst.is_steady and dst.r == src.r and dst.phase == (lab.inv, lab.target))
+            ok_target = (dst.is_steady and dst.r == lab[1]) or (
+                not dst.is_steady and dst.r == src.r and dst.phase == lab)
             if not ok_target:
                 out.append(f"(vi) adaptation transition with foreign target at {src}")
     overlap = steady_edges & adapt_edges
     if overlap:
         out.append(f"(iv) families overlap on {sorted(map(str, overlap))[:3]}")
     for f, labs, targets in zip(states, out_labels, out_targets):
-        has_steady = any(isinstance(l, SteadyIn) for l in labs)
-        has_adapt = any(isinstance(l, AdaptPhase) for l in labs)
+        has_steady = any(l is None for l in labs)
+        has_adapt = any(l is not None for l in labs)
         if f.is_steady and has_steady and has_adapt:
             out.append(f"(i/ii) steady state {f} both continues and adapts")
         if f.is_steady and not sys.sat(f.q, sys.s.label(f.r)):

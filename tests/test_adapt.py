@@ -515,3 +515,43 @@ def test_a_memoised_structure_keeps_to_the_budget():
     with pytest.raises(StateBudgetError, match="build_flat passed the state budget of 8"):
         check_strong(sys_, max_states=8)
     assert check_strong(sys_).holds
+
+
+def _stepped(monkeypatch, run):
+    """The result of ``run()`` and the flat states its relation route stepped."""
+    made = []
+
+    class Counted(adapt._Analysis):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    with monkeypatch.context() as m:
+        m.setattr(adapt, "_Analysis", Counted)
+        result = run()
+    return result, sum(an.stepped for an in made)
+
+
+def test_relation_route_keeps_to_the_budget(monkeypatch):
+    systems = [models.load(name) for name in models.NAMES]
+    systems += [gen_random(seed, *acceptance_schedule(seed)) for seed in range(100)]
+    for sys_ in systems:
+        grid = AdaptRelation.of(oracle_grid(sys_))
+        runs = [functools.partial(weak_relation, sys_),
+                functools.partial(greatest_strong_relation, sys_),
+                functools.partial(is_weak_adaptation, sys_, grid),
+                functools.partial(is_strong_adaptation, sys_, grid)]
+        for run in runs:
+            result, n = _stepped(monkeypatch, run)
+            assert n > 0, sys_.name
+            assert run(max_states=n) == result, sys_.name
+            with pytest.raises(StateBudgetError) as exc:
+                run(max_states=n - 1)
+            assert str(exc.value) == (f"relation route passed the state budget of "
+                                      f"{n - 1} flat states")
+        # strong_relation passes its budget to both the flat build and the check
+        result, n = _stepped(monkeypatch, functools.partial(strong_relation, sys_))
+        n = max(n, build_flat(sys_).n_states)
+        assert strong_relation(sys_, max_states=n) == result, sys_.name
+        with pytest.raises(StateBudgetError):
+            strong_relation(sys_, max_states=n - 1)

@@ -256,7 +256,9 @@ def test_every_model_command_takes_a_state_budget(command, tmp_path, capsys):
     rules.write_text(RUNAWAY_RULES)
     assert run([command[0], str(rules), *command[1:], "--max-states", "50"]) == 2
     assert "expand_rules passed the state budget of 50" in capsys.readouterr().err
-    explicit = model_path("atv_s0")  # 9 behaviour states, 9 flat states
+    # 9 behaviour states, 9 flat states; its weak relation route steps 9 flat
+    # states, and checking one pair steps 1
+    explicit = model_path("atv_s0")
     unbounded = run([command[0], explicit, *command[1:]])
     out = capsys.readouterr().out
     assert run([command[0], explicit, *command[1:], "--max-states", "9"]) == unbounded
@@ -266,8 +268,25 @@ def test_every_model_command_takes_a_state_budget(command, tmp_path, capsys):
     builds = command[0] in ("flatten", "check", "ctl", "export") or command[-1] == "strong"
     if builds:
         assert code == 2 and "build_flat passed the state budget of 8 flat states" in err
+    elif command[0] == "relation":
+        assert code == 2 and "relation route passed the state budget of 8 flat states" in err
     else:
         assert code == unbounded and err == ""
+
+
+def test_state_budget_bounds_the_relation_route(tmp_path, capsys):
+    assert run(["relation", model_path("atv_s0"), "--mode", "weak", "--max-states", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("sbcheck: error: relation route passed the state budget "
+                            "of 1 flat states\n")
+    relation = tmp_path / "rel.json"
+    relation.write_text('{"pairs": [["0", "r0"], ["1", "r0"]]}')
+    for mode in ("weak", "strong"):
+        assert run(["verify-relation", model_path("atv_s0"), "--mode", mode,
+                    "--relation", str(relation), "--max-states", "1"]) == 2
+        assert capsys.readouterr().err == ("sbcheck: error: relation route passed the "
+                                           "state budget of 1 flat states\n")
 
 
 @pytest.mark.parametrize("value", ["0", "-3", "x", "1.5"])

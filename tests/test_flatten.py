@@ -4,19 +4,21 @@ import random
 import pytest
 from helpers import (
     acceptance_schedule,
+    corridor_system,
     oracle_flat,
     oracle_flat_size,
+    oracle_grid,
     prop1_violations,
     rules_system,
     single_loop_system,
 )
 
+from sbcheck.adapt import _Analysis
 from sbcheck.cli import gen_random
 from sbcheck.constraints import parse_formula, pretty
 from sbcheck.flatten import (
-    AdaptPhase,
     FlatState,
-    SteadyIn,
+    _Rules,
     build_flat,
     flat_successors,
     to_dot,
@@ -38,14 +40,14 @@ def phase(sys_, text, target):
 
 def test_steady_step_in_resorption(bone_s0):
     got = flat_successors(bone_s0, FlatState("2_0_0", "r1", None))
-    assert got == [(SteadyIn("r1"), FlatState("1_0_0", "r1", None))]
+    assert got == [(None, FlatState("1_0_0", "r1", None))]
 
 
 def test_phase_ends_as_soon_as_possible(bone_s0):
     ph = phase(bone_s0, "Ob>0 && Oy==0", "r2")
     got = flat_successors(bone_s0, FlatState("1_1_0", "r1", ph))
     # the move to 1_2_0 would satisfy the invariant, but an end is available
-    assert got == [(AdaptPhase("r1", ph[0], "r2"), FlatState("0_1_0", "r2", None))]
+    assert got == [(ph, FlatState("0_1_0", "r2", None))]
 
 
 def test_deadlocked_adapting_state(bone_s1):
@@ -56,7 +58,7 @@ def test_deadlocked_adapting_state(bone_s1):
 def test_adaptation_start_in_atv(atv_s0):
     got = flat_successors(atv_s0, FlatState("3", "r0", None))
     ph = phase(atv_s0, "v==V0 || v==V1", "r1")
-    assert got == [(AdaptPhase("r0", ph[0], "r1"), FlatState("8", "r0", ph))]
+    assert got == [(ph, FlatState("8", "r0", ph))]
 
 
 def test_atv_s0_steady_projection(flats):
@@ -71,7 +73,7 @@ def test_single_self_loop_system():
     flat = build_flat(single_loop_system())
     assert flat.n_states == 1
     assert [(flat.state(i), lab, flat.state(j)) for i, lab, j in flat.edges()] == [
-        (flat.initial, SteadyIn("r0"), flat.initial)]
+        (flat.initial, None, flat.initial)]
 
 
 def test_progress_examples(atv_s0, bone_s0):
@@ -188,15 +190,15 @@ def _state_key(f):
 
 
 def _label_key(lab):
-    if isinstance(lab, SteadyIn):
-        return (0, lab.r, "", "")
-    return (1, lab.r, lab.target, pretty(lab.inv))
+    if lab is None:
+        return (0, "", "")
+    return (1, lab[1], pretty(lab[0]))
 
 
-def _oracle_label(lab):
-    if isinstance(lab, SteadyIn):
-        return ("steady", lab.r)
-    return ("adapt", lab.r, lab.inv, lab.target)
+def _oracle_label(src, lab):
+    if lab is None:
+        return ("steady", src.r)
+    return ("adapt", src.r, *lab)
 
 
 def assert_flat_matches_oracle(sys_, root=None):
@@ -205,7 +207,7 @@ def assert_flat_matches_oracle(sys_, root=None):
     got = [(f.q, f.r, f.phase) for f in flat.states]
     assert len(got) == len(states) and set(got) == states
     transitions = [(flat.state(i), lab, flat.state(j)) for i, lab, j in flat.edges()]
-    got_edges = [((a.q, a.r, a.phase), _oracle_label(lab), (b.q, b.r, b.phase))
+    got_edges = [((a.q, a.r, a.phase), _oracle_label(a, lab), (b.q, b.r, b.phase))
                  for a, lab, b in transitions]
     assert len(got_edges) == len(edges) and set(got_edges) == edges
     assert flat.initial == FlatState(*(root or (sys_.b.initial, sys_.s.initial)))
@@ -232,7 +234,7 @@ def assert_flat_matches_oracle(sys_, root=None):
         labels[i].add("progress")
         if flat.state(i).is_steady:
             labels[i].add("steady")
-        if isinstance(lab, AdaptPhase):
+        if lab is not None:
             labels[i].add("adapting")
     dead = {i for i, ts in enumerate(succ) if not ts}
     assert k.succ == [tuple(sorted(ts or {i})) for i, ts in enumerate(succ)]
@@ -278,3 +280,27 @@ def test_flat_build_stops_past_its_state_budget(bundled):
         with pytest.raises(StateBudgetError) as exc:
             build_flat(sys_, max_states=n - 1)
         assert str(exc.value) == f"build_flat passed the state budget of {n - 1} flat states"
+
+
+# ---------------------------------------------------------------------------
+# The one flat-code layout
+
+
+def test_one_codec_for_states_pairs_and_labels(bundled):
+    systems = list(bundled.values())
+    systems += [gen_random(seed, *acceptance_schedule(seed)) for seed in range(100)]
+    systems += [corridor_system(n) for n in (1, 2)]
+    for sys_ in systems:
+        rules = _Rules(sys_)
+        P = len(sys_.s.phases)
+        flat = build_flat(sys_)
+        for c in flat.codes:
+            f = rules.decode(c)
+            assert rules.encode(f) == c
+            assert rules.pair(c) == (f.q, f.r)
+            assert rules.steady(f.q, f.r) == c - c % P
+            assert (c % P == 0) == f.is_steady
+        assert [rules.pair(c) for c in _Analysis(sys_).grid()] == oracle_grid(sys_)
+        phase_ids = set(map(id, sys_.s.phases))
+        for _, lab, _ in flat.edges():
+            assert lab is None or id(lab) in phase_ids, sys_.name

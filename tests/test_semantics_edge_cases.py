@@ -14,7 +14,7 @@ from sbcheck.adapt import (
 )
 from sbcheck.cli import gen_random
 from sbcheck.constraints import BoundedInt, Signature, parse_formula, pretty
-from sbcheck.flatten import AdaptPhase, FlatState, build_flat
+from sbcheck.flatten import FlatState, build_flat
 from sbcheck.model import BLevel, BState, SBSystem, SLevel, STransition, parse_model, validate
 
 
@@ -93,8 +93,8 @@ def test_immediate_and_gradual_start_coexist():
     start = FlatState("q0", "r0", None)
     succs = flat_out(flat, start)
     assert len(succs) == 2
-    labels = {type(lab) for lab, _ in succs}
-    assert labels == {AdaptPhase}
+    # both are adaptation transitions, of the system's one phase
+    assert all(lab is sys_.s.phases[1] for lab, _ in succs)
     targets = {g for _, g in succs}
     ph = (parse_formula("true", sig), "r1")
     assert targets == {FlatState("d", "r1", None),   # immediate completion

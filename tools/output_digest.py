@@ -32,10 +32,16 @@ columns.  It prints one line per run (round, arguments, exit code, sha256
 of stdout followed by stderr), and on stderr the combined digest ``USAGE``,
 which pins the command-line parser's output on repeated in-process calls.
 
-Last, it runs ``export --format dot`` at ``--stage flat`` and ``--stage
+Then it runs ``export --format dot`` at ``--stage flat`` and ``--stage
 kripke`` on the bundled models and the acceptance systems.  It prints one
 line per run, like the population's, and on stderr the combined digest
 ``DOT``, which pins both Graphviz renderers.
+
+Last, it runs the text outputs that print decoded states on the same
+models: ``flatten`` (its dead-state list), ``check`` and ``relation`` in
+both modes, and ``ctl --ctl 'EG steady' --at <q0>,<r0>`` at the model's
+initial pair.  It prints one line per run, like the population's, and on
+stderr the combined digest ``TEXT``.
 
 Usage, from the root of a checkout:
 
@@ -73,6 +79,14 @@ CORRIDOR_COMMANDS = COMMANDS[:2]
 DOT_COMMANDS = (
     ("export", "--stage", "flat", "--format", "dot"),
     ("export", "--stage", "kripke", "--format", "dot"),
+)
+TEXT_COMMANDS = (
+    ("flatten",),
+    ("check", "--mode", "weak"),
+    ("check", "--mode", "strong"),
+    ("relation", "--mode", "weak"),
+    ("relation", "--mode", "strong"),
+    ("ctl", "--ctl", "EG steady", "--at", "{initial}"),
 )
 CORRIDOR_BLOCKS = (1, 2, 3)
 N_MUTANTS = 2000
@@ -237,11 +251,19 @@ def main(argv: list[str]) -> int:
     for path in files:
         for command in DOT_COMMANDS:
             dot.update(run_command(path, command, list(command[1:])))
+    text = hashlib.sha256()
+    for path in files:
+        sys_ = load_model(path)
+        initial = f"{sys_.b.initial},{sys_.s.initial}"
+        for command in TEXT_COMMANDS:
+            text.update(run_command(path, command,
+                                    [a.format(initial=initial) for a in command[1:]]))
     print("TOTAL", total.hexdigest(), file=sys.stderr)
     print("TOTAL+corridor", extended.hexdigest(), file=sys.stderr)
     print("MUTANTS", mutants, file=sys.stderr)
     print("USAGE", usage, file=sys.stderr)
     print("DOT", dot.hexdigest(), file=sys.stderr)
+    print("TEXT", text.hexdigest(), file=sys.stderr)
     return 0
 
 
