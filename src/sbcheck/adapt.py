@@ -27,23 +27,24 @@ state pairs directly from the flat semantics:
 
 ``weak_relation`` and ``greatest_strong_relation`` compute the largest such
 relations coinductively, by deleting violating pairs from the satisfaction
-grid until a fixpoint; ``strong_relation`` instead checks the projection of
-the reachable steady states, which carries strong adaptability of the whole
-system.  Both greatest relations share one worklist: a deleted pair queues
-the pairs whose clauses mention it.  A clause only becomes more violated as
-pairs leave, so the fixpoint reached does not depend on deletion order.
+grid until a fixpoint; ``strong_relation`` instead checks the pairs reached
+from the initial pair by steady steps and completed phases (the reachable
+steady states), which carry strong adaptability of the whole system.  Both
+greatest relations share one worklist: a deleted pair queues the pairs
+whose clauses mention it.  A clause only becomes more violated as pairs
+leave, so the fixpoint reached does not depend on deletion order.
 
 The relational route runs on the flat codes of ``flatten._Rules``: a state
-pair is keyed by the code of its steady flat state, and each entry point
-steps every pair it needs once, under ``max_states`` when given: past that
-many stepped codes it raises ``StateBudgetError``.  An adaptation phase is
-explored once per distinct adapting start state, with one ``graph.reach``
-and one ``graph.cyclic_states``; its facts (steady endpoints, a reachable
-dead end, a cycle) are memoised by that start, so every pair entering the
-same phase shares them.  Codes are decoded to id pairs, by ``_Rules.pair``,
-only for the returned relation and for violation messages.  The relational
-route never calls the CTL checker; the CTL verdicts never call the relation
-code.
+pair is keyed by the code of its steady flat state.  Each entry point runs
+one ``_Analysis``, which steps every flat state it needs once, under
+``max_states`` when given: past that many it raises ``StateBudgetError``;
+``strong_relation`` draws its candidate from the analysis that checks it.
+Pair facts are memoised, and so are phase facts (steady endpoints, a
+reachable dead end, a cycle) by adapting start state, each from one
+``graph.reach`` and one ``graph.cyclic_states``.  Codes are decoded to id
+pairs, by ``_Rules.pair``, only for the returned relation and for violation
+messages.  The relational route builds no flat system and never calls the
+CTL checker; the CTL verdicts never call the relation code.
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ from .ctl import (
     CtlAtom,
     CtlNot,
     CtlWitnessError,
+    Lasso,
     ag,
     counterexample_ag,
     eg,
@@ -64,7 +66,7 @@ from .ctl import (
     sat_set,
     witness_eg,
 )
-from .flatten import FlatState, _Rules, build_flat
+from .flatten import _Rules, build_flat
 # the benchmark's tracer (perfbench/spans.py) wraps adapt.flat_successors
 from .flatten import flat_successors  # noqa: F401
 from .graph import cyclic_states, reach
@@ -120,15 +122,7 @@ class RelationCheck:
     violations: tuple[Violation, ...]
 
 
-@dataclass(frozen=True)
-class Evidence:
-    """A run supporting a verdict: a lasso, or a plain path when cycle is empty."""
-
-    prefix: tuple[FlatState, ...]
-    cycle: tuple[FlatState, ...]
-
-    def states(self):
-        return self.prefix + self.cycle
+Evidence = Lasso  # a verdict's run of decoded FlatStates; a plain path has no cycle
 
 
 @dataclass(frozen=True)
@@ -162,8 +156,8 @@ class _Analysis:
     A state pair is keyed by its steady flat code, so int order is the
     order of the id pairs, and a steady successor or phase endpoint is
     already the pair it lands on.  The successors of adapting states are
-    memoised, and so are the facts of every adapting state that starts a
-    phase: all pairs entering the same phase share one exploration of it.
+    memoised, and so are the facts of every pair and of every adapting state
+    that starts a phase: all pairs entering one phase share its exploration.
     ``stepped`` counts the codes stepped, grid pairs and adapting states
     alike; past ``max_states``, when given, a step raises
     :class:`StateBudgetError`.
@@ -177,15 +171,15 @@ class _Analysis:
         self.stepped = 0
         self._succ: dict[int, list[int]] = {}
         self._starts: dict[int, tuple[frozenset[int], bool, bool]] = {}
+        self._facts: dict[int, _PairFacts] = {}
 
     def grid(self) -> list[int]:
         """The steady codes of the satisfaction-grid pairs (q satisfies the
         label of r), ascending."""
-        s, P = self.sys.s, self.P
-        R = len(s.ids)
-        rows = [self.sys.sat_row(s.label(rid)) for rid in s.ids]
-        return [(q * R + r) * P for q in range(len(self.sys.b.ids))
-                for r in range(R) if rows[r][q]]
+        s, steady = self.sys.s, self.rules.steady
+        rows = [self.sys.sat_row(s.label(r)) for r in s.ids]
+        return [steady(q, r) for k, q in enumerate(self.sys.b.ids)
+                for r, row in zip(s.ids, rows) if row[k]]
 
     def sorted_pairs(self, codes) -> list[Pair]:
         return [self.rules.pair(c) for c in sorted(codes)]
@@ -215,8 +209,10 @@ class _Analysis:
         return ts if ts and ts[0] % self.P else []
 
     def _start(self, code: int) -> tuple[frozenset[int], bool, bool]:
-        """(endpoints, has_dead, has_cycle) of the phase run from adapting
-        state ``code``."""
+        """(endpoints, has_dead, has_cycle) of the phase run from first state
+        ``code``; a steady one (AdaptStartEnd) is its own endpoint."""
+        if code % self.P == 0:
+            return frozenset((code,)), False, False
         hit = self._starts.get(code)
         if hit is None:
             nodes = reach(self._adapting, (code,))
@@ -233,10 +229,12 @@ class _Analysis:
         return hit
 
     def facts(self, pair: int) -> _PairFacts:
-        """The facts of grid pair ``pair``: its steady successor pairs and,
-        per adaptation label, the pairs its AdaptStartEnd steps land on
-        merged with the phase facts of its adapting first states."""
-        P = self.P
+        """The facts of grid pair ``pair``, memoised: its steady successor
+        pairs and, per adaptation label, the merged phase facts of its first
+        states."""
+        hit = self._facts.get(pair)
+        if hit is not None:
+            return hit
         groups = self._step(pair)
         steady: frozenset[int] = frozenset()
         phases = []
@@ -245,17 +243,19 @@ class _Analysis:
             if p == 0:
                 steady = frozenset(ts)
                 continue
-            ends = frozenset(t for t in ts if t % P == 0)
-            dead = cycle = False
-            for t in ts:
-                if t % P:
-                    more, d, c = self._start(t)
-                    ends = ends | more if ends else more  # a lone start's set is shared
-                    dead |= d
-                    cycle |= c
-            phases.append(_PhaseFacts(p, ends, dead, cycle))
+            part_ends, dead, cycle = zip(*map(self._start, ts))
+            # one union, linear in the starts' endpoints; a lone start's set is shared
+            ends = part_ends[0] if len(part_ends) == 1 else frozenset().union(*part_ends)
+            phases.append(_PhaseFacts(p, ends, any(dead), any(cycle)))
             weak = weak | ends if weak else ends
-        return _PairFacts(pair, bool(groups), steady, tuple(phases), weak)
+        hit = self._facts[pair] = _PairFacts(pair, bool(groups), steady,
+                                             tuple(phases), weak)
+        return hit
+
+    def next_pairs(self, pair: int) -> frozenset[int]:
+        """The pairs ``pair`` reaches by a steady step or a completed phase."""
+        pf = self.facts(pair)
+        return pf.steady_pairs | pf.weak_endpoints
 
 
 # ---------------------------------------------------------------------------
@@ -306,16 +306,15 @@ def _greatest(sys: SBSystem, violations, max_states: int | None) -> AdaptRelatio
     change.  The result is decoded to id pairs once, at the end.
     """
     an = _Analysis(sys, max_states)
-    facts = {pf.pair: pf for pf in map(an.facts, an.grid())}
-    rel = {pair for pair, pf in facts.items() if pf.progress}
+    rel = {pair for pair in an.grid() if an.facts(pair).progress}
     mentioned_by: defaultdict[int, list[int]] = defaultdict(list)
     for pair in rel:
-        for other in facts[pair].steady_pairs | facts[pair].weak_endpoints:
+        for other in an.next_pairs(pair):
             mentioned_by[other].append(pair)
     work = list(rel)
     while work:
         pair = work.pop()
-        if pair in rel and next(violations(an, facts[pair], rel), None):
+        if pair in rel and next(violations(an, an.facts(pair), rel), None):
             rel.remove(pair)
             work.extend(mentioned_by[pair])
     return AdaptRelation(frozenset(map(an.rules.pair, rel)))
@@ -344,16 +343,17 @@ def strong_relation(sys: SBSystem,
                     max_states: int | None = None) -> Optional[AdaptRelation]:
     """The reachable-steady-pairs candidate, if it is a strong adaptation.
 
-    The candidate is the projection of the steady states reachable in the
+    The candidate is the set of pairs reached from the initial pair by
+    steady steps and completed phases, the reachable steady states of the
     flat semantics; it is a strong adaptation relation exactly when the
-    system is strong adaptable, so the result is absent otherwise.  The
-    flat semantics is built here, never taken from the CTL verdicts' memo;
-    both it and the check of the candidate run under ``max_states`` when
-    given.
+    system is strong adaptable, so the result is absent otherwise.  One
+    analysis, under ``max_states`` as in :func:`weak_relation`, both draws
+    the candidate and checks it.
     """
-    flat = build_flat(sys, max_states=max_states)
-    candidate = AdaptRelation(flat.steady_pairs())
-    return candidate if is_strong_adaptation(sys, candidate, max_states).ok else None
+    an = _Analysis(sys, max_states)
+    reached = reach(an.next_pairs, (an.rules.steady(sys.b.initial, sys.s.initial),))
+    candidate = AdaptRelation(frozenset(map(an.rules.pair, reached)))
+    return candidate if _check(sys, candidate, _strong_violations, an).ok else None
 
 
 # ---------------------------------------------------------------------------
@@ -361,14 +361,13 @@ def strong_relation(sys: SBSystem,
 
 
 def _check(sys: SBSystem, rel: AdaptRelation, violations,
-           max_states: int | None) -> RelationCheck:
+           an: _Analysis) -> RelationCheck:
     """Clause (i) for every pair of ``rel``, then the mode's ``violations``."""
     for q, r in rel.pairs:
         if q not in sys.b.states:
             raise ValueError(f"unknown behaviour state {q!r} in relation")
         if r not in sys.s.states:
             raise ValueError(f"unknown structure state {r!r} in relation")
-    an = _Analysis(sys, max_states)
     codes = {an.rules.steady(q, r) for q, r in rel.pairs}
     found: list[Violation] = []
     for q, r in sorted(rel.pairs):
@@ -388,22 +387,21 @@ def is_weak_adaptation(sys: SBSystem, rel: AdaptRelation,
                        max_states: int | None = None) -> RelationCheck:
     """Check the weak adaptation clauses for every pair of ``rel``, under
     ``max_states`` as in :func:`weak_relation`."""
-    return _check(sys, rel, _weak_violations, max_states)
+    return _check(sys, rel, _weak_violations, _Analysis(sys, max_states))
 
 
 def is_strong_adaptation(sys: SBSystem, rel: AdaptRelation,
                          max_states: int | None = None) -> RelationCheck:
     """Check the strong adaptation clauses for every pair of ``rel``, under
     ``max_states`` as in :func:`weak_relation`."""
-    return _check(sys, rel, _strong_violations, max_states)
+    return _check(sys, rel, _strong_violations, _Analysis(sys, max_states))
 
 
 # ---------------------------------------------------------------------------
 # CTL-side verdicts
 
 
-def _failing_evidence(k: Kripke, state: Callable[[int], FlatState], inner,
-                      t0: int) -> Evidence:
+def _failing_evidence(k: Kripke, inner, t0: int) -> Lasso:
     """A run from ``t0`` showing how the checked property degenerates.
 
     Prefers a shortest path to a dead state (a progress violation, reported
@@ -413,18 +411,16 @@ def _failing_evidence(k: Kripke, state: Callable[[int], FlatState], inner,
     ends in a dead state's self-loop or an adapting cycle.
     """
     try:
-        path = list(counterexample_ag(k, CtlAtom("progress"), t0))
-        return Evidence(tuple(map(state, path[:-1])), tuple(map(state, path[-1:])))
+        path = counterexample_ag(k, CtlAtom("progress"), t0)
+        return Lasso(path[:-1], path[-1:])
     except CtlWitnessError:
         pass
-    path = list(counterexample_ag(k, inner, t0))
-    v = path[-1]
+    path = counterexample_ag(k, inner, t0)
     try:
-        lasso = witness_eg(k, CtlNot(CtlAtom("steady")), v)
+        lasso = witness_eg(k, CtlNot(CtlAtom("steady")), path[-1])
     except CtlWitnessError:
-        return Evidence(tuple(map(state, path)), ())
-    return Evidence(tuple(map(state, path[:-1] + list(lasso.prefix))),
-                    tuple(map(state, lasso.cycle)))
+        return Lasso(path, ())
+    return Lasso(path[:-1] + lasso.prefix, lasso.cycle)
 
 
 # the entry of a system goes when the system does
@@ -450,11 +446,6 @@ def _initial_kripke(sys: SBSystem, max_states: int | None) -> tuple[Kripke, list
 
 def _verdict(sys: SBSystem, formula, inner, max_states: int | None) -> Verdict:
     k, codes = _initial_kripke(sys, max_states)
-    decode = _Rules(sys).decode
-
-    def state(i: int) -> FlatState:
-        return decode(codes[i])
-
     sat = sat_set(k, formula)
     holds = k.initial in sat
     if holds:
@@ -462,12 +453,12 @@ def _verdict(sys: SBSystem, formula, inner, max_states: int | None) -> Verdict:
         # its inner formula, and when the strong AG holds at the root, every
         # state of k (all reachable from the root) satisfies AG, hence EG, of
         # the inner formula, so the region walked is the one EG would give
-        lasso = witness_eg(k, inner, k.initial, sat)
-        evidence = Evidence(tuple(map(state, lasso.prefix)),
-                            tuple(map(state, lasso.cycle)))
+        run = witness_eg(k, inner, k.initial, sat)
     else:
-        evidence = _failing_evidence(k, state, inner, k.initial)
-    return Verdict(holds, evidence)
+        run = _failing_evidence(k, inner, k.initial)
+    decode = _Rules(sys).decode
+    return Verdict(holds, Lasso(*(tuple(decode(codes[i]) for i in part)
+                                  for part in (run.prefix, run.cycle))))
 
 
 def check_weak(sys: SBSystem, max_states: int | None = None) -> Verdict:

@@ -987,6 +987,24 @@ def fan_system(n: int) -> SBSystem:
     return SBSystem(f"fan{n}", sig, BLevel(states, "a0", trans), _two_phase_structure(sig))
 
 
+def spread_fan_system(n: int) -> SBSystem:
+    """``n`` entering states whose adaptation phases start on one line.
+
+    As :func:`fan_system`, but ``a<i>`` steps to ``l<i>``: every entering
+    pair adapts from its own first state, and the phase of each first state
+    runs through the phases of the ones after it.
+    """
+    sig = Signature([("x", BoundedInt(0, 2))])
+    states = ([BState(f"a{i}", {"x": 0}) for i in range(n)]
+              + [BState(f"l{i}", {"x": 2}) for i in range(n)]
+              + [BState("e", {"x": 1})])
+    trans = [(f"a{i}", f"l{i}") for i in range(n)]
+    trans += [(f"l{i}", f"l{i + 1}") for i in range(n - 1)]
+    trans += [(f"l{n - 1}", "e"), ("e", "e")]
+    return SBSystem(f"spread_fan{n}", sig, BLevel(states, "a0", trans),
+                    _two_phase_structure(sig))
+
+
 def ladder_system(n: int) -> SBSystem:
     """One entering pair whose adaptation phase runs down a ladder of ``n`` rungs.
 

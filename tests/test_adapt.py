@@ -10,10 +10,12 @@ from helpers import (
     fan_system,
     ladder_system,
     oracle_check,
+    oracle_flat,
     oracle_grid,
     oracle_relation,
     oracle_strong_relation,
     rules_system,
+    spread_fan_system,
 )
 
 from sbcheck import adapt, ctl, models
@@ -35,6 +37,7 @@ from sbcheck.cli import gen_random
 from sbcheck.constraints import BoundedInt, Signature, parse_formula
 from sbcheck.ctl import sat_set
 from sbcheck.flatten import build_flat
+from sbcheck.graph import reach
 from sbcheck.kripke import to_kripke
 from sbcheck.model import BLevel, BState, SBSystem, SLevel, StateBudgetError, STransition
 
@@ -348,9 +351,30 @@ def test_relation_route_matches_reference_oracle(bundled):
     systems += [gen_random(seed, *acceptance_schedule(seed)) for seed in range(500)]
     systems += [rules_system(seed) for seed in range(50)]
     systems += [fan_system(n) for n in (1, 2, 5, 17)]
+    systems += [spread_fan_system(n) for n in (1, 2, 5, 17)]
     systems += [ladder_system(n) for n in (1, 2, 5, 17)]
     for sys_ in systems:
         _assert_relations_match_oracle(sys_)
+
+
+def test_reached_pairs_are_the_flat_steady_pairs(bundled):
+    # strong_relation's candidate: the pairs reached from the initial pair
+    # by steady steps and completed phases, stepping each flat state once
+    systems = list(bundled.values())
+    systems += [gen_random(seed, *acceptance_schedule(seed)) for seed in range(500)]
+    systems += [rules_system(seed) for seed in range(50)]
+    for n in (1, 2, 5, 17):
+        systems += [fan_system(n), spread_fan_system(n), ladder_system(n)]
+    systems += [corridor_system(n) for n in (1, 2)]
+    for sys_ in systems:
+        an = adapt._Analysis(sys_)
+        reached = reach(an.next_pairs, (an.rules.steady(sys_.b.initial, sys_.s.initial),))
+        pairs = frozenset(map(an.rules.pair, reached))
+        flat = build_flat(sys_)
+        assert pairs == flat.steady_pairs(), sys_.name
+        assert pairs == {(q, r) for q, r, phase in oracle_flat(sys_)[0]
+                         if phase is None}, sys_.name
+        assert an.stepped == flat.n_states, sys_.name
 
 
 def test_fan_and_ladder_relations():
@@ -475,21 +499,22 @@ def test_per_pair_queries_and_relation_route_build_their_own(monkeypatch):
 
     watched = Watched(adapt._structures)
     monkeypatch.setattr(adapt, "_structures", watched)
-    calls = _counting(monkeypatch, "build_flat")
+    calls = _counting(monkeypatch, "build_flat", "to_kripke")
     for q, r in sorted(ATV_S0_PAIRS):
         state_adaptable(sys_, q, r, "weak")
         state_adaptable(sys_, q, r, "strong")
-    assert calls["build_flat"] == 2 * len(ATV_S0_PAIRS)
-    assert strong_relation(sys_) is not None
-    assert calls["build_flat"] == 2 * len(ATV_S0_PAIRS) + 1
+    per_pair = dict.fromkeys(("build_flat", "to_kripke"), 2 * len(ATV_S0_PAIRS))
+    assert calls == per_pair
+    assert strong_relation(sys_) is not None  # the relation route builds nothing
+    assert calls == per_pair
     weak_relation(sys_)
     greatest_strong_relation(sys_)
     rel = AdaptRelation.of(ATV_S0_PAIRS)
     assert is_weak_adaptation(sys_, rel).ok and is_strong_adaptation(sys_, rel).ok
-    assert calls["build_flat"] == 2 * len(ATV_S0_PAIRS) + 1
+    assert calls == per_pair
     assert read == []
     check_strong(sys_)  # the verdicts do read it
-    assert read == [sys_] and calls["build_flat"] == 2 * len(ATV_S0_PAIRS) + 1
+    assert read == [sys_] and calls == per_pair
 
 
 def test_memoised_verdicts_equal_fresh_ones():
@@ -540,7 +565,8 @@ def test_relation_route_keeps_to_the_budget(monkeypatch):
         runs = [functools.partial(weak_relation, sys_),
                 functools.partial(greatest_strong_relation, sys_),
                 functools.partial(is_weak_adaptation, sys_, grid),
-                functools.partial(is_strong_adaptation, sys_, grid)]
+                functools.partial(is_strong_adaptation, sys_, grid),
+                functools.partial(strong_relation, sys_)]
         for run in runs:
             result, n = _stepped(monkeypatch, run)
             assert n > 0, sys_.name
@@ -549,9 +575,3 @@ def test_relation_route_keeps_to_the_budget(monkeypatch):
                 run(max_states=n - 1)
             assert str(exc.value) == (f"relation route passed the state budget of "
                                       f"{n - 1} flat states")
-        # strong_relation passes its budget to both the flat build and the check
-        result, n = _stepped(monkeypatch, functools.partial(strong_relation, sys_))
-        n = max(n, build_flat(sys_).n_states)
-        assert strong_relation(sys_, max_states=n) == result, sys_.name
-        with pytest.raises(StateBudgetError):
-            strong_relation(sys_, max_states=n - 1)

@@ -121,6 +121,15 @@ def test_ctl_subcommand(capsys):
     capsys.readouterr()
 
 
+def test_ctl_at_rejects_a_pair_violating_its_constraints(capsys):
+    # state 8 carries c=1, violating the label of r0: no flat state (8, r0, {})
+    assert run(["ctl", model_path("atv_s0"), "--ctl", "!progress", "--at", "8,r0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("sbcheck: error: behaviour state '8' does not satisfy "
+                            "the constraints of 'r0'\n")
+
+
 def test_ctl_deep_negation_chain_gets_a_verdict(capsys):
     model = model_path("atv_s0")
     plain = run(["ctl", model, "--ctl", "steady"])
@@ -265,8 +274,7 @@ def test_every_model_command_takes_a_state_budget(command, tmp_path, capsys):
     assert capsys.readouterr().out == out
     code = run([command[0], explicit, *command[1:], "--max-states", "8"])
     err = capsys.readouterr().err
-    builds = command[0] in ("flatten", "check", "ctl", "export") or command[-1] == "strong"
-    if builds:
+    if command[0] in ("flatten", "check", "ctl", "export"):
         assert code == 2 and "build_flat passed the state budget of 8 flat states" in err
     elif command[0] == "relation":
         assert code == 2 and "relation route passed the state budget of 8 flat states" in err

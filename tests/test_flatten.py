@@ -104,6 +104,13 @@ def test_seeded_build_materialises_unreachable_pairs(bone_s0):
         build_flat(bone_s0, root=("nope", "r2"))
 
 
+def test_build_rejects_a_root_violating_its_constraints(atv_s0):
+    # state 8 carries c=1, violating the label of r0
+    with pytest.raises(ValueError, match="^behaviour state '8' does not satisfy "
+                                         "the constraints of 'r0'$"):
+        build_flat(atv_s0, root=("8", "r0"))
+
+
 def test_build_is_deterministic(bone_s1):
     a = build_flat(bone_s1)
     b = build_flat(bone_s1)

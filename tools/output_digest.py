@@ -43,6 +43,12 @@ both modes, and ``ctl --ctl 'EG steady' --at <q0>,<r0>`` at the model's
 initial pair.  It prints one line per run, like the population's, and on
 stderr the combined digest ``TEXT``.
 
+Then it runs ``relation`` and ``verify-relation`` (on the grid relation
+file) in both modes at ``--max-states`` 1, 2, 4, 8, 16, 32 and 64 on the
+bundled models and acceptance systems 0-99.  It prints one line per run
+(file, command, exit code, sha256 of stdout followed by stderr), and on
+stderr the combined digest ``BUDGET``, which pins the budget diagnostics.
+
 Usage, from the root of a checkout:
 
     PYTHONPATH=src:tests python tools/output_digest.py DIR > digest.txt
@@ -88,6 +94,14 @@ TEXT_COMMANDS = (
     ("relation", "--mode", "strong"),
     ("ctl", "--ctl", "EG steady", "--at", "{initial}"),
 )
+BUDGET_COMMANDS = (
+    ("relation", "--mode", "weak"),
+    ("relation", "--mode", "strong"),
+    ("verify-relation", "--relation", "{grid}", "--mode", "weak"),
+    ("verify-relation", "--relation", "{grid}", "--mode", "strong"),
+)
+BUDGETS = (1, 2, 4, 8, 16, 32, 64)
+BUDGET_SYSTEMS = 100  # acceptance systems run, after the bundled models
 CORRIDOR_BLOCKS = (1, 2, 3)
 N_MUTANTS = 2000
 MUTANT_SOURCES = 200  # acceptance systems mutated, after the bundled models
@@ -161,10 +175,12 @@ def capture(argv: list[str]) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
-def run_command(path: str, command: tuple[str, ...], args: list[str]) -> bytes:
-    """Run one command on ``path``, print its line and return its digest entry."""
-    code, out, _ = capture([command[0], path, *args])
-    digest = hashlib.sha256(out.encode()).hexdigest()
+def run_command(path: str, command: tuple[str, ...], args: list[str],
+                with_err: bool = False) -> bytes:
+    """Run one command on ``path``, print its line and return its digest
+    entry: of stdout, followed by stderr when ``with_err`` is set."""
+    code, out, err = capture([command[0], path, *args])
+    digest = hashlib.sha256((out + err if with_err else out).encode()).hexdigest()
     print(os.path.basename(path), " ".join(command), code, digest)
     return f"{code} {digest}".encode()
 
@@ -235,8 +251,8 @@ def main(argv: list[str]) -> int:
         return 2
     total = hashlib.sha256()
     files = model_files(argv[0])
-    for path in files:
-        grid = grid_file(argv[0], path)
+    grids = [grid_file(argv[0], path) for path in files]
+    for path, grid in zip(files, grids):
         for command in COMMANDS:
             total.update(run_command(path, command,
                                      [a.format(grid=grid) for a in command[1:]]))
@@ -258,12 +274,22 @@ def main(argv: list[str]) -> int:
         for command in TEXT_COMMANDS:
             text.update(run_command(path, command,
                                     [a.format(initial=initial) for a in command[1:]]))
+    budget = hashlib.sha256()
+    n_budget = len(models.NAMES) + BUDGET_SYSTEMS
+    for path, grid in zip(files[:n_budget], grids):
+        for command in BUDGET_COMMANDS:
+            for n in BUDGETS:
+                bounded = (*command, "--max-states", str(n))
+                budget.update(run_command(path, bounded,
+                                          [a.format(grid=grid) for a in bounded[1:]],
+                                          with_err=True))
     print("TOTAL", total.hexdigest(), file=sys.stderr)
     print("TOTAL+corridor", extended.hexdigest(), file=sys.stderr)
     print("MUTANTS", mutants, file=sys.stderr)
     print("USAGE", usage, file=sys.stderr)
     print("DOT", dot.hexdigest(), file=sys.stderr)
     print("TEXT", text.hexdigest(), file=sys.stderr)
+    print("BUDGET", budget.hexdigest(), file=sys.stderr)
     return 0
 
 
