@@ -31,9 +31,9 @@ from .constraints import (
     parse_formula,
     pretty,
 )
-from .ctl import Lasso, parse_ctl, sat_set, witness_eg, counterexample_ag
+from .ctl import Kripke, Lasso, parse_ctl, sat_set, witness_eg, counterexample_ag
 from .flatten import FlatLts, FlatState, build_flat, flat_successors
-from .kripke import Kripke, to_kripke
+from .kripke import to_kripke
 from .model import (
     BLevel,
     BState,

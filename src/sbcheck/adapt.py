@@ -11,8 +11,10 @@ initial state: the first of ``check_weak`` and ``check_strong`` builds it,
 and the system keeps it, with the flat codes of its states, in a weak-keyed
 memo.  Both hold only ints and frozensets, nothing of the system, so the
 memo dies with the system by reference counting; evidence states are
-decoded from their codes.  Each verdict labels one formula; a holding
-verdict draws its witness from that formula's set.  Per-pair queries
+decoded from their codes.  The CTL searches walk sets handed to them: a
+holding verdict's witness walks its formula's set, and a failing verdict's
+run leaves the ``progress`` atom or the inner formula's set and may go on
+inside the set of ``EG !steady``.  Per-pair queries
 (``state_adaptable``) rebuild the flat semantics from their pair, and the
 relational route never reads the memo.
 
@@ -55,9 +57,8 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Literal, NamedTuple, Optional
 
 from .ctl import (
-    CtlAtom,
-    CtlNot,
     CtlWitnessError,
+    Kripke,
     Lasso,
     ag,
     counterexample_ag,
@@ -66,21 +67,18 @@ from .ctl import (
     sat_set,
     witness_eg,
 )
-from .flatten import _Rules, build_flat
+from .flatten import PreconditionError, _Rules, build_flat  # noqa: F401  (re-exported)
 # the benchmark's tracer (perfbench/spans.py) wraps adapt.flat_successors
 from .flatten import flat_successors  # noqa: F401
 from .graph import cyclic_states, reach
-from .kripke import Kripke, to_kripke
+from .kripke import to_kripke
 from .model import SBSystem, StateBudgetError
 
 WEAK_INNER = parse_ctl("(adapting => EF steady) && progress")
 STRONG_INNER = parse_ctl("(adapting => AF steady) && progress")
 WEAK_FORMULA = eg(WEAK_INNER)  # EG((adapting => EF steady) && progress)
 STRONG_FORMULA = ag(STRONG_INNER)  # AG((adapting => AF steady) && progress)
-
-
-class PreconditionError(Exception):
-    """A state-level query was asked outside its precondition."""
+NEVER_STEADY = parse_ctl("EG !steady")
 
 
 Pair = tuple[str, str]
@@ -411,13 +409,13 @@ def _failing_evidence(k: Kripke, inner, t0: int) -> Lasso:
     ends in a dead state's self-loop or an adapting cycle.
     """
     try:
-        path = counterexample_ag(k, CtlAtom("progress"), t0)
+        path = counterexample_ag(k, k.atoms["progress"], t0)
         return Lasso(path[:-1], path[-1:])
     except CtlWitnessError:
         pass
-    path = counterexample_ag(k, inner, t0)
+    path = counterexample_ag(k, sat_set(k, inner), t0)
     try:
-        lasso = witness_eg(k, CtlNot(CtlAtom("steady")), path[-1])
+        lasso = witness_eg(k, sat_set(k, NEVER_STEADY), path[-1])
     except CtlWitnessError:
         return Lasso(path, ())
     return Lasso(path[:-1] + lasso.prefix, lasso.cycle)
@@ -453,7 +451,7 @@ def _verdict(sys: SBSystem, formula, inner, max_states: int | None) -> Verdict:
         # its inner formula, and when the strong AG holds at the root, every
         # state of k (all reachable from the root) satisfies AG, hence EG, of
         # the inner formula, so the region walked is the one EG would give
-        run = witness_eg(k, inner, k.initial, sat)
+        run = witness_eg(k, sat, k.initial)
     else:
         run = _failing_evidence(k, inner, k.initial)
     decode = _Rules(sys).decode
@@ -485,15 +483,10 @@ def state_adaptable(sys: SBSystem, q: str, r: str,
 
     The flat semantics is rebuilt from that steady state, so the query works
     for pairs unreachable from the initial state.  Requires q to satisfy the
-    constraints of r.
+    constraints of r, as ``build_flat`` does (:class:`PreconditionError`).
     """
     if mode not in ("weak", "strong"):
         raise ValueError(f"unknown mode {mode!r}")
-    if q not in sys.b.states or r not in sys.s.states:
-        raise PreconditionError(f"unknown state pair ({q!r}, {r!r})")
-    if not sys.sat(q, sys.s.label(r)):
-        raise PreconditionError(
-            f"behaviour state {q!r} does not satisfy the constraints of {r!r}")
     k = to_kripke(build_flat(sys, root=(q, r)))
     phi = WEAK_FORMULA if mode == "weak" else STRONG_FORMULA
     return k.initial in sat_set(k, phi)

@@ -315,7 +315,7 @@ def _cmd_export(args) -> int:
                 "initial": k.initial,
                 "states": [
                     {"state": flatten.state_json(f),
-                     "labels": sorted(k.labels[i])}
+                     "labels": sorted(k.labels(i))}
                     for i, f in enumerate(flat.states)
                 ],
                 "edges": [[i, j] for i in range(k.n_states) for j in k.succ[i]],
@@ -423,7 +423,7 @@ def run(argv) -> int:
     try:
         return args.func(args)
     except (ModelError, FormulaError, CtlError, GenerationError, StateBudgetError,
-            adapt.PreconditionError, OSError, ValueError) as exc:
+            OSError, ValueError) as exc:
         print(f"sbcheck: error: {exc}", file=_sys.stderr)
         return 2
     except Exception as exc:

@@ -557,6 +557,11 @@ def _formula_primary(tok: Token, sig: Signature):
     raise UnknownObservableError(f"unknown observable {tok.text!r}", tok.line, tok.col)
 
 
+def _negate(arg):
+    """Prefix ``-``: a negative literal, or ``0 - arg``, which prints back."""
+    return IntConst(-arg.value) if type(arg) is IntConst else Arith("-", IntConst(0), arg)
+
+
 def _syntax_error(message: str, tok: Token) -> FormulaSyntaxError:
     return FormulaSyntaxError(message, tok.line, tok.col)
 
@@ -570,7 +575,7 @@ FORMULA_GRAMMAR = Grammar(
             **_binary(BoolOp, 3, LEFT, "||"), **_binary(BoolOp, 4, LEFT, "&&"),
             **_binary(Cmp, 5, NONE, "==", "!=", "<", "<=", ">", ">="),
             **_binary(Arith, 6, LEFT, "+", "-"), **_binary(Arith, 7, LEFT, "*")},
-    prefix={"!": Not},
+    prefix={"!": Not, "-": _negate},
     groups=(Group(("(",), (")",)),),
     primary=_formula_primary,
     error=_syntax_error,

@@ -1,22 +1,24 @@
-"""Explicit-state CTL model checking over Kripke structures.
+"""Kripke structures and explicit-state CTL model checking over them.
 
-The core connectives are true, false, atoms, the boolean operators, EX and
-the two until operators.  The remaining temporal operators are expanded at
-parse time:
+A ``Kripke`` structure holds successor tuples over states ``0..n-1`` and,
+per atom of ``AP``, the set of states it labels.  The core connectives are
+true, false, atoms, the boolean operators, EX and the two until operators.
+The remaining temporal operators are expanded at parse time:
 
     EF p = E[true U p]      AF p = A[true U p]
     EG p = !AF !p           AG p = !EF !p          AX p = !EX !p
 
-Satisfaction sets are computed bottom-up; the until operators by least
-fixpoints over the predecessor relation, each pass linear in states plus
-edges.  E[a U b] is backward reachability from b inside a; A[a U b] counts,
-per state, the successors not yet known to reach b.  Counterexamples are
-shortest paths.  An EG witness is a lasso closed by two shortest-path
-searches, one backward from the cycle head to its nearest successor and one
-forward from that successor back to the head; the cycle states of the EG
-region are computed only when the start lies on no cycle.  Every
-traversal except the A-until counter runs through the primitives of
-``graph``, which know nothing of CTL.
+Satisfaction sets are computed bottom-up; an atom is its set, and the until
+operators are least fixpoints over the predecessor relation, each pass
+linear in states plus edges.  E[a U b] is backward reachability from b
+inside a; A[a U b] counts, per state, the successors not yet known to reach
+b.  The searches walk a set they are given and label nothing: a
+counterexample is a shortest path out of it, and an EG witness a lasso
+inside it, closed by two shortest-path searches, one backward from the cycle
+head to its nearest successor and one forward from that successor back to
+the head; the cycle states of the region are computed only when the start
+lies on no cycle.  Every traversal except the A-until counter runs through
+the primitives of ``graph``, which know nothing of CTL.
 
 Formulas are read by the operator-precedence parser of ``constraints``,
 from the tokens of its lexer (so ``#`` starts a comment), with the grammar
@@ -26,11 +28,42 @@ table ``CTL_GRAMMAR``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Union
 
 from .constraints import LEFT, RIGHT, FormulaSyntaxError, Grammar, Group, Token, parse_with, tokenize
 from .graph import cyclic_states, reach, shortest_path
-from .kripke import AP, Kripke
+
+AP = ("adapting", "steady", "progress")
+
+
+class Kripke:
+    """States ``0..n-1`` with ascending successor tuples ``succ[i]`` and the
+    frozenset ``atoms[a]`` of the states labelled ``a``, per atom of ``AP``.
+    ``pred``, the predecessor tuples, is derived from ``succ`` on first use."""
+
+    def __init__(self, initial: int, succ: list[tuple[int, ...]],
+                 atoms: dict[str, frozenset[int]]):
+        self.initial = initial
+        self.succ = succ
+        self.atoms = atoms
+        self.n_edges = sum(map(len, succ))
+
+    @property
+    def n_states(self) -> int:
+        return len(self.succ)
+
+    def labels(self, i: int) -> frozenset[str]:
+        """The atoms labelling state ``i``."""
+        return frozenset(a for a in AP if i in self.atoms[a])
+
+    @cached_property
+    def pred(self) -> list[tuple[int, ...]]:
+        pred: list[list[int]] = [[] for _ in self.succ]
+        for s, targets in enumerate(self.succ):
+            for t in targets:
+                pred[t].append(s)
+        return [tuple(p) for p in pred]
 
 
 class CtlError(Exception):
@@ -211,7 +244,7 @@ def sat_set(k: Kripke, phi: CtlFormula) -> frozenset[int]:
             case CtlFalse():
                 res = frozenset()
             case CtlAtom(name=name):
-                res = frozenset(t for t in everything if name in k.labels[t])
+                res = k.atoms[name]
             case CtlNot():
                 res = everything - sub[0]
             case CtlAnd():
@@ -263,19 +296,16 @@ class Lasso:
         return self.prefix + self.cycle
 
 
-def witness_eg(k: Kripke, inner: CtlFormula, t: int,
-               good: frozenset[int] | None = None) -> Lasso:
-    """A lasso from ``t`` whose states all satisfy ``inner``.
+def witness_eg(k: Kripke, good: frozenset[int], t: int) -> Lasso:
+    """A lasso from ``t`` whose states all lie in ``good``.
 
-    Requires ``t`` to satisfy EG inner; the lasso stays inside the region of
-    the EG set reachable from ``t``.  ``good`` is that set when the caller
-    has labelled it already, or any subset of it from which ``t`` reaches
-    the same region, such as the AG set when AG inner holds at ``t``;
-    otherwise the EG set is labelled here.  The prefix is
-    a shortest path to the nearest state on a cycle of the region, ties
-    broken by state index; the cycle closes through the successor of that
-    head nearest to it (lowest index among equals) along a shortest path
-    back.
+    ``good`` must give each of its states a successor in ``good``, as an EG
+    set does, or be the AG set of a formula holding AG at ``t``; ``t`` must
+    lie in it.  The lasso stays inside the region of ``good`` reachable from
+    ``t``.  The prefix is a shortest path to the nearest state on a cycle of
+    the region, ties broken by state index; the cycle closes through the
+    successor of that head nearest to it (lowest index among equals) along a
+    shortest path back.
 
     When ``t`` lies on a cycle the prefix is empty.  One backward search from
     ``t`` tells that case apart: it succeeds exactly when some successor of
@@ -283,10 +313,8 @@ def witness_eg(k: Kripke, inner: CtlFormula, t: int,
     the region is reachable from ``t`` and none reaches it back.  Only then
     are the cycle states of the region computed.
     """
-    if good is None:
-        good = sat_set(k, eg(inner))
     if t not in good:
-        raise CtlWitnessError("state does not satisfy EG of the given formula")
+        raise CtlWitnessError("state lies outside the given set")
     succ, pred = k.succ.__getitem__, k.pred.__getitem__
     region = reach(succ, [t], within=good)
     head, prefix = t, ()
@@ -295,22 +323,22 @@ def witness_eg(k: Kripke, inner: CtlFormula, t: int,
     back = shortest_path(pred, t, frozenset(k.succ[t]), within=region)
     if back is None:
         path = shortest_path(succ, t, cyclic_states(succ, region), within=region)
-        if path is None:  # cannot happen: every good state has a good successor
-            raise CtlWitnessError("no cycle reachable inside the EG region")
+        if path is None:  # a state of the region has no successor in it
+            raise CtlWitnessError("no cycle reachable inside the given set")
         head, prefix = path[-1], tuple(path[:-1])
         back = shortest_path(pred, head, frozenset(k.succ[head]), within=region)
     loop = shortest_path(succ, back[-1], (head,), within=region)
     return Lasso(prefix, (head, *loop[:-1]))
 
 
-def counterexample_ag(k: Kripke, inner: CtlFormula, t: int) -> tuple[int, ...]:
-    """Shortest path from ``t`` to a state violating ``inner``.
+def counterexample_ag(k: Kripke, good: frozenset[int], t: int) -> tuple[int, ...]:
+    """Shortest path from ``t`` to a state outside ``good``.
 
-    Requires AG inner to fail at ``t``; ties between equally near violations
-    break on the state index.
+    Requires such a state to be reachable from ``t``; ties between equally
+    near ones break on the state index.
     """
-    bad = frozenset(range(k.n_states)) - sat_set(k, inner)
+    bad = frozenset(range(k.n_states)) - good
     path = shortest_path(k.succ.__getitem__, t, bad)
     if path is None:
-        raise CtlWitnessError("AG of the given formula holds; no counterexample")
+        raise CtlWitnessError("no state outside the given set is reachable")
     return tuple(path)

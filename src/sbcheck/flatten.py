@@ -48,6 +48,10 @@ Phase = tuple[Formula, str]  # (invariant, target structure state)
 FlatLabel = Optional[Phase]  # None for a steady transition, else its phase
 
 
+class PreconditionError(ValueError):
+    """A root pair outside the system or violating its structure label."""
+
+
 @dataclass(frozen=True)
 class FlatState:
     q: str
@@ -236,17 +240,17 @@ def build_flat(sys: SBSystem, root: tuple[str, str] | None = None,
 
     By default exploration starts at the initial steady state; ``root``
     seeds it at an arbitrary steady (q, r, {}) instead, which need not be
-    reachable from the initial state; q must satisfy the label of r.
-    Reaching more than ``max_states`` states, when given, raises
-    :class:`StateBudgetError`.
+    reachable from the initial state; q must satisfy the label of r (else
+    :class:`PreconditionError`).  Reaching more than ``max_states`` states,
+    when given, raises :class:`StateBudgetError`.
     """
     if root is None:
         root = (sys.b.initial, sys.s.initial)
     q, r = root
     if q not in sys.b.states or r not in sys.s.states:
-        raise ValueError(f"unknown root pair ({q!r}, {r!r})")
+        raise PreconditionError(f"unknown root pair ({q!r}, {r!r})")
     if not sys.sat(q, sys.s.label(r)):
-        raise ValueError(f"behaviour state {q!r} does not satisfy the constraints of {r!r}")
+        raise PreconditionError(f"behaviour state {q!r} does not satisfy the constraints of {r!r}")
     rules = _Rules(sys)
     c0 = rules.encode(FlatState(q, r, None))
     # depth-first, each state's transitions appended in visit order

@@ -44,6 +44,7 @@ from sbcheck.constraints import (
     parse_formula,
 )
 from sbcheck.ctl import (
+    AP,
     CtlAU,
     CtlAnd,
     CtlAtom,
@@ -56,6 +57,7 @@ from sbcheck.ctl import (
     CtlParseError,
     CtlTrue,
     CtlWitnessError,
+    Kripke,
     Lasso,
     af,
     ag,
@@ -65,7 +67,6 @@ from sbcheck.ctl import (
     sat_set,
 )
 from sbcheck.graph import cyclic_states, reach, shortest_path
-from sbcheck.kripke import AP, Kripke
 from sbcheck.model import BLevel, BState, SBSystem, SLevel, STransition, parse_model
 
 
@@ -325,8 +326,8 @@ _ORACLE_UNARY = {"!": CtlNot, "EX": CtlEX, "AX": ax, "EF": ef, "AF": af, "EG": e
 class OracleFormulaParser:
     """The recursive-descent reference for the constraint grammar.
 
-    Precedence, tightest first: ``!``, ``*``, ``+ -``, comparisons, ``&&``,
-    ``||``, ``=>`` (right-associative), ``<=>``.
+    Precedence, tightest first: prefix ``!`` and ``-``, ``*``, ``+ -``,
+    comparisons, ``&&``, ``||``, ``=>`` (right-associative), ``<=>``.
     """
 
     def __init__(self, tokens: list[Token], sig: Signature, pos: int = 0):
@@ -410,6 +411,12 @@ class OracleFormulaParser:
         if tok.text == "!":
             self.take()
             return self._mark(Not(self._unary()), tok)
+        if tok.text == "-":  # a negative literal, or 0 - operand
+            self.take()
+            arg = self._unary()
+            if type(arg) is IntConst:
+                return self._mark(IntConst(-arg.value), tok)
+            return self._mark(Arith("-", IntConst(0), arg), tok)
         return self._primary()
 
     def _primary(self):
@@ -776,7 +783,8 @@ def random_kripke(rng: random.Random, n_states: int, out_degree: int = 3) -> Kri
     labels = [frozenset(p for p in ("adapting", "steady", "progress")
                         if rng.random() < 0.4)
               for _ in range(n_states)]
-    return Kripke(0, succ, labels)
+    return Kripke(0, succ, {a: frozenset(i for i, ls in enumerate(labels) if a in ls)
+                            for a in AP})
 
 
 def random_ctl(rng: random.Random, depth: int):
@@ -875,7 +883,7 @@ def oracle_sat(k: Kripke, phi) -> frozenset[int]:
         case CtlFalse():
             return frozenset()
         case CtlAtom(name=name):
-            return frozenset(t for t in everything if name in k.labels[t])
+            return frozenset(t for t in everything if name in k.labels(t))
         case CtlNot(arg=x):
             return everything - oracle_sat(k, x)
         case CtlAnd(left=l, right=r):

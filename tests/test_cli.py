@@ -348,6 +348,50 @@ def test_gen_round_trip_through_dsl():
     assert build_flat(back).n_states == build_flat(sys_).n_states
 
 
+NEGATIVE_MODEL = """system neg
+
+observables
+  x : int -3..3
+
+behaviour explicit
+  state a { x=-3 }
+  state b { x=-2 }
+  state c { x=0 }
+  state d { x=2 }
+  state e { x=-1 }
+  init a
+  trans a -> b
+  trans b -> e
+  trans b -> c
+  trans e -> c
+  trans e -> e
+  trans c -> d
+  trans d -> d
+  trans d -> a
+
+structure
+  state r0 : x <= -2
+  state r1 : x >= 1
+  init r0
+  trans r0 -> r1 inv -x < 4
+  trans r1 -> r0 inv x * -1 + 3 >= -5
+"""
+
+
+def test_negative_literals_in_labels_get_agreeing_verdicts(tmp_path, capsys):
+    # b may adapt forever through e, so weak adaptability holds and strong fails
+    path = tmp_path / "neg.sb"
+    path.write_text(NEGATIVE_MODEL, encoding="utf-8")
+    again = tmp_path / "again.sb"
+    again.write_text(system_to_dsl(parse_model(NEGATIVE_MODEL)), encoding="utf-8")
+    for file in (path, again):
+        for mode, want in (("weak", 0), ("strong", 1)):
+            assert run(["check", str(file), "--mode", mode]) == want, (file, mode)
+            assert run(["relation", str(file), "--mode", mode]) == want, (file, mode)
+    assert "state r0 : x <= -2" in again.read_text(encoding="utf-8")
+    capsys.readouterr()
+
+
 def test_color_env(capsys, monkeypatch):
     monkeypatch.setenv("SBCHECK_COLOR", "1")
     run(["check", model_path("atv_s0"), "--mode", "weak"])

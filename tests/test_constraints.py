@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import pytest
 from helpers import (
+    OracleFormulaParser,
     acceptance_schedule,
     oracle_evaluate,
     oracle_pretty,
@@ -180,7 +181,7 @@ PROP_SIG = Signature([
 ])
 
 _int_term = st.recursive(
-    st.one_of(st.just(Var("a")), st.integers(0, 9).map(IntConst)),
+    st.one_of(st.just(Var("a")), st.integers(-9, 9).map(IntConst)),
     lambda kids: st.tuples(st.sampled_from("+-*"), kids, kids).map(
         lambda t: Arith(*t)),
     max_leaves=4,
@@ -226,6 +227,31 @@ def test_de_morgan_and_implication_identities(f, g, obs):
 @given(formulas)
 def test_pretty_parse_round_trip(f):
     assert parse_formula(pretty(f), PROP_SIG) == f
+
+
+NEG_SIG = Signature([("x", BoundedInt(-3, 3))])
+
+
+@pytest.mark.parametrize("text, tree", [
+    ("x <= -2", Cmp("<=", Var("x"), IntConst(-2))),
+    ("x * -1 + 3 >= -5",
+     Cmp(">=", Arith("+", Arith("*", Var("x"), IntConst(-1)), IntConst(3)), IntConst(-5))),
+    ("x - -2 == 0", Cmp("==", Arith("-", Var("x"), IntConst(-2)), IntConst(0))),
+    ("-x < 1", Cmp("<", Arith("-", IntConst(0), Var("x")), IntConst(1))),
+])
+def test_prefix_minus_parses_and_prints_back(text, tree):
+    assert parse_formula(text, NEG_SIG) == tree
+    assert parse_formula(pretty(tree), NEG_SIG) == tree
+    toks = tokenize(text)
+    assert OracleFormulaParser(toks, NEG_SIG).parse_expression() == tree
+    assert parse_with(FORMULA_GRAMMAR, toks, 0, NEG_SIG)[0] == tree
+
+
+@pytest.mark.parametrize("text, col", [("-true", 2), ("x == -true", 7)])
+def test_prefix_minus_of_a_boolean_is_a_sort_error_at_its_operand(text, col):
+    with pytest.raises(SortMismatchError, match=r"operand of '-' is not an integer") as exc:
+        parse_formula(text, NEG_SIG)
+    assert (exc.value.line, exc.value.col) == (1, col)
 
 
 def test_bundled_formulas_total(bundled):

@@ -1,3 +1,4 @@
+import ast
 import random
 
 import pytest
@@ -12,6 +13,7 @@ from helpers import (
     single_loop_system,
 )
 
+from sbcheck import ctl
 from sbcheck.adapt import STRONG_FORMULA, STRONG_INNER, WEAK_FORMULA, WEAK_INNER
 from sbcheck.cli import gen_random
 from sbcheck.constraints import parse_formula
@@ -42,6 +44,30 @@ from sbcheck.kripke import to_kripke
 
 def idx(flat, q, r, ph=None):
     return flat.states.index(FlatState(q, r, ph))
+
+
+# ---------------------------------------------------------------------------
+# Layering
+
+
+def test_ctl_imports_only_the_parser_and_the_graph_kernel():
+    # ctl owns the Kripke structure, so it needs nothing of the model layers
+    with open(ctl.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    package = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0 and module.partition(".")[0] != "sbcheck":
+                continue
+            if node.level == 0:
+                module = module.partition(".")[2]
+            package.update([module] if module else [a.name for a in node.names])
+        elif isinstance(node, ast.Import):
+            package.update(a.name.partition(".")[2] for a in node.names
+                           if a.name.partition(".")[0] == "sbcheck")
+    assert package == {"constraints", "graph"}
+    assert ctl.Kripke.__module__ == ctl.__name__
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +156,7 @@ def _assert_lasso_shape(k, lasso):
 
 def test_witness_on_atv_s0(kripkes):
     k = kripkes["atv_s0"]
-    lasso = witness_eg(k, WEAK_INNER, k.initial)
+    lasso = witness_eg(k, sat_set(k, eg(WEAK_INNER)), k.initial)
     _assert_lasso_shape(k, lasso)
     good = sat_set(k, WEAK_INNER)
     assert set(lasso.prefix) | set(lasso.cycle) <= good
@@ -138,50 +164,50 @@ def test_witness_on_atv_s0(kripkes):
 
 def test_witness_on_atv_s1(kripkes):
     k = kripkes["atv_s1"]
-    lasso = witness_eg(k, WEAK_INNER, k.initial)
+    lasso = witness_eg(k, sat_set(k, eg(WEAK_INNER)), k.initial)
     _assert_lasso_shape(k, lasso)
     assert set(lasso.prefix) | set(lasso.cycle) <= sat_set(k, WEAK_INNER)
 
 
 def test_witness_single_self_loop():
     k = to_kripke(build_flat(single_loop_system()))
-    lasso = witness_eg(k, CtlAtom("steady"), k.initial)
+    lasso = witness_eg(k, sat_set(k, eg(CtlAtom("steady"))), k.initial)
     assert lasso == Lasso((), (k.initial,))
 
 
 def test_witness_precondition_is_enforced(kripkes):
     k = kripkes["bone_s1"]
     with pytest.raises(CtlWitnessError):
-        witness_eg(k, CtlFalse(), k.initial)
+        witness_eg(k, sat_set(k, eg(CtlFalse())), k.initial)
 
 
 def test_counterexample_on_atv_s1(kripkes):
     k = kripkes["atv_s1"]
-    path = counterexample_ag(k, STRONG_INNER, k.initial)
+    path = counterexample_ag(k, sat_set(k, STRONG_INNER), k.initial)
     assert path[0] == k.initial
     for a, b in zip(path, path[1:]):
         assert b in k.succ[a]
     bad = path[-1]
     assert bad not in sat_set(k, STRONG_INNER)
-    assert "adapting" in k.labels[bad]
+    assert "adapting" in k.labels(bad)
     assert bad not in sat_set(k, af(CtlAtom("steady")))
 
 
 def test_counterexample_on_bone_s1(kripkes):
     k = kripkes["bone_s1"]
-    path = counterexample_ag(k, STRONG_INNER, k.initial)
+    path = counterexample_ag(k, sat_set(k, STRONG_INNER), k.initial)
     assert path[-1] not in sat_set(k, STRONG_INNER)
 
 
 def test_counterexample_trivially_false_inner(kripkes):
     k = kripkes["atv_s0"]
-    assert counterexample_ag(k, CtlFalse(), k.initial) == (k.initial,)
+    assert counterexample_ag(k, sat_set(k, CtlFalse()), k.initial) == (k.initial,)
 
 
 def test_counterexample_precondition_is_enforced(kripkes):
     k = kripkes["atv_s0"]
     with pytest.raises(CtlWitnessError):
-        counterexample_ag(k, CtlTrue(), k.initial)
+        counterexample_ag(k, sat_set(k, CtlTrue()), k.initial)
 
 
 # ---------------------------------------------------------------------------
@@ -217,13 +243,13 @@ def test_witnesses_reverify_on_random_structures():
         phi = random_ctl(rng, 2)
         good = sat_set(k, eg(phi))
         if k.initial in good:
-            lasso = witness_eg(k, phi, k.initial)
+            lasso = witness_eg(k, good, k.initial)
             _assert_lasso_shape(k, lasso)
             assert set(lasso.prefix) | set(lasso.cycle) <= sat_set(k, phi)
             done += 1
         bad = frozenset(range(k.n_states)) - sat_set(k, phi)
         if any(t in bad for t in _reachable(k)):
-            path = counterexample_ag(k, phi, k.initial)
+            path = counterexample_ag(k, sat_set(k, phi), k.initial)
             assert path[-1] in bad
 
 
@@ -260,8 +286,9 @@ def test_witness_matches_reference_oracle(bundled):
               for _ in range(400)]
     prefixes = set()
     for k, inner in pairs:
-        for t in sorted(sat_set(k, eg(inner))):
-            lasso = witness_eg(k, inner, t)
+        good = sat_set(k, eg(inner))
+        for t in sorted(good):
+            lasso = witness_eg(k, good, t)
             assert lasso == oracle_witness_eg(k, inner, t), (k.n_states, inner, t)
             prefixes.add(bool(lasso.prefix))
     assert prefixes == {False, True}

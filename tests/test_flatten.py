@@ -235,17 +235,17 @@ def assert_flat_matches_oracle(sys_, root=None):
     # the Kripke structure is what the flat transitions imply
     k = to_kripke(flat)
     succ = [set() for _ in flat.states]
-    labels = [set() for _ in flat.states]
+    atoms = {"adapting": set(), "steady": set(), "progress": set()}
     for i, lab, j in flat.edges():
         succ[i].add(j)
-        labels[i].add("progress")
+        atoms["progress"].add(i)
         if flat.state(i).is_steady:
-            labels[i].add("steady")
+            atoms["steady"].add(i)
         if lab is not None:
-            labels[i].add("adapting")
+            atoms["adapting"].add(i)
     dead = {i for i, ts in enumerate(succ) if not ts}
     assert k.succ == [tuple(sorted(ts or {i})) for i, ts in enumerate(succ)]
-    assert k.labels == [frozenset(ls) for ls in labels]
+    assert k.atoms == atoms
     # the rendering dashes exactly the self-loops added at dead states
     dashed = [line for line in kripke_dot(flat, k).splitlines() if "dashed" in line]
     assert dashed == [f"  n{i} -> n{i} [style=dashed];" for i in sorted(dead)]

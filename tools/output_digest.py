@@ -49,6 +49,13 @@ bundled models and acceptance systems 0-99.  It prints one line per run
 (file, command, exit code, sha256 of stdout followed by stderr), and on
 stderr the combined digest ``BUDGET``, which pins the budget diagnostics.
 
+Last, it runs ``ctl --ctl F`` on the bundled models and the acceptance
+systems for each formula F of ``CTL_FORMULAS``: the three atoms, the next
+and until operators, ``EG !steady`` and both verdict formulas.  It prints
+one line per run (file, command, exit code, sha256 of stdout followed by
+stderr), and on stderr the combined digest ``CTL``, which pins the CTL
+labelling of every atom and operator at the initial state.
+
 Usage, from the root of a checkout:
 
     PYTHONPATH=src:tests python tools/output_digest.py DIR > digest.txt
@@ -101,6 +108,12 @@ BUDGET_COMMANDS = (
     ("verify-relation", "--relation", "{grid}", "--mode", "strong"),
 )
 BUDGETS = (1, 2, 4, 8, 16, 32, 64)
+CTL_FORMULAS = (
+    "adapting", "steady", "progress", "EX adapting", "AX steady",
+    "E[progress U steady]", "A[progress U steady]", "EG !steady",
+    "EG((adapting => EF steady) && progress)",
+    "AG((adapting => AF steady) && progress)",
+)
 BUDGET_SYSTEMS = 100  # acceptance systems run, after the bundled models
 CORRIDOR_BLOCKS = (1, 2, 3)
 N_MUTANTS = 2000
@@ -283,6 +296,11 @@ def main(argv: list[str]) -> int:
                 budget.update(run_command(path, bounded,
                                           [a.format(grid=grid) for a in bounded[1:]],
                                           with_err=True))
+    ctl = hashlib.sha256()
+    for path in files:
+        for formula in CTL_FORMULAS:
+            ctl.update(run_command(path, ("ctl", "--ctl", formula), ["--ctl", formula],
+                                   with_err=True))
     print("TOTAL", total.hexdigest(), file=sys.stderr)
     print("TOTAL+corridor", extended.hexdigest(), file=sys.stderr)
     print("MUTANTS", mutants, file=sys.stderr)
@@ -290,6 +308,7 @@ def main(argv: list[str]) -> int:
     print("DOT", dot.hexdigest(), file=sys.stderr)
     print("TEXT", text.hexdigest(), file=sys.stderr)
     print("BUDGET", budget.hexdigest(), file=sys.stderr)
+    print("CTL", ctl.hexdigest(), file=sys.stderr)
     return 0
 
 
