@@ -8,13 +8,17 @@ structure:
 
 Both verdicts on one system share one Kripke structure rooted at the
 initial state: the first of ``check_weak`` and ``check_strong`` builds it,
-and the system keeps it, with the flat codes of its states, in a weak-keyed
-memo.  Both hold only ints and frozensets, nothing of the system, so the
-memo dies with the system by reference counting; evidence states are
-decoded from their codes.  The CTL searches walk sets handed to them: a
-holding verdict's witness walks its formula's set, and a failing verdict's
-run leaves the ``progress`` atom or the inner formula's set and may go on
-inside the set of ``EG !steady``.  Per-pair queries
+and the system keeps it, with the flat codes of its states and one decoded
+lasso per satisfaction set searched, in a weak-keyed memo.  Nothing in it
+refers to the system (decoded states hold ids and phase formulas), so the
+memo dies with the system by reference counting.  The CTL searches walk
+sets handed to them: a holding verdict's witness walks its formula's set,
+which is every state for both formulas when the strong one holds, so the
+second verdict reuses the first one's lasso.  The search computes the
+region of its set only when the root lies on no cycle; searches inside the
+whole set find the same lasso (``ctl.witness_eg`` says why).  A failing
+verdict's run leaves the ``progress`` atom or the inner formula's set and
+may go on inside the set of ``EG !steady``.  Per-pair queries
 (``state_adaptable``) rebuild the flat semantics from their pair, and the
 relational route never reads the memo.
 
@@ -421,14 +425,15 @@ def _failing_evidence(k: Kripke, inner, t0: int) -> Lasso:
     return Lasso(path[:-1] + lasso.prefix, lasso.cycle)
 
 
+_Entry = tuple[Kripke, list[int], dict[frozenset[int], Evidence]]
 # the entry of a system goes when the system does
-_structures: "weakref.WeakKeyDictionary[SBSystem, tuple[Kripke, list[int]]]" = \
-    weakref.WeakKeyDictionary()
+_structures: "weakref.WeakKeyDictionary[SBSystem, _Entry]" = weakref.WeakKeyDictionary()
 
 
-def _initial_kripke(sys: SBSystem, max_states: int | None) -> tuple[Kripke, list[int]]:
+def _initial_kripke(sys: SBSystem, max_states: int | None) -> _Entry:
     """The Kripke structure of the flat semantics rooted at the initial
-    state, and the flat codes of its states.
+    state, the flat codes of its states, and the decoded witness of each
+    satisfaction set a holding verdict has searched, keyed by that set.
 
     Built once per system and memoised.  A memoised structure larger than
     ``max_states`` fails as its build would.
@@ -436,27 +441,33 @@ def _initial_kripke(sys: SBSystem, max_states: int | None) -> tuple[Kripke, list
     hit = _structures.get(sys)
     if hit is None:
         flat = build_flat(sys, max_states=max_states)
-        hit = _structures[sys] = (to_kripke(flat), flat.codes)
+        hit = _structures[sys] = (to_kripke(flat), flat.codes, {})
     elif max_states is not None and hit[0].n_states > max_states:
         raise StateBudgetError("build_flat", max_states, "flat states")
     return hit
 
 
-def _verdict(sys: SBSystem, formula, inner, max_states: int | None) -> Verdict:
-    k, codes = _initial_kripke(sys, max_states)
-    sat = sat_set(k, formula)
-    holds = k.initial in sat
-    if holds:
-        # the witness walks the formula's own set: the weak formula is EG of
-        # its inner formula, and when the strong AG holds at the root, every
-        # state of k (all reachable from the root) satisfies AG, hence EG, of
-        # the inner formula, so the region walked is the one EG would give
-        run = witness_eg(k, sat, k.initial)
-    else:
-        run = _failing_evidence(k, inner, k.initial)
+def _decoded(sys: SBSystem, codes: list[int], run: Lasso) -> Evidence:
+    """``run``, over states with flat codes ``codes``, as decoded flat states."""
     decode = _Rules(sys).decode
-    return Verdict(holds, Lasso(*(tuple(decode(codes[i]) for i in part)
-                                  for part in (run.prefix, run.cycle))))
+    return Lasso(*(tuple(decode(codes[i]) for i in part)
+                   for part in (run.prefix, run.cycle)))
+
+
+def _verdict(sys: SBSystem, formula, inner, max_states: int | None) -> Verdict:
+    k, codes, witnesses = _initial_kripke(sys, max_states)
+    sat = sat_set(k, formula)
+    if k.initial not in sat:
+        return Verdict(False, _decoded(sys, codes, _failing_evidence(k, inner, k.initial)))
+    # the witness walks the formula's own set: the weak formula is EG of its
+    # inner formula, and when the strong AG holds at the root, every state of
+    # k (all reachable from the root) satisfies AG, hence EG, of the inner
+    # formula, so both sets are all of k and the second verdict reuses the
+    # first one's lasso
+    evidence = witnesses.get(sat)
+    if evidence is None:
+        evidence = witnesses[sat] = _decoded(sys, codes, witness_eg(k, sat, k.initial))
+    return Verdict(True, evidence)
 
 
 def check_weak(sys: SBSystem, max_states: int | None = None) -> Verdict:

@@ -16,9 +16,10 @@ b.  The searches walk a set they are given and label nothing: a
 counterexample is a shortest path out of it, and an EG witness a lasso
 inside it, closed by two shortest-path searches, one backward from the cycle
 head to its nearest successor and one forward from that successor back to
-the head; the cycle states of the region are computed only when the start
-lies on no cycle.  Every traversal except the A-until counter runs through
-the primitives of ``graph``, which know nothing of CTL.
+the head; the region reachable from the start, and its cycle states, are
+computed only when the start lies on no cycle.  Every traversal except the
+A-until counter runs through the primitives of ``graph``, which know nothing
+of CTL.
 
 Formulas are read by the operator-precedence parser of ``constraints``,
 from the tokens of its lexer (so ``#`` starts a comment), with the grammar
@@ -40,7 +41,8 @@ AP = ("adapting", "steady", "progress")
 class Kripke:
     """States ``0..n-1`` with ascending successor tuples ``succ[i]`` and the
     frozenset ``atoms[a]`` of the states labelled ``a``, per atom of ``AP``.
-    ``pred``, the predecessor tuples, is derived from ``succ`` on first use."""
+    ``pred``, the ascending predecessor lists, is derived from ``succ`` on
+    first use."""
 
     def __init__(self, initial: int, succ: list[tuple[int, ...]],
                  atoms: dict[str, frozenset[int]]):
@@ -58,12 +60,12 @@ class Kripke:
         return frozenset(a for a in AP if i in self.atoms[a])
 
     @cached_property
-    def pred(self) -> list[tuple[int, ...]]:
+    def pred(self) -> list[list[int]]:
         pred: list[list[int]] = [[] for _ in self.succ]
         for s, targets in enumerate(self.succ):
             for t in targets:
                 pred[t].append(s)
-        return [tuple(p) for p in pred]
+        return pred
 
 
 class CtlError(Exception):
@@ -307,27 +309,33 @@ def witness_eg(k: Kripke, good: frozenset[int], t: int) -> Lasso:
     successor of that head nearest to it (lowest index among equals) along a
     shortest path back.
 
-    When ``t`` lies on a cycle the prefix is empty.  One backward search from
-    ``t`` tells that case apart: it succeeds exactly when some successor of
-    ``t`` reaches ``t``, and it stops at once otherwise, since every state of
-    the region is reachable from ``t`` and none reaches it back.  Only then
-    are the cycle states of the region computed.
+    When ``t`` lies on a cycle the prefix is empty.  One backward search
+    from ``t`` inside ``good`` tells that case apart: it succeeds exactly
+    when some successor of ``t`` reaches ``t``.  It returns the path a
+    search inside the region would: a successor in ``good`` of a region
+    state is a region state, so every region state keeps its level and its
+    parent, and the successors of ``t`` it looks for lie in the region.  The
+    closing search, forward from the successor found, stays in the region
+    for the same reason.  Only when ``t`` lies on no cycle is the region
+    computed, for its cycle states.  From the root of a ``to_kripke``
+    structure, which reaches every state, the backward search then stops at
+    once.
     """
     if t not in good:
         raise CtlWitnessError("state lies outside the given set")
     succ, pred = k.succ.__getitem__, k.pred.__getitem__
-    region = reach(succ, [t], within=good)
     head, prefix = t, ()
     # searching back from a head to its successors ends at the lowest of the
-    # nearest ones; from t it fails at once when t lies on no cycle
-    back = shortest_path(pred, t, frozenset(k.succ[t]), within=region)
+    # nearest ones
+    back = shortest_path(pred, t, frozenset(k.succ[t]), within=good)
     if back is None:
+        region = reach(succ, [t], within=good)
         path = shortest_path(succ, t, cyclic_states(succ, region), within=region)
         if path is None:  # a state of the region has no successor in it
             raise CtlWitnessError("no cycle reachable inside the given set")
         head, prefix = path[-1], tuple(path[:-1])
         back = shortest_path(pred, head, frozenset(k.succ[head]), within=region)
-    loop = shortest_path(succ, back[-1], (head,), within=region)
+    loop = shortest_path(succ, back[-1], (head,), within=good)
     return Lasso(prefix, (head, *loop[:-1]))
 
 

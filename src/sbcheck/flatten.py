@@ -252,7 +252,7 @@ def build_flat(sys: SBSystem, root: tuple[str, str] | None = None,
     if not sys.sat(q, sys.s.label(r)):
         raise PreconditionError(f"behaviour state {q!r} does not satisfy the constraints of {r!r}")
     rules = _Rules(sys)
-    c0 = rules.encode(FlatState(q, r, None))
+    c0 = rules.steady(q, r)
     # depth-first, each state's transitions appended in visit order
     order: list[int] = []
     ends: list[int] = [0]

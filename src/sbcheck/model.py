@@ -104,8 +104,8 @@ class BLevel:
     def succ_ranks(self) -> tuple[tuple[int, ...], ...]:
         """The successor ranks of each state, by rank; ascending, since
         successor ids are sorted."""
-        rank = self.rank
-        return tuple(tuple(rank[d] for d in self.successors(q)) for q in self.ids)
+        rank = self.rank.__getitem__
+        return tuple([tuple(map(rank, ds)) for ds in map(self._succ.__getitem__, self.ids)])
 
 
 @dataclass(frozen=True)

@@ -911,20 +911,22 @@ def oracle_sat(k: Kripke, phi) -> frozenset[int]:
 # Reference EG witness: one forward search per successor of the cycle head
 
 
-def oracle_witness_eg(k: Kripke, inner, t: int) -> Lasso:
-    """The lasso ``ctl.witness_eg`` must return, found the direct way.
+def oracle_witness(k: Kripke, good: frozenset[int], t: int) -> Lasso:
+    """The lasso ``ctl.witness_eg(k, good, t)`` must return, found the
+    direct way.
 
     The prefix is a shortest path from ``t`` to the cycle states of the
-    whole EG region reachable from ``t``; the cycle closes through the
-    successor of its head with the shortest path back to the head, the
-    lowest such successor among equals.
+    whole region of ``good`` reachable from ``t``; the cycle closes through
+    the successor of its head with the shortest path back to the head, the
+    lowest such successor among equals.  Every search stays in the region.
     """
-    good = sat_set(k, eg(inner))
     if t not in good:
-        raise CtlWitnessError("state does not satisfy EG of the given formula")
+        raise CtlWitnessError("state lies outside the given set")
     succ = k.succ.__getitem__
     region = reach(succ, [t], within=good)
     prefix_path = shortest_path(succ, t, cyclic_states(succ, region), within=region)
+    if prefix_path is None:
+        raise CtlWitnessError("no cycle reachable inside the given set")
     head = prefix_path[-1]
     best = None
     for y in sorted(k.succ[head]):
@@ -932,6 +934,14 @@ def oracle_witness_eg(k: Kripke, inner, t: int) -> Lasso:
         if back is not None and (best is None or len(back) < len(best)):
             best = back
     return Lasso(tuple(prefix_path[:-1]), (head, *best[:-1]))
+
+
+def oracle_witness_eg(k: Kripke, inner, t: int) -> Lasso:
+    """``oracle_witness`` inside the EG set of ``inner``."""
+    good = sat_set(k, eg(inner))
+    if t not in good:
+        raise CtlWitnessError("state does not satisfy EG of the given formula")
+    return oracle_witness(k, good, t)
 
 
 # ---------------------------------------------------------------------------

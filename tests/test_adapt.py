@@ -469,6 +469,35 @@ def test_both_verdicts_share_one_build(first, second, monkeypatch):
     assert calls == {"build_flat": 1, "to_kripke": 1}
 
 
+@pytest.mark.parametrize("make", [
+    functools.partial(models.load, "atv_s0"), functools.partial(models.load, "bone_s0"),
+    functools.partial(corridor_system, 1), functools.partial(corridor_system, 2)],
+    ids=["atv_s0", "bone_s0", "corridor1", "corridor2"])
+@pytest.mark.parametrize("first, second", [(check_weak, check_strong),
+                                           (check_strong, check_weak)])
+def test_a_strongly_adaptable_system_searches_one_witness(make, first, second,
+                                                          monkeypatch):
+    calls = _counting(monkeypatch, "witness_eg")
+    sys_ = make()
+    assert first(sys_).holds and second(sys_).holds
+    assert calls == {"witness_eg": 1}
+
+
+@pytest.mark.parametrize("first, second", [(check_weak, check_strong),
+                                           (check_strong, check_weak)])
+def test_a_failing_strong_verdict_reuses_no_witness(first, second, monkeypatch):
+    calls = _counting(monkeypatch, "witness_eg")
+    alone = []
+    for verdict in (first, second):
+        verdict(models.load("atv_s1"))
+        alone.append(calls["witness_eg"])
+        calls["witness_eg"] = 0
+    sys_ = models.load("atv_s1")  # weak holds, strong fails
+    first(sys_)
+    second(sys_)
+    assert calls == {"witness_eg": sum(alone)}
+
+
 def test_a_checked_system_is_freed_by_reference_counting():
     gc.collect()
     gc.disable()  # from here on only reference counts free anything
@@ -478,6 +507,7 @@ def test_a_checked_system_is_freed_by_reference_counting():
         check_weak(sys_)
         check_strong(sys_)
         assert len(adapt._structures) == held + 1
+        assert adapt._structures[sys_][2]  # the weak witness, decoded
         ref = weakref.ref(sys_)
         del sys_
         assert ref() is None

@@ -6,6 +6,7 @@ from helpers import (
     acceptance_schedule,
     corridor_system,
     oracle_sat,
+    oracle_witness,
     oracle_witness_eg,
     random_ctl,
     random_kripke,
@@ -273,7 +274,7 @@ def test_checker_matches_oracle_on_random_structures():
         assert sat_set(k, phi) == oracle_sat(k, phi)
 
 
-def test_witness_matches_reference_oracle(bundled):
+def test_witness_matches_reference_oracle(bundled, monkeypatch):
     systems = list(bundled.values())
     systems += [gen_random(seed, *acceptance_schedule(seed)) for seed in range(500)]
     systems += [rules_system(seed) for seed in range(50)]
@@ -284,11 +285,42 @@ def test_witness_matches_reference_oracle(bundled):
     rng = random.Random(9)
     pairs += [(random_kripke(rng, rng.randint(1, 12)), random_ctl(rng, rng.randint(1, 4)))
               for _ in range(400)]
+    regions = []
+    real_reach = ctl.reach
+
+    def counted_reach(*args, **kwargs):
+        regions.append(args[1])
+        return real_reach(*args, **kwargs)
+
+    monkeypatch.setattr(ctl, "reach", counted_reach)
+
+    def search(k, good, t):
+        regions.clear()
+        lasso = witness_eg(k, good, t)
+        # the region pass runs exactly for starts on no cycle, the ones
+        # whose lasso has a prefix
+        assert bool(regions) == bool(lasso.prefix), (k.n_states, t)
+        return lasso
+
     prefixes = set()
     for k, inner in pairs:
         good = sat_set(k, eg(inner))
         for t in sorted(good):
-            lasso = witness_eg(k, good, t)
+            lasso = search(k, good, t)
             assert lasso == oracle_witness_eg(k, inner, t), (k.n_states, inner, t)
+            prefixes.add(bool(lasso.prefix))
+        # the sets the verdicts pass: an AG set where AG holds (unless it is
+        # the EG set, searched above), and the EG !steady set from the end
+        # of a counterexample
+        always = sat_set(k, ag(inner))
+        cases = [] if always == good else [(always, t) for t in sorted(always)]
+        if k.initial not in always:
+            never_steady = sat_set(k, eg(CtlNot(CtlAtom("steady"))))
+            end = counterexample_ag(k, sat_set(k, inner), k.initial)[-1]
+            if end in never_steady:
+                cases.append((never_steady, end))
+        for given, t in cases:
+            lasso = search(k, given, t)
+            assert lasso == oracle_witness(k, given, t), (k.n_states, inner, t)
             prefixes.add(bool(lasso.prefix))
     assert prefixes == {False, True}

@@ -49,12 +49,20 @@ bundled models and acceptance systems 0-99.  It prints one line per run
 (file, command, exit code, sha256 of stdout followed by stderr), and on
 stderr the combined digest ``BUDGET``, which pins the budget diagnostics.
 
-Last, it runs ``ctl --ctl F`` on the bundled models and the acceptance
+Then it runs ``ctl --ctl F`` on the bundled models and the acceptance
 systems for each formula F of ``CTL_FORMULAS``: the three atoms, the next
 and until operators, ``EG !steady`` and both verdict formulas.  It prints
 one line per run (file, command, exit code, sha256 of stdout followed by
 stderr), and on stderr the combined digest ``CTL``, which pins the CTL
 labelling of every atom and operator at the initial state.
+
+Last, it runs the library's ``check_weak`` then ``check_strong`` on one
+freshly loaded system, and the reverse order on another, for the bundled
+models, the acceptance systems and the corridor rings.  It prints one line
+per run (file, order, sha256 of the verdicts and the ``state_json`` of
+their evidence), and on stderr the combined digest ``MEMO``.  Each command
+above loads a fresh system, so only this part sees what one verdict leaves
+memoised for the next.
 
 Usage, from the root of a checkout:
 
@@ -75,6 +83,8 @@ import sys
 from helpers import acceptance_schedule, corridor_system
 
 from sbcheck import cli, models
+from sbcheck.adapt import check_strong, check_weak
+from sbcheck.flatten import state_json
 from sbcheck.model import load_model
 
 COMMANDS = (
@@ -114,6 +124,8 @@ CTL_FORMULAS = (
     "EG((adapting => EF steady) && progress)",
     "AG((adapting => AF steady) && progress)",
 )
+MEMO_ORDERS = ((("weak", check_weak), ("strong", check_strong)),
+               (("strong", check_strong), ("weak", check_weak)))
 BUDGET_SYSTEMS = 100  # acceptance systems run, after the bundled models
 CORRIDOR_BLOCKS = (1, 2, 3)
 N_MUTANTS = 2000
@@ -258,6 +270,24 @@ def run_usage() -> str:
     return total.hexdigest()
 
 
+def run_memo(paths: list[str]) -> str:
+    """Run both library verdicts on one system per order; the combined digest."""
+    total = hashlib.sha256()
+    for path in paths:
+        for order in MEMO_ORDERS:
+            sys_ = load_model(path)
+            doc = {}
+            for mode, check in order:
+                v = check(sys_)
+                doc[mode] = {"holds": v.holds,
+                             "prefix": [state_json(f) for f in v.evidence.prefix],
+                             "cycle": [state_json(f) for f in v.evidence.cycle]}
+            digest = hashlib.sha256(json.dumps(doc).encode()).hexdigest()
+            print(os.path.basename(path), "memo", ",".join(doc), digest)
+            total.update(digest.encode())
+    return total.hexdigest()
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print(__doc__, file=sys.stderr)
@@ -270,8 +300,9 @@ def main(argv: list[str]) -> int:
             total.update(run_command(path, command,
                                      [a.format(grid=grid) for a in command[1:]]))
     extended = total.copy()
-    for n in CORRIDOR_BLOCKS:
-        path = write_model(argv[0], f"corridor{n}", corridor_system(n))
+    corridors = [write_model(argv[0], f"corridor{n}", corridor_system(n))
+                 for n in CORRIDOR_BLOCKS]
+    for path in corridors:
         for command in CORRIDOR_COMMANDS:
             extended.update(run_command(path, command, list(command[1:])))
     mutants = run_mutants(argv[0], files[:len(models.NAMES) + MUTANT_SOURCES])
@@ -301,6 +332,7 @@ def main(argv: list[str]) -> int:
         for formula in CTL_FORMULAS:
             ctl.update(run_command(path, ("ctl", "--ctl", formula), ["--ctl", formula],
                                    with_err=True))
+    memo = run_memo(files + corridors)
     print("TOTAL", total.hexdigest(), file=sys.stderr)
     print("TOTAL+corridor", extended.hexdigest(), file=sys.stderr)
     print("MUTANTS", mutants, file=sys.stderr)
@@ -309,6 +341,7 @@ def main(argv: list[str]) -> int:
     print("TEXT", text.hexdigest(), file=sys.stderr)
     print("BUDGET", budget.hexdigest(), file=sys.stderr)
     print("CTL", ctl.hexdigest(), file=sys.stderr)
+    print("MEMO", memo, file=sys.stderr)
     return 0
 
 
