@@ -20,7 +20,7 @@ whole set find the same lasso (``ctl.witness_eg`` says why).  A failing
 verdict's run leaves the ``progress`` atom or the inner formula's set and
 may go on inside the set of ``EG !steady``.  Per-pair queries
 (``state_adaptable``) rebuild the flat semantics from their pair, and the
-relational route never reads the memo.
+relational route never reads this memo; it keeps one of its own.
 
 The relational route builds adaptation relations over behaviour/structure
 state pairs directly from the flat semantics:
@@ -41,16 +41,19 @@ whose clauses mention it.  A clause only becomes more violated as pairs
 leave, so the fixpoint reached does not depend on deletion order.
 
 The relational route runs on the flat codes of ``flatten._Rules``: a state
-pair is keyed by the code of its steady flat state.  Each entry point runs
-one ``_Analysis``, which steps every flat state it needs once, under
-``max_states`` when given: past that many it raises ``StateBudgetError``;
+pair is keyed by the code of its steady flat state.  The unbudgeted entry
+points of one system share its tables, in codes only, in a weak-keyed memo
+(``_relations``), so each flat state is stepped at most once over all of
+them; a call given ``max_states`` runs its own ``_Analysis`` on empty tables
+and past that many steps raises ``StateBudgetError``, whatever ran before.
 ``strong_relation`` draws its candidate from the analysis that checks it.
 Pair facts are memoised, and so are phase facts (steady endpoints, a
 reachable dead end, a cycle) by adapting start state, each from one
-``graph.reach`` and one ``graph.cyclic_states``.  Codes are decoded to id
-pairs, by ``_Rules.pair``, only for the returned relation and for violation
-messages.  The relational route builds no flat system and never calls the
-CTL checker; the CTL verdicts never call the relation code.
+``graph.reach`` and one ``graph.cyclic_states``, and the worklist index.
+Codes are decoded to id pairs, by ``_Rules.pair``, only for the returned
+relation and for violation messages.  The relational route builds no flat
+system and never calls the CTL checker; the CTL verdicts never call the
+relation code.
 """
 
 from __future__ import annotations
@@ -152,6 +155,20 @@ class _PairFacts(NamedTuple):
     weak_endpoints: frozenset[int]  # the union of the phases' endpoints
 
 
+class _Tables:
+    """The memo of one system's relation analyses, in flat codes only."""
+
+    def __init__(self):
+        self.succ: dict[int, list[int]] = {}
+        self.starts: dict[int, tuple[frozenset[int], bool, bool]] = {}
+        self.facts: dict[int, _PairFacts] = {}
+        self.index: Optional[tuple[list[int], dict[int, list[int]]]] = None
+
+
+# the tables of a system go when the system does: they never refer to it
+_relations: "weakref.WeakKeyDictionary[SBSystem, _Tables]" = weakref.WeakKeyDictionary()
+
+
 class _Analysis:
     """Phase facts of one system over the flat codes of ``_Rules``.
 
@@ -160,8 +177,9 @@ class _Analysis:
     already the pair it lands on.  The successors of adapting states are
     memoised, and so are the facts of every pair and of every adapting state
     that starts a phase: all pairs entering one phase share its exploration.
-    ``stepped`` counts the codes stepped, grid pairs and adapting states
-    alike; past ``max_states``, when given, a step raises
+    Unbudgeted analyses of one system share its ``_Tables``; one given
+    ``max_states`` starts empty tables, and past that many codes stepped
+    (``stepped``, grid pairs and adapting states alike) raises
     :class:`StateBudgetError`.
     """
 
@@ -171,9 +189,9 @@ class _Analysis:
         self.P = self.rules.P
         self.max_states = max_states
         self.stepped = 0
-        self._succ: dict[int, list[int]] = {}
-        self._starts: dict[int, tuple[frozenset[int], bool, bool]] = {}
-        self._facts: dict[int, _PairFacts] = {}
+        t = self.tables = (_relations.setdefault(sys, _Tables()) if max_states is None
+                           else _Tables())
+        self._succ, self._starts, self._facts = t.succ, t.starts, t.facts
 
     def grid(self) -> list[int]:
         """The steady codes of the satisfaction-grid pairs (q satisfies the
@@ -259,6 +277,19 @@ class _Analysis:
         pf = self.facts(pair)
         return pf.steady_pairs | pf.weak_endpoints
 
+    def index(self) -> tuple[list[int], dict[int, list[int]]]:
+        """The progressing grid pairs, and for each pair the pairs whose steady
+        successors or phase endpoints contain it; mode-free, so memoised."""
+        t = self.tables
+        if t.index is None:
+            pairs = [pair for pair in self.grid() if self.facts(pair).progress]
+            mentioned_by: defaultdict[int, list[int]] = defaultdict(list)
+            for pair in pairs:
+                for other in self.next_pairs(pair):
+                    mentioned_by[other].append(pair)
+            t.index = pairs, mentioned_by
+        return t.index
+
 
 # ---------------------------------------------------------------------------
 # Relation construction
@@ -308,17 +339,14 @@ def _greatest(sys: SBSystem, violations, max_states: int | None) -> AdaptRelatio
     change.  The result is decoded to id pairs once, at the end.
     """
     an = _Analysis(sys, max_states)
-    rel = {pair for pair in an.grid() if an.facts(pair).progress}
-    mentioned_by: defaultdict[int, list[int]] = defaultdict(list)
-    for pair in rel:
-        for other in an.next_pairs(pair):
-            mentioned_by[other].append(pair)
-    work = list(rel)
+    pairs, mentioned_by = an.index()
+    rel = set(pairs)
+    work = list(pairs)
     while work:
         pair = work.pop()
         if pair in rel and next(violations(an, an.facts(pair), rel), None):
             rel.remove(pair)
-            work.extend(mentioned_by[pair])
+            work.extend(mentioned_by.get(pair, ()))
     return AdaptRelation(frozenset(map(an.rules.pair, rel)))
 
 
@@ -350,12 +378,14 @@ def strong_relation(sys: SBSystem,
     flat semantics; it is a strong adaptation relation exactly when the
     system is strong adaptable, so the result is absent otherwise.  One
     analysis, under ``max_states`` as in :func:`weak_relation`, both draws
-    the candidate and checks it.
+    the candidate and checks it, on codes, up to its first broken clause: a
+    pair breaking its own label steps to nothing, so progress covers (i).
     """
     an = _Analysis(sys, max_states)
     reached = reach(an.next_pairs, (an.rules.steady(sys.b.initial, sys.s.initial),))
-    candidate = AdaptRelation(frozenset(map(an.rules.pair, reached)))
-    return candidate if _check(sys, candidate, _strong_violations, an).ok else None
+    broken = any(not pf.progress or next(_strong_violations(an, pf, reached), None)
+                 for pf in map(an.facts, reached))
+    return None if broken else AdaptRelation(frozenset(map(an.rules.pair, reached)))
 
 
 # ---------------------------------------------------------------------------

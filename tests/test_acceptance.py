@@ -297,6 +297,7 @@ def _median_of_5_alternating(timed, inputs):
 
 
 def _timed_relations(sys_):
+    sys_ = _fresh(sys_)  # an empty relation memo, so each run explores
     start = time.perf_counter()
     weak_relation(sys_)
     greatest_strong_relation(sys_)

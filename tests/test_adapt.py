@@ -357,10 +357,11 @@ def test_relation_route_matches_reference_oracle(bundled):
         _assert_relations_match_oracle(sys_)
 
 
-def test_reached_pairs_are_the_flat_steady_pairs(bundled):
+def test_reached_pairs_are_the_flat_steady_pairs():
     # strong_relation's candidate: the pairs reached from the initial pair
-    # by steady steps and completed phases, stepping each flat state once
-    systems = list(bundled.values())
+    # by steady steps and completed phases, stepping each flat state once;
+    # freshly loaded systems, whose relation memo is empty
+    systems = [models.load(name) for name in models.NAMES]
     systems += [gen_random(seed, *acceptance_schedule(seed)) for seed in range(500)]
     systems += [rules_system(seed) for seed in range(50)]
     for n in (1, 2, 5, 17):
@@ -520,21 +521,29 @@ def test_per_pair_queries_and_relation_route_build_their_own(monkeypatch):
     sys_ = models.load("atv_s0")
     check_weak(sys_)
     check_strong(sys_)
-    read = []
+    read: dict[str, list] = {"_structures": [], "_relations": []}
 
-    class Watched(weakref.WeakKeyDictionary):
-        def get(self, key, default=None):
-            read.append(key)
-            return super().get(key, default)
+    def watch(memo):
+        class Watched(weakref.WeakKeyDictionary):
+            def get(self, key, default=None):
+                read[memo].append(key)
+                return super().get(key, default)
 
-    watched = Watched(adapt._structures)
-    monkeypatch.setattr(adapt, "_structures", watched)
+            def setdefault(self, key, default=None):
+                read[memo].append(key)
+                return super().setdefault(key, default)
+
+        monkeypatch.setattr(adapt, memo, Watched(getattr(adapt, memo)))
+
+    watch("_structures")
+    watch("_relations")
     calls = _counting(monkeypatch, "build_flat", "to_kripke")
     for q, r in sorted(ATV_S0_PAIRS):
         state_adaptable(sys_, q, r, "weak")
         state_adaptable(sys_, q, r, "strong")
     per_pair = dict.fromkeys(("build_flat", "to_kripke"), 2 * len(ATV_S0_PAIRS))
     assert calls == per_pair
+    assert read == {"_structures": [], "_relations": []}
     assert strong_relation(sys_) is not None  # the relation route builds nothing
     assert calls == per_pair
     weak_relation(sys_)
@@ -542,9 +551,12 @@ def test_per_pair_queries_and_relation_route_build_their_own(monkeypatch):
     rel = AdaptRelation.of(ATV_S0_PAIRS)
     assert is_weak_adaptation(sys_, rel).ok and is_strong_adaptation(sys_, rel).ok
     assert calls == per_pair
-    assert read == []
-    check_strong(sys_)  # the verdicts do read it
-    assert read == [sys_] and calls == per_pair
+    # the relation route reads its own memo, once per query, and not the verdicts'
+    assert read == {"_structures": [], "_relations": [sys_] * 5}
+    check_strong(sys_)  # the verdicts read theirs, and not the relation memo
+    check_weak(sys_)
+    assert read == {"_structures": [sys_] * 2, "_relations": [sys_] * 5}
+    assert calls == per_pair
 
 
 def test_memoised_verdicts_equal_fresh_ones():
@@ -587,21 +599,112 @@ def _stepped(monkeypatch, run):
     return result, sum(an.stepped for an in made)
 
 
+def _relation_runs(sys_):
+    """The five relation entry points, each taking a system and keywords;
+    the checks check the satisfaction grid of ``sys_``."""
+    grid = AdaptRelation.of(oracle_grid(sys_))
+    return [weak_relation, greatest_strong_relation,
+            functools.partial(is_weak_adaptation, rel=grid),
+            functools.partial(is_strong_adaptation, rel=grid),
+            strong_relation]
+
+
 def test_relation_route_keeps_to_the_budget(monkeypatch):
-    systems = [models.load(name) for name in models.NAMES]
-    systems += [gen_random(seed, *acceptance_schedule(seed)) for seed in range(100)]
-    for sys_ in systems:
-        grid = AdaptRelation.of(oracle_grid(sys_))
-        runs = [functools.partial(weak_relation, sys_),
-                functools.partial(greatest_strong_relation, sys_),
-                functools.partial(is_weak_adaptation, sys_, grid),
-                functools.partial(is_strong_adaptation, sys_, grid),
-                functools.partial(strong_relation, sys_)]
+    makers = [functools.partial(models.load, name) for name in models.NAMES]
+    makers += [functools.partial(gen_random, seed, *acceptance_schedule(seed))
+               for seed in range(100)]
+    for make in makers:
+        sys_ = make()
+        runs = _relation_runs(sys_)
+        # each run's steps, measured alone on a freshly loaded system
+        measured = [_stepped(monkeypatch, functools.partial(run, make())) for run in runs]
         for run in runs:
-            result, n = _stepped(monkeypatch, run)
+            run(sys_)  # every unbudgeted query, filling the system's memo
+        for run, (result, n) in zip(runs, measured):
             assert n > 0, sys_.name
-            assert run(max_states=n) == result, sys_.name
+            assert run(sys_, max_states=n) == result, sys_.name
             with pytest.raises(StateBudgetError) as exc:
-                run(max_states=n - 1)
+                run(sys_, max_states=n - 1)
             assert str(exc.value) == (f"relation route passed the state budget of "
                                       f"{n - 1} flat states")
+
+
+def _step_counter(monkeypatch) -> list[int]:
+    """A one-item list counting the calls of ``_Rules.step`` from now on."""
+    steps = [0]
+    step = adapt._Rules.step
+
+    def counted(rules, code):
+        steps[0] += 1
+        return step(rules, code)
+
+    monkeypatch.setattr(adapt._Rules, "step", counted)
+    return steps
+
+
+def _relation_population():
+    makers = [functools.partial(models.load, name) for name in models.NAMES]
+    makers += [functools.partial(gen_random, seed, *acceptance_schedule(seed))
+               for seed in range(500)]
+    makers += [functools.partial(corridor_system, n) for n in (1, 2, 3)]
+    makers += [functools.partial(rules_system, seed) for seed in range(50)]
+    for n in (1, 2, 5, 17):
+        makers += [functools.partial(maker, n)
+                   for maker in (fan_system, spread_fan_system, ladder_system)]
+    return makers
+
+
+def test_a_system_is_explored_once_for_all_relation_queries(monkeypatch):
+    steps = _step_counter(monkeypatch)
+    for make in _relation_population():
+        sys_ = make()
+        n_flat = build_flat(sys_).n_states
+        steps[0] = 0
+        weak_relation(sys_)
+        alone = steps[0]
+        steps[0] = 0
+        strong_relation(make())
+        assert steps[0] <= n_flat, sys_.name  # what it stepped before the memo
+        for order in (1, -1):
+            fresh = make()
+            runs = _relation_runs(fresh)[::order]
+            steps[0] = 0
+            for run in runs:
+                run(fresh)
+            assert steps[0] == alone, (sys_.name, order)
+            for run in runs:
+                run(fresh)
+            assert steps[0] == alone, (sys_.name, order)
+        # a budgeted query neither reads nor fills the memo
+        fresh = make()
+        steps[0] = 0
+        weak_relation(fresh, max_states=alone)
+        assert steps[0] == alone and fresh not in adapt._relations, sys_.name
+
+
+def test_memoised_relations_equal_fresh_ones():
+    for make in _relation_population():
+        runs = _relation_runs(make())
+        fresh = [run(make()) for run in runs]
+        for order in (1, -1):
+            sys_ = make()
+            got = [run(sys_) for run in runs[::order]][::order]
+            assert got == fresh, (sys_.name, order)
+
+
+def test_a_related_system_is_freed_by_reference_counting():
+    gc.collect()
+    gc.disable()  # from here on only reference counts free anything
+    try:
+        held = len(adapt._relations)
+        sys_ = models.load("bone_s1")
+        for run in _relation_runs(sys_):
+            run(sys_)
+        assert len(adapt._relations) == held + 1
+        assert adapt._relations[sys_].index is not None  # the grid index, kept
+        ref = weakref.ref(sys_)
+        del sys_
+        assert ref() is None
+        assert len(adapt._relations) == held
+    finally:
+        gc.enable()

@@ -56,13 +56,22 @@ one line per run (file, command, exit code, sha256 of stdout followed by
 stderr), and on stderr the combined digest ``CTL``, which pins the CTL
 labelling of every atom and operator at the initial state.
 
-Last, it runs the library's ``check_weak`` then ``check_strong`` on one
+Then it runs the library's ``check_weak`` then ``check_strong`` on one
 freshly loaded system, and the reverse order on another, for the bundled
 models, the acceptance systems and the corridor rings.  It prints one line
 per run (file, order, sha256 of the verdicts and the ``state_json`` of
 their evidence), and on stderr the combined digest ``MEMO``.  Each command
 above loads a fresh system, so only this part sees what one verdict leaves
 memoised for the next.
+
+Last, it runs the five relation queries of the library, ``weak_relation``,
+``greatest_strong_relation``, ``strong_relation``, then
+``is_weak_adaptation`` and ``is_strong_adaptation`` of the satisfaction
+grid, on one freshly loaded system, and in the reverse order on another,
+for the same models.  It prints one line per run (file, order, sha256 of
+the returned relations and the checks' violation messages), and on stderr
+the combined digest ``RELATIONS``, which sees what one relation query
+leaves memoised for the next.
 
 Usage, from the root of a checkout:
 
@@ -82,8 +91,8 @@ import sys
 
 from helpers import acceptance_schedule, corridor_system
 
-from sbcheck import cli, models
-from sbcheck.adapt import check_strong, check_weak
+from sbcheck import adapt, cli, models
+from sbcheck.adapt import AdaptRelation, RelationCheck, check_strong, check_weak
 from sbcheck.flatten import state_json
 from sbcheck.model import load_model
 
@@ -126,6 +135,8 @@ CTL_FORMULAS = (
 )
 MEMO_ORDERS = ((("weak", check_weak), ("strong", check_strong)),
                (("strong", check_strong), ("weak", check_weak)))
+RELATION_QUERIES = ("weak_relation", "greatest_strong_relation", "strong_relation",
+                    "is_weak_adaptation", "is_strong_adaptation")
 BUDGET_SYSTEMS = 100  # acceptance systems run, after the bundled models
 CORRIDOR_BLOCKS = (1, 2, 3)
 N_MUTANTS = 2000
@@ -181,14 +192,18 @@ def model_files(out_dir: str) -> list[str]:
     return files
 
 
+def grid_pairs(path: str) -> list[list[str]]:
+    """The satisfaction grid of the model at ``path``, in sorted order."""
+    sys_ = load_model(path)
+    return [[q, r] for q in sorted(sys_.b.states) for r in sorted(sys_.s.states)
+            if sys_.sat(q, sys_.s.label(r))]
+
+
 def grid_file(out_dir: str, path: str) -> str:
     """Write the satisfaction grid of the model at ``path`` as a relation file."""
-    sys_ = load_model(path)
-    pairs = [[q, r] for q in sorted(sys_.b.states) for r in sorted(sys_.s.states)
-             if sys_.sat(q, sys_.s.label(r))]
     grid = os.path.join(out_dir, os.path.basename(path) + ".grid.json")
     with open(grid, "w", encoding="utf-8") as fh:
-        json.dump({"pairs": pairs}, fh)
+        json.dump({"pairs": grid_pairs(path)}, fh)
     return grid
 
 
@@ -288,6 +303,27 @@ def run_memo(paths: list[str]) -> str:
     return total.hexdigest()
 
 
+def run_relations(paths: list[str]) -> str:
+    """Run the relation queries on one system per order; the combined digest."""
+    total = hashlib.sha256()
+    for path in paths:
+        grid = AdaptRelation.of(map(tuple, grid_pairs(path)))
+        for order in (RELATION_QUERIES, RELATION_QUERIES[::-1]):
+            sys_ = load_model(path)
+            doc = {}
+            for name in order:
+                query = getattr(adapt, name)
+                res = query(sys_, grid) if name.startswith("is_") else query(sys_)
+                if isinstance(res, RelationCheck):
+                    doc[name] = [res.ok, [str(v) for v in res.violations]]
+                else:
+                    doc[name] = None if res is None else [list(pair) for pair in res]
+            digest = hashlib.sha256(json.dumps(doc).encode()).hexdigest()
+            print(os.path.basename(path), "relations", ",".join(doc), digest)
+            total.update(digest.encode())
+    return total.hexdigest()
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print(__doc__, file=sys.stderr)
@@ -333,6 +369,7 @@ def main(argv: list[str]) -> int:
             ctl.update(run_command(path, ("ctl", "--ctl", formula), ["--ctl", formula],
                                    with_err=True))
     memo = run_memo(files + corridors)
+    relations = run_relations(files + corridors)
     print("TOTAL", total.hexdigest(), file=sys.stderr)
     print("TOTAL+corridor", extended.hexdigest(), file=sys.stderr)
     print("MUTANTS", mutants, file=sys.stderr)
@@ -342,6 +379,7 @@ def main(argv: list[str]) -> int:
     print("BUDGET", budget.hexdigest(), file=sys.stderr)
     print("CTL", ctl.hexdigest(), file=sys.stderr)
     print("MEMO", memo, file=sys.stderr)
+    print("RELATIONS", relations, file=sys.stderr)
     return 0
 
 
