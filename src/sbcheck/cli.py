@@ -66,12 +66,8 @@ def gen_random(seed: int, n_b: int, n_s: int, density: float) -> SBSystem:
     def interval(i):
         return i * _LABEL_WIDTH, i * _LABEL_WIDTH + _LABEL_WIDTH - 1
 
-    lo0, hi0 = interval(0)
-    if lo0 > hi0:
-        raise GenerationError("empty initial constraint interval")
-
     states = [BState(f"b{i}", {"x": rng.randint(0, hi)}) for i in range(n_b)]
-    states[0].obs["x"] = rng.randint(lo0, hi0)  # retarget q0 into the r0 region
+    states[0].obs["x"] = rng.randint(*interval(0))  # retarget q0 into the r0 region
     b_trans = [(f"b{i}", f"b{j}")
                for i in range(n_b) for j in range(n_b)
                if rng.random() < density]
@@ -141,21 +137,11 @@ def system_to_dsl(sys: SBSystem) -> str:
 # ---------------------------------------------------------------------------
 # Output helpers
 
-_COLORS = {"green": "32", "red": "31"}
-
-
-def _want_color() -> bool:
-    return os.environ.get("SBCHECK_COLOR", "0") == "1"
-
-
-def _paint(text: str, color: str) -> str:
-    if _want_color():
-        return f"\x1b[{_COLORS[color]}m{text}\x1b[0m"
-    return text
-
-
 def _holds_text(holds: bool) -> str:
-    return _paint("holds", "green") if holds else _paint("fails", "red")
+    word, color = ("holds", "32") if holds else ("fails", "31")
+    if os.environ.get("SBCHECK_COLOR", "0") == "1":
+        return f"\x1b[{color}m{word}\x1b[0m"
+    return word
 
 
 def _evidence_json(e: adapt.Evidence) -> dict:
@@ -176,17 +162,6 @@ def _verdict_json(sys: SBSystem, mode: str, holds: bool,
         else _evidence_json(evidence),
     }
     return json.dumps(doc, indent=2)
-
-
-def _print_evidence(e: adapt.Evidence, out):
-    if e.prefix:
-        print("  prefix:", file=out)
-        for f in e.prefix:
-            print(f"    {f}", file=out)
-    if e.cycle:
-        print("  cycle:", file=out)
-        for f in e.cycle:
-            print(f"    {f}", file=out)
 
 
 def _load_valid(args) -> SBSystem:
@@ -238,7 +213,12 @@ def _cmd_check(args) -> int:
         print(_verdict_json(sys_, args.mode, verdict.holds, None, verdict.evidence))
     else:
         print(f"{sys_.name}: {args.mode} adaptability {_holds_text(verdict.holds)}")
-        _print_evidence(verdict.evidence, _sys.stdout)
+        for part, states in (("prefix", verdict.evidence.prefix),
+                             ("cycle", verdict.evidence.cycle)):
+            if states:
+                print(f"  {part}:")
+                for f in states:
+                    print(f"    {f}")
     return 0 if verdict.holds else 1
 
 
@@ -307,20 +287,7 @@ def _cmd_export(args) -> int:
         text = flatten.to_dot(flat) if args.format == "dot" else flatten.to_json(flat)
     else:
         k = kripke.to_kripke(flat)
-        if args.format == "dot":
-            text = kripke.to_dot(flat, k)
-        else:
-            doc = {
-                "system": sys_.name,
-                "initial": k.initial,
-                "states": [
-                    {"state": flatten.state_json(f),
-                     "labels": sorted(k.labels(i))}
-                    for i, f in enumerate(flat.states)
-                ],
-                "edges": [[i, j] for i in range(k.n_states) for j in k.succ[i]],
-            }
-            text = json.dumps(doc, indent=2)
+        text = kripke.to_dot(flat, k) if args.format == "dot" else kripke.to_json(flat, k)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text if text.endswith("\n") else text + "\n")

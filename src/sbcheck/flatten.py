@@ -22,21 +22,22 @@ progress.  Successors are derived by five rules:
 
 The rules run over interned ids.  Behaviour ids, structure ids and the
 distinct (invariant, target) phases are ranked in sorted order (phases by
-target, then printed invariant), and a flat state is the single int
-``(q*R + r)*P + phase``, with phase 0 meaning steady; int order is the
+target, then printed invariant); the structure level ranks the phases and
+lists the ones each structure state starts.  A flat state is the single
+int ``(q*R + r)*P + phase``, with phase 0 meaning steady; int order is the
 canonical state order.  Formula satisfaction is read from the system's
 table rows (``SBSystem.sat_row``).  A transition is labelled by its phase
 rank, 0 when steady; its structure state is its source's.  ``build_flat``
-stores the reachable system as CSR arrays (offsets, phase ranks, targets)
-over dense state indices, in canonical order; ``FlatState`` objects and
-phases are decoded only for the views that ask for them.  ``flat_successors``
+numbers the reached codes once, in canonical order, and stores the
+reachable system as CSR arrays (offsets, phase ranks, targets) over those
+numbers; ``FlatState`` objects and phases are decoded only for the views
+that ask for them.  ``flat_successors``
 encodes a ``FlatState``, runs the same rules and decodes the result.
 """
 
 from __future__ import annotations
 
 import json
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Optional
@@ -105,11 +106,8 @@ class _Rules:
         hit = self._steady[r]
         if hit is None:
             s = self.sys.s
-            rid = s.ids[r]
-            starts = sorted({s.phase_rank[pretty(tr.inv), tr.target]
-                             for tr in s.transitions_from(rid)})
-            hit = self._steady[r] = (self.sys.sat_row(s.label(rid)),
-                                     [(p, *self._phase_rules(p)) for p in starts])
+            hit = self._steady[r] = (self.sys.sat_row(s.label(s.ids[r])),
+                                     [(p, *self._phase_rules(p)) for p in s.phase_starts[r]])
         return hit
 
     def step(self, code: int) -> list[tuple[int, list[int]]]:
@@ -190,7 +188,7 @@ class FlatLts:
     demand; ``states`` is built on first access.
     """
 
-    def __init__(self, system: SBSystem, rules: _Rules, initial_code: int,
+    def __init__(self, system: SBSystem, rules: _Rules, initial_index: int,
                  codes: list[int], offsets: list[int], labels: list[int],
                  targets: list[int]):
         self.system = system
@@ -199,8 +197,8 @@ class FlatLts:
         self.offsets = offsets
         self.labels = labels
         self.targets = targets
-        self.initial_index = bisect_left(codes, initial_code)
-        self.initial = rules.decode(initial_code)
+        self.initial_index = initial_index
+        self.initial = rules.decode(codes[initial_index])
 
     def state(self, i: int) -> FlatState:
         return self._rules.decode(self.codes[i])
@@ -253,40 +251,37 @@ def build_flat(sys: SBSystem, root: tuple[str, str] | None = None,
         raise PreconditionError(f"behaviour state {q!r} does not satisfy the constraints of {r!r}")
     rules = _Rules(sys)
     c0 = rules.steady(q, r)
-    # depth-first, each state's transitions appended in visit order
-    order: list[int] = []
-    ends: list[int] = [0]
-    visit_labels: list[int] = []
-    visit_targets: list[int] = []
-    seen = {c0}
+    # each reached code's transitions as a slice of the stepped arrays; kept
+    # rule groups would be traced by every full GC pass, slices are not
+    found: dict[int, tuple[int, int]] = {}
+    stepped_labels: list[int] = []
+    stepped_targets: list[int] = []
     stack = [c0]
     while stack:
         code = stack.pop()
-        order.append(code)
+        if code in found:
+            continue
+        a = len(stepped_targets)
         for p, ts in rules.step(code):
-            visit_labels += [p] * len(ts)
-            visit_targets += ts
-            new = [t for t in ts if t not in seen]
-            if new:
-                seen.update(new)
-                stack += new
-                if max_states is not None and len(seen) > max_states:
-                    raise StateBudgetError("build_flat", max_states, "flat states")
-        ends.append(len(visit_targets))
-    # renumber densely in canonical order
-    perm = sorted(range(len(order)), key=order.__getitem__)
-    codes = [order[k] for k in perm]
+            stepped_labels += [p] * len(ts)
+            stepped_targets += ts
+            stack += ts
+        found[code] = a, len(stepped_targets)
+        if max_states is not None and len(found) > max_states:
+            raise StateBudgetError("build_flat", max_states, "flat states")
+    # number the reached codes in canonical order and copy each slice there
+    codes = sorted(found)
     index = dict(zip(codes, range(len(codes))))
-    dense = list(map(index.__getitem__, visit_targets))
     offsets = [0]
     labels: list[int] = []
     targets: list[int] = []
-    for k in perm:
-        a, b = ends[k], ends[k + 1]
-        labels += visit_labels[a:b]
-        targets += dense[a:b]
+    for code in codes:
+        a, b = found[code]
+        labels += stepped_labels[a:b]
+        targets += stepped_targets[a:b]
         offsets.append(len(targets))
-    return FlatLts(sys, rules, c0, codes, offsets, labels, targets)
+    targets = list(map(index.__getitem__, targets))
+    return FlatLts(sys, rules, index[c0], codes, offsets, labels, targets)
 
 
 # ---------------------------------------------------------------------------

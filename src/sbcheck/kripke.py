@@ -19,8 +19,10 @@ dense indices, and only the flat system names them.
 
 from __future__ import annotations
 
+import json
+
 from .ctl import AP, Kripke
-from .flatten import FlatLts
+from .flatten import FlatLts, state_json
 
 
 def to_kripke(flat: FlatLts) -> Kripke:
@@ -66,3 +68,15 @@ def to_dot(flat: FlatLts, k: Kripke) -> str:
             lines.append(f"  n{i} -> n{j}{extra};")
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def to_json(flat: FlatLts, k: Kripke) -> str:
+    """JSON rendering of ``k``, derived from ``flat``, with stable key order."""
+    doc = {
+        "system": flat.system.name,
+        "initial": k.initial,
+        "states": [{"state": state_json(f), "labels": sorted(k.labels(i))}
+                   for i, f in enumerate(flat.states)],
+        "edges": [[i, j] for i in range(k.n_states) for j in k.succ[i]],
+    }
+    return json.dumps(doc, indent=2)

@@ -136,16 +136,10 @@ class SLevel:
             keyed.setdefault((tr.source, text, tr.target), tr)
             self._phase_inv.setdefault((text, tr.target), tr.inv)
         self.transitions = tuple(keyed.values())
-        by_src: dict[str, list[STransition]] = {rid: [] for rid in self.states}
-        for tr in self.transitions:
-            by_src.setdefault(tr.source, []).append(tr)
-        self._from = {rid: tuple(ts) for rid, ts in by_src.items()}
+        self._keys = tuple(keyed)
 
     def label(self, r: str) -> Formula:
         return self.states[r]
-
-    def transitions_from(self, r: str) -> tuple[STransition, ...]:
-        return self._from.get(r, ())
 
     @cached_property
     def ids(self) -> tuple[str, ...]:
@@ -162,6 +156,16 @@ class SLevel:
         target; ranks run from 1 by target, then printed invariant."""
         order = sorted(self._phase_inv, key=lambda key: (key[1], key[0]))
         return {key: p for p, key in enumerate(order, 1)}
+
+    @cached_property
+    def phase_starts(self) -> tuple[tuple[int, ...], ...]:
+        """For each state rank, the ascending ranks of the phases its
+        transitions start."""
+        starts: dict[str, set[int]] = {rid: set() for rid in self.ids}
+        for src, text, target in self._keys:
+            if src in starts:
+                starts[src].add(self.phase_rank[text, target])
+        return tuple(tuple(sorted(ps)) for ps in starts.values())
 
     @cached_property
     def phases(self) -> tuple[Optional[tuple[Formula, str]], ...]:

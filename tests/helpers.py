@@ -156,7 +156,9 @@ def oracle_successors(sys):
                 if good:
                     nxt.update((("steady", r), (q2, r, None)) for q2 in good)
                 else:
-                    for tr in s.transitions_from(r):
+                    for tr in s.transitions:
+                        if tr.source != r:
+                            continue
                         lab = ("adapt", r, tr.inv, tr.target)
                         for q2 in b.successors(q):
                             if holds(q2, s.label(tr.target)):

@@ -279,7 +279,11 @@ def test_build_matches_oracle_at_every_grid_root():
 
 
 def test_flat_build_stops_past_its_state_budget(bundled):
-    for sys_ in bundled.values():
+    systems = list(bundled.values())
+    systems += [gen_random(seed, *acceptance_schedule(seed)) for seed in range(100)]
+    systems += [corridor_system(n) for n in (1, 2)]
+    systems += [rules_system(seed) for seed in range(10)]
+    for sys_ in systems:
         full = build_flat(sys_)
         n = full.n_states
         kept = build_flat(sys_, max_states=n)

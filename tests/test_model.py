@@ -3,10 +3,11 @@ import random
 
 import pytest
 
-from sbcheck import model, models
+from helpers import acceptance_schedule, rules_system
 
-from sbcheck.cli import system_to_dsl
-from sbcheck.constraints import BoundedInt, Signature, parse_formula, tokenize
+from sbcheck import model, models
+from sbcheck.cli import gen_random, system_to_dsl
+from sbcheck.constraints import BoundedInt, Signature, parse_formula, pretty, tokenize
 from sbcheck.model import (
     BLevel,
     BState,
@@ -322,6 +323,35 @@ def test_transitions_keep_the_order_of_sorted_string_pairs():
             assert b.successors(q) == tuple(d for src, d in b.transitions if src == q)
         found = [d.message for d in validate(SBSystem("x", sig, b, s)) if d.code == "b-dangling"]
         assert {m.split("'")[1] for m in found} == ends - set(declared)
+
+
+# ---------------------------------------------------------------------------
+# Structure level
+
+
+def test_phase_starts_are_the_ranks_of_each_states_outgoing_phases(bundled):
+    sig = Signature([("x", BoundedInt(0, 3))])
+
+    def f(text):
+        return parse_formula(text, sig)
+
+    labels = [("r0", f("x == 0")), ("r1", f("x >= 1"))]
+    written_twice = SLevel(labels, "r0", [STransition("r0", f("x >= 1"), "r1"),
+                                          STransition("r0", f("(x>=1)"), "r1")])
+    self_loop = SLevel(labels, "r0", [STransition("r0", f("x <= 2"), "r0"),
+                                      STransition("r0", f("true"), "r1")])
+    idle_start = SLevel(labels, "r0", [STransition("r1", f("true"), "r0")])
+    assert written_twice.phase_starts == ((1,), ())
+    assert self_loop.phase_starts == ((1, 2), ())
+    assert idle_start.phase_starts == ((), (1,))
+    levels = [written_twice, self_loop, idle_start] + [sys_.s for sys_ in bundled.values()]
+    levels += [gen_random(seed, *acceptance_schedule(seed)).s for seed in range(500)]
+    levels += [rules_system(seed).s for seed in range(50)]
+    for s in levels:
+        for r, rid in enumerate(s.ids):
+            ranks = {s.phase_rank[pretty(tr.inv), tr.target]
+                     for tr in s.transitions if tr.source == rid}
+            assert s.phase_starts[r] == tuple(sorted(ranks))
 
 
 # ---------------------------------------------------------------------------
