@@ -6,19 +6,19 @@ structure:
     weak:   EG((adapting => EF steady) && progress)
     strong: AG((adapting => AF steady) && progress)
 
-Both verdicts on one system share one Kripke structure rooted at the
-initial state: the first of ``check_weak`` and ``check_strong`` builds it,
-and the system keeps it, with the flat codes of its states and one decoded
-lasso per satisfaction set searched, in a weak-keyed memo.  Nothing in it
-refers to the system (decoded states hold ids and phase formulas), so the
-memo dies with the system by reference counting.  The CTL searches walk
-sets handed to them: a holding verdict's witness walks its formula's set,
-which is every state for both formulas when the strong one holds, so the
-second verdict reuses the first one's lasso.  The search computes the
-region of its set only when the root lies on no cycle; searches inside the
-whole set find the same lasso (``ctl.witness_eg`` says why).  A failing
-verdict's run leaves the ``progress`` atom or the inner formula's set and
-may go on inside the set of ``EG !steady``.  Per-pair queries
+Both unbudgeted verdicts on one system share one Kripke structure rooted at
+the initial state: the first of ``check_weak`` and ``check_strong`` builds
+it, and the system keeps it, with the flat codes of its states and one
+decoded lasso per satisfaction set searched, in a weak-keyed memo.  Nothing
+in it refers to the system (decoded states hold ids and phase names, all
+strings), so the memo dies with the system by reference counting.  The CTL
+searches walk sets handed to them: a holding verdict's witness walks its
+formula's set, which is every state for both formulas when the strong one
+holds, so the second verdict reuses the first one's lasso.  The search
+computes the region of its set only when the root lies on no cycle;
+searches inside the whole set find the same lasso (``ctl.witness_eg`` says
+why).  A failing verdict's run leaves the ``progress`` atom or the inner
+formula's set and may go on inside the set of ``EG !steady``.  Per-pair queries
 (``state_adaptable``) rebuild the flat semantics from their pair, and the
 relational route never reads this memo; it keeps one of its own.
 
@@ -44,8 +44,9 @@ The relational route runs on the flat codes of ``flatten._Rules``: a state
 pair is keyed by the code of its steady flat state.  The unbudgeted entry
 points of one system share its tables, in codes only, in a weak-keyed memo
 (``_relations``), so each flat state is stepped at most once over all of
-them; a call given ``max_states`` runs its own ``_Analysis`` on empty tables
-and past that many steps raises ``StateBudgetError``, whatever ran before.
+them.  In both routes a call given ``max_states`` neither reads nor fills a
+memo: it runs on a structure or on ``_Analysis`` tables of its own, and its
+``_Rules`` raises ``StateBudgetError`` past that many steps.
 ``strong_relation`` draws its candidate from the analysis that checks it.
 Pair facts are memoised, and so are phase facts (steady endpoints, a
 reachable dead end, a cycle) by adapting start state, each from one
@@ -79,7 +80,7 @@ from .flatten import PreconditionError, _Rules, build_flat  # noqa: F401  (re-ex
 from .flatten import flat_successors  # noqa: F401
 from .graph import cyclic_states, reach
 from .kripke import to_kripke
-from .model import SBSystem, StateBudgetError
+from .model import SBSystem
 
 WEAK_INNER = parse_ctl("(adapting => EF steady) && progress")
 STRONG_INNER = parse_ctl("(adapting => AF steady) && progress")
@@ -178,17 +179,15 @@ class _Analysis:
     memoised, and so are the facts of every pair and of every adapting state
     that starts a phase: all pairs entering one phase share its exploration.
     Unbudgeted analyses of one system share its ``_Tables``; one given
-    ``max_states`` starts empty tables, and past that many codes stepped
-    (``stepped``, grid pairs and adapting states alike) raises
-    :class:`StateBudgetError`.
+    ``max_states`` starts empty tables, and its ``rules`` raise
+    :class:`StateBudgetError` past that many codes stepped (``rules.stepped``,
+    grid pairs and adapting states alike).
     """
 
     def __init__(self, sys: SBSystem, max_states: int | None = None):
         self.sys = sys
-        self.rules = _Rules(sys)
+        self.rules = _Rules(sys, max_states, "relation route")
         self.P = self.rules.P
-        self.max_states = max_states
-        self.stepped = 0
         t = self.tables = (_relations.setdefault(sys, _Tables()) if max_states is None
                            else _Tables())
         self._succ, self._starts, self._facts = t.succ, t.starts, t.facts
@@ -207,20 +206,12 @@ class _Analysis:
     def phase_label(self, pf: _PairFacts, ph: _PhaseFacts) -> str:
         return f"{self.rules.pair(pf.pair)[1]} -> {self.sys.s.phases[ph.p][1]}"
 
-    def _step(self, code: int) -> list[tuple[int, list[int]]]:
-        """``_Rules.step`` of ``code``, counted against the budget; each
-        code is stepped once."""
-        self.stepped += 1
-        if self.max_states is not None and self.stepped > self.max_states:
-            raise StateBudgetError("relation route", self.max_states, "flat states")
-        return self.rules.step(code)
-
     def _targets(self, code: int) -> list[int]:
         """The successors of adapting state ``code``: all steady after an
         AdaptEnd step, all adapting after an Adapt step."""
         hit = self._succ.get(code)
         if hit is None:
-            groups = self._step(code)
+            groups = self.rules.step(code)
             hit = self._succ[code] = groups[0][1] if groups else []
         return hit
 
@@ -255,7 +246,7 @@ class _Analysis:
         hit = self._facts.get(pair)
         if hit is not None:
             return hit
-        groups = self._step(pair)
+        groups = self.rules.step(pair)
         steady: frozenset[int] = frozenset()
         phases = []
         weak: frozenset[int] = frozenset()
@@ -397,9 +388,9 @@ def _check(sys: SBSystem, rel: AdaptRelation, violations,
     """Clause (i) for every pair of ``rel``, then the mode's ``violations``."""
     for q, r in rel.pairs:
         if q not in sys.b.states:
-            raise ValueError(f"unknown behaviour state {q!r} in relation")
+            raise PreconditionError(f"unknown behaviour state {q!r} in relation")
         if r not in sys.s.states:
-            raise ValueError(f"unknown structure state {r!r} in relation")
+            raise PreconditionError(f"unknown structure state {r!r} in relation")
     codes = {an.rules.steady(q, r) for q, r in rel.pairs}
     found: list[Violation] = []
     for q, r in sorted(rel.pairs):
@@ -465,15 +456,14 @@ def _initial_kripke(sys: SBSystem, max_states: int | None) -> _Entry:
     state, the flat codes of its states, and the decoded witness of each
     satisfaction set a holding verdict has searched, keyed by that set.
 
-    Built once per system and memoised.  A memoised structure larger than
-    ``max_states`` fails as its build would.
+    Built once per system and memoised; a call given ``max_states`` builds
+    its own under that budget, as ``_Analysis`` does, and memoises nothing.
     """
-    hit = _structures.get(sys)
+    memo = _structures if max_states is None else {}
+    hit = memo.get(sys)
     if hit is None:
         flat = build_flat(sys, max_states=max_states)
-        hit = _structures[sys] = (to_kripke(flat), flat.codes, {})
-    elif max_states is not None and hit[0].n_states > max_states:
-        raise StateBudgetError("build_flat", max_states, "flat states")
+        hit = memo[sys] = (to_kripke(flat), flat.codes, {})
     return hit
 
 

@@ -23,6 +23,7 @@ import sys as _sys
 from . import adapt, flatten, kripke
 from .constraints import BoolSort, BoundedInt, EnumSort, FormulaError, Signature, parse_formula, pretty
 from .ctl import CtlError, parse_ctl, sat_set
+from .flatten import PreconditionError
 from .model import (
     BLevel,
     BState,
@@ -244,13 +245,13 @@ def _cmd_relation(args) -> int:
 
 def _cmd_verify_relation(args) -> int:
     sys_ = _load_valid(args)
-    with open(args.relation, "r", encoding="utf-8") as fh:
+    with open(args.relation, "r", encoding="utf-8-sig") as fh:
         doc = json.load(fh)
     pairs = doc.get("pairs") if isinstance(doc, dict) else None
     if not isinstance(pairs, list) or not all(
             isinstance(p, list) and len(p) == 2
             and all(isinstance(x, str) for x in p) for p in pairs):
-        raise ValueError(f"{args.relation}: expected an object whose 'pairs' "
+        raise ModelError(f"{args.relation}: expected an object whose 'pairs' "
                          "is a list of [behaviour state, structure state] pairs")
     rel = adapt.AdaptRelation.of((q, r) for q, r in pairs)
     checker = adapt.is_weak_adaptation if args.mode == "weak" else adapt.is_strong_adaptation
@@ -390,7 +391,7 @@ def run(argv) -> int:
     try:
         return args.func(args)
     except (ModelError, FormulaError, CtlError, GenerationError, StateBudgetError,
-            OSError, ValueError) as exc:
+            PreconditionError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"sbcheck: error: {exc}", file=_sys.stderr)
         return 2
     except Exception as exc:

@@ -20,19 +20,20 @@ progress.  Successors are derived by five rules:
 * AdaptStartEnd - adaptation must start but one move already reaches the
                 target constraints; the invariant is skipped.
 
-The rules run over interned ids.  Behaviour ids, structure ids and the
-distinct (invariant, target) phases are ranked in sorted order (phases by
-target, then printed invariant); the structure level ranks the phases and
-lists the ones each structure state starts.  A flat state is the single
-int ``(q*R + r)*P + phase``, with phase 0 meaning steady; int order is the
+The rules run over interned ids.  The structure level names each phase by
+its printed invariant and target, ranks the phases (by target, then printed
+invariant) and lists the ones each structure state starts; behaviour and
+structure ids are ranked in sorted order.  A flat state is the single int
+``(q*R + r)*P + phase``, with phase 0 meaning steady; int order is the
 canonical state order.  Formula satisfaction is read from the system's
 table rows (``SBSystem.sat_row``).  A transition is labelled by its phase
-rank, 0 when steady; its structure state is its source's.  ``build_flat``
-numbers the reached codes once, in canonical order, and stores the
-reachable system as CSR arrays (offsets, phase ranks, targets) over those
-numbers; ``FlatState`` objects and phases are decoded only for the views
-that ask for them.  ``flat_successors``
-encodes a ``FlatState``, runs the same rules and decodes the result.
+rank, 0 when steady; its structure state is its source's.  ``_Rules``
+counts the codes one exploration steps and holds it to its state budget.
+``build_flat`` numbers the reached codes once, in canonical order, and
+stores the reachable system as CSR arrays (offsets, phase ranks, targets)
+over those numbers; ``FlatState`` objects, which carry phase names, are
+decoded only for the views that ask for them.  ``flat_successors`` encodes
+a ``FlatState``, runs the same rules and decodes the result.
 """
 
 from __future__ import annotations
@@ -42,10 +43,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Optional
 
-from .constraints import Formula, pretty
 from .model import SBSystem, StateBudgetError
 
-Phase = tuple[Formula, str]  # (invariant, target structure state)
+Phase = tuple[str, str]  # (printed invariant, target structure state)
 FlatLabel = Optional[Phase]  # None for a steady transition, else its phase
 
 
@@ -67,7 +67,7 @@ class FlatState:
         if self.phase is None:
             return f"({self.q}, {self.r}, {{}})"
         inv, target = self.phase
-        return f"({self.q}, {self.r}, {{({pretty(inv)}, {target})}})"
+        return f"({self.q}, {self.r}, {{({inv}, {target})}})"
 
 
 class _Rules:
@@ -80,11 +80,17 @@ class _Rules:
     place that knows the layout; the one property of it used elsewhere is
     that a code is steady exactly when it is a multiple of ``P``.  The
     satisfaction rows a structure state or a phase needs are fetched on its
-    first visit.
+    first visit.  One instance serves one exploration: it counts the codes
+    it steps (``stepped``), and stepping one more than ``max_states``, when
+    given, raises :class:`StateBudgetError` in the name of ``layer``.
     """
 
-    def __init__(self, sys: SBSystem):
+    def __init__(self, sys: SBSystem, max_states: int | None = None,
+                 layer: str = "build_flat"):
         self.sys = sys
+        self.stepped = 0
+        self.budget = float("inf") if max_states is None else max_states
+        self.layer = layer
         self.succ = sys.b.succ_ranks
         self.P = len(sys.s.phases)
         self.RP = len(sys.s.ids) * self.P
@@ -96,8 +102,8 @@ class _Rules:
         hit = self._phase[p]
         if hit is None:
             sys, s = self.sys, self.sys.s
-            inv, target = s.phases[p]
-            hit = self._phase[p] = (sys.sat_row(inv), s.rank[target] * self.P,
+            target = s.phases[p][1]
+            hit = self._phase[p] = (sys.sat_row(s.phase_inv[p]), s.rank[target] * self.P,
                                     sys.sat_row(s.label(target)))
         return hit
 
@@ -117,6 +123,9 @@ class _Rules:
         with the source's structure state.  Groups come in label order and
         targets ascend within a group, which is the canonical order.
         """
+        self.stepped += 1
+        if self.stepped > self.budget:
+            raise StateBudgetError(self.layer, self.budget, "flat states")
         RP = self.RP
         q, rest = divmod(code, RP)  # rest = r*P + p
         r, p = divmod(rest, self.P)
@@ -147,12 +156,9 @@ class _Rules:
         return [(p, mids)] if mids else []                         # Adapt
 
     def encode(self, f: FlatState) -> int:
-        if f.phase is None:
-            p = 0
-        else:
-            p = self.sys.s.phase_rank.get((pretty(f.phase[0]), f.phase[1]))
-            if p is None:
-                raise ValueError(f"{f} is in no phase of the system")
+        p = 0 if f.phase is None else self.sys.s.phase_rank.get(f.phase)
+        if p is None:
+            raise ValueError(f"{f} is in no phase of the system")
         return self.steady(f.q, f.r) + p
 
     def steady(self, q: str, r: str) -> int:
@@ -249,7 +255,7 @@ def build_flat(sys: SBSystem, root: tuple[str, str] | None = None,
         raise PreconditionError(f"unknown root pair ({q!r}, {r!r})")
     if not sys.sat(q, sys.s.label(r)):
         raise PreconditionError(f"behaviour state {q!r} does not satisfy the constraints of {r!r}")
-    rules = _Rules(sys)
+    rules = _Rules(sys, max_states)
     c0 = rules.steady(q, r)
     # each reached code's transitions as a slice of the stepped arrays; kept
     # rule groups would be traced by every full GC pass, slices are not
@@ -267,8 +273,6 @@ def build_flat(sys: SBSystem, root: tuple[str, str] | None = None,
             stepped_targets += ts
             stack += ts
         found[code] = a, len(stepped_targets)
-        if max_states is not None and len(found) > max_states:
-            raise StateBudgetError("build_flat", max_states, "flat states")
     # number the reached codes in canonical order and copy each slice there
     codes = sorted(found)
     index = dict(zip(codes, range(len(codes))))
@@ -302,7 +306,7 @@ def to_dot(flat: FlatLts) -> str:
         lines.append(f"  {ids[i]} [style={style}{marks}];")
     for i, lab, j in flat.edges():
         r = flat.states[i].r
-        text = r if lab is None else f"{r},{pretty(lab[0])},{lab[1]}"
+        text = r if lab is None else f"{r},{lab[0]},{lab[1]}"
         text = text.replace('"', r"\"")
         lines.append(f'  {ids[i]} -> {ids[j]} [label="{text}"];')
     lines.append("}")
@@ -310,10 +314,7 @@ def to_dot(flat: FlatLts) -> str:
 
 
 def state_json(f: FlatState) -> dict:
-    if f.phase is None:
-        phase = None
-    else:
-        phase = {"inv": pretty(f.phase[0]), "target": f.phase[1]}
+    phase = None if f.phase is None else {"inv": f.phase[0], "target": f.phase[1]}
     return {"q": f.q, "r": f.r, "phase": phase}
 
 
@@ -330,7 +331,7 @@ def to_json(flat: FlatLts) -> str:
                     {"kind": "steady", "r": flat.states[i].r}
                     if lab is None
                     else {"kind": "adapt", "r": flat.states[i].r,
-                          "inv": pretty(lab[0]), "target": lab[1]}
+                          "inv": lab[0], "target": lab[1]}
                 ),
                 "to": j,
             }

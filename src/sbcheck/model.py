@@ -168,10 +168,15 @@ class SLevel:
         return tuple(tuple(sorted(ps)) for ps in starts.values())
 
     @cached_property
-    def phases(self) -> tuple[Optional[tuple[Formula, str]], ...]:
-        """The (invariant, target) pair of each phase by rank; rank 0 is
-        ``None``, no phase."""
-        return (None, *((self._phase_inv[key], key[1]) for key in self.phase_rank))
+    def phases(self) -> tuple[Optional[tuple[str, str]], ...]:
+        """The name of each phase by rank, its ``phase_rank`` key (printed
+        invariant, target); rank 0 is ``None``, no phase."""
+        return (None, *self.phase_rank)
+
+    @cached_property
+    def phase_inv(self) -> tuple[Optional[Formula], ...]:
+        """The invariant formula of each phase by rank, as in ``phases``."""
+        return (None, *map(self._phase_inv.__getitem__, self.phase_rank))
 
 
 class SBSystem:
@@ -686,5 +691,5 @@ def parse_model(text: str, max_states: int | None = None) -> SBSystem:
 
 
 def load_model(path, max_states: int | None = None) -> SBSystem:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return parse_model(fh.read(), max_states)

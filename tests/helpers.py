@@ -140,9 +140,15 @@ def oracle_successors(sys):
     steps the five rules allow, with ``("steady", r)`` or
     ``("adapt", r, inv, target)`` labels, found by direct formula evaluation
     without the package's successor function, caches, interning or
-    orderings.
+    orderings.  A phase and its label name the invariant as the reference
+    printer ``oracle_pretty`` prints it; a phase evaluates the first
+    invariant of its name.
     """
     b, s = sys.b, sys.s
+    named = [(oracle_pretty(tr.inv), tr) for tr in s.transitions]
+    formula = {}
+    for inv, tr in named:
+        formula.setdefault(inv, tr.inv)
 
     def holds(q, phi):
         return bool(oracle_evaluate(phi, b.states[q].obs))
@@ -156,19 +162,20 @@ def oracle_successors(sys):
                 if good:
                     nxt.update((("steady", r), (q2, r, None)) for q2 in good)
                 else:
-                    for tr in s.transitions:
+                    for inv, tr in named:
                         if tr.source != r:
                             continue
-                        lab = ("adapt", r, tr.inv, tr.target)
+                        lab = ("adapt", r, inv, tr.target)
                         for q2 in b.successors(q):
                             if holds(q2, s.label(tr.target)):
                                 nxt.add((lab, (q2, tr.target, None)))
                             elif holds(q2, tr.inv):
-                                nxt.add((lab, (q2, r, (tr.inv, tr.target))))
+                                nxt.add((lab, (q2, r, (inv, tr.target))))
         else:
-            inv, target = ph
+            name, target = ph
+            inv = formula[name]
             if holds(q, inv) and not holds(q, s.label(target)):
-                lab = ("adapt", r, inv, target)
+                lab = ("adapt", r, name, target)
                 ends = [q2 for q2 in b.successors(q) if holds(q2, s.label(target))]
                 if ends:
                     nxt.update((lab, (q2, target, None)) for q2 in ends)
@@ -234,7 +241,7 @@ def oracle_pair_facts(sys):
             if lab[0] == "adapt":
                 starts.setdefault(lab, []).append(y)
         phases = []
-        for lab in sorted(starts, key=lambda lab: (lab[3], oracle_pretty(lab[2]))):
+        for lab in sorted(starts, key=lambda lab: (lab[3], lab[2])):
             firsts = starts[lab]
             nodes = reach(adapting, [y for y in firsts if y[2] is not None])
             landed = firsts + [y for x in nodes for _lab, y in successors(x)]

@@ -37,7 +37,6 @@ from sbcheck.adapt import (
     weak_relation,
 )
 from sbcheck.cli import gen_random
-from sbcheck.constraints import parse_formula
 from sbcheck.ctl import eg, sat_set, witness_eg
 from sbcheck.flatten import FlatState, build_flat
 from sbcheck.kripke import to_kripke
@@ -100,8 +99,7 @@ def test_criterion_2_relations(atv_s0, atv_s1, bone_s0, bone_s1):
 @_report(3, "deadlock witness")
 def test_criterion_3_deadlock_witness(bone_s1):
     flat = build_flat(bone_s1)
-    dead = FlatState("0_1_0", "r4",
-                     (parse_formula("Ob>0 && Oy==0", bone_s1.sig), "r5"))
+    dead = FlatState("0_1_0", "r4", ("Ob > 0 && Oy == 0", "r5"))
     assert dead in flat.states
     assert flat_out(flat, dead) == []
     verdict = check_strong(bone_s1)

@@ -39,7 +39,15 @@ from sbcheck.ctl import sat_set
 from sbcheck.flatten import build_flat
 from sbcheck.graph import reach
 from sbcheck.kripke import to_kripke
-from sbcheck.model import BLevel, BState, SBSystem, SLevel, StateBudgetError, STransition
+from sbcheck.model import (
+    BLevel,
+    BState,
+    SBSystem,
+    SLevel,
+    StateBudgetError,
+    STransition,
+    parse_model,
+)
 
 ATV_S0_PAIRS = {("0", "r0"), ("1", "r0"), ("2", "r0"), ("3", "r0"),
                 ("11", "r1"), ("10", "r1"), ("13", "r1")}
@@ -103,7 +111,7 @@ def test_strong_counterexample_reaches_deadlock(bone_s1):
     assert len(v.evidence.cycle) == 1
     dead = v.evidence.cycle[0]
     assert (dead.q, dead.r) == ("0_1_0", "r4")
-    assert dead.phase == (parse_formula("Ob>0 && Oy==0", bone_s1.sig), "r5")
+    assert dead.phase == ("Ob > 0 && Oy == 0", "r5")
 
 
 def test_strong_counterexample_enters_adapting_cycle(atv_s1):
@@ -375,7 +383,7 @@ def test_reached_pairs_are_the_flat_steady_pairs():
         assert pairs == flat.steady_pairs(), sys_.name
         assert pairs == {(q, r) for q, r, phase in oracle_flat(sys_)[0]
                          if phase is None}, sys_.name
-        assert an.stepped == flat.n_states, sys_.name
+        assert an.rules.stepped == flat.n_states, sys_.name
 
 
 def test_fan_and_ladder_relations():
@@ -584,6 +592,45 @@ def test_a_memoised_structure_keeps_to_the_budget():
     assert check_strong(sys_).holds
 
 
+def test_a_budgeted_verdict_neither_reads_nor_fills_the_memo(monkeypatch):
+    # the verdict-side twin of the relation route's rule below
+    steps = _step_counter(monkeypatch)
+    for make in _relation_population():
+        sys_ = make()
+        n_flat = build_flat(sys_).n_states
+        verdict = check_weak(sys_)
+        entry = adapt._structures[sys_]
+        witnesses = dict(entry[2])
+        steps[0] = 0
+        assert check_weak(sys_, max_states=n_flat) == verdict, sys_.name
+        assert steps[0] == n_flat, sys_.name
+        assert adapt._structures[sys_] is entry and entry[2] == witnesses, sys_.name
+        fresh = make()
+        check_strong(fresh, max_states=n_flat)
+        assert fresh not in adapt._structures, sys_.name
+
+
+def test_verdicts_on_a_deep_invariant_hash_and_compare():
+    # decoded states name their phase by its printed invariant, so hashing
+    # or comparing them never walks the 4000-deep formula tree
+    text = models.path("atv_s1").read_text(encoding="utf-8").replace(
+        "inv v==V0 || v==V1", "inv " + "!" * 4000 + "(v==V0 || v==V1)")
+    a, b = parse_model(text), parse_model(text)
+    flat = build_flat(a)
+    assert len(set(flat.states)) == flat.n_states
+    for check in (check_weak, check_strong):
+        va, vb = check(a), check(b)
+        assert va == vb and hash(va) == hash(vb)
+        assert {va: check.__name__}[vb] == check.__name__
+
+
+def test_a_relation_naming_an_unknown_state_fails_its_precondition(atv_s1):
+    for pair in (("nope", "r0"), ("0", "nope")):
+        for check in (is_weak_adaptation, is_strong_adaptation):
+            with pytest.raises(PreconditionError, match="^unknown .* state 'nope' in relation$"):
+                check(atv_s1, AdaptRelation.of([pair]))
+
+
 def _stepped(monkeypatch, run):
     """The result of ``run()`` and the flat states its relation route stepped."""
     made = []
@@ -596,7 +643,7 @@ def _stepped(monkeypatch, run):
     with monkeypatch.context() as m:
         m.setattr(adapt, "_Analysis", Counted)
         result = run()
-    return result, sum(an.stepped for an in made)
+    return result, sum(an.rules.stepped for an in made)
 
 
 def _relation_runs(sys_):

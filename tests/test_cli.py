@@ -109,6 +109,46 @@ def test_internal_error_exits_3(monkeypatch, capsys):
     assert "internal error: RuntimeError: boom" in capsys.readouterr().err
 
 
+def test_an_internal_value_error_exits_3(monkeypatch, capsys):
+    # only the input errors exit 2; a ValueError of the program is a bug
+    def broken(sys_, max_states=None):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(adapt, "check_weak", broken)
+    assert run(["check", model_path("atv_s0"), "--mode", "weak"]) == 3
+    assert capsys.readouterr().err == "sbcheck: internal error: ValueError: boom\n"
+
+
+@pytest.mark.parametrize("pair", [["nope", "r0"], ["0", "nope"]])
+def test_a_relation_naming_an_unknown_state_is_an_input_error(pair, tmp_path, capsys):
+    rel = tmp_path / "rel.json"
+    rel.write_text(json.dumps({"pairs": [pair]}))
+    assert run(["verify-relation", model_path("atv_s1"),
+                "--relation", str(rel), "--mode", "weak"]) == 2
+    kind = "behaviour" if pair[0] == "nope" else "structure"
+    assert capsys.readouterr().err == (f"sbcheck: error: unknown {kind} state "
+                                       "'nope' in relation\n")
+
+
+def test_files_with_a_byte_order_mark_read_as_without(tmp_path, capsys):
+    rel = tmp_path / "rel.json"
+    rel.write_text(json.dumps({"pairs": [["0", "r0"], ["3", "r0"]]}), encoding="utf-8")
+    model = tmp_path / "atv_s1.sb"
+    model.write_text(models.path("atv_s1").read_text(encoding="utf-8"), encoding="utf-8")
+    commands = [["check", "{model}", "--mode", "strong"],
+                ["flatten", "{model}"],
+                ["verify-relation", "{model}", "--relation", "{rel}", "--mode", "weak"]]
+    for argv in commands:
+        plain = [a.format(model=model, rel=rel) for a in argv]
+        code = run(plain)
+        want = capsys.readouterr()
+        for path in (model, rel):
+            marked = tmp_path / f"bom_{path.name}"
+            marked.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+            assert run([a.replace(str(path), str(marked)) for a in plain]) == code, argv
+            assert capsys.readouterr() == want, argv
+
+
 def test_ctl_subcommand(capsys):
     assert run(["ctl", model_path("atv_s1"), "--ctl",
                 "EG((adapting => EF steady) && progress)"]) == 0

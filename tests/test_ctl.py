@@ -17,7 +17,6 @@ from helpers import (
 from sbcheck import ctl
 from sbcheck.adapt import STRONG_FORMULA, STRONG_INNER, WEAK_FORMULA, WEAK_INNER
 from sbcheck.cli import gen_random
-from sbcheck.constraints import parse_formula
 from sbcheck.ctl import (
     CtlAtom,
     CtlEX,
@@ -121,7 +120,7 @@ def test_ef_steady_on_atv_s1(atv_s1, flats, kripkes):
     got = sat_set(k, parse_ctl("E[true U steady]"))
     assert got == oracle_sat(k, ef(CtlAtom("steady")))
     # the successful adaptation path stays inside the set
-    ph = (parse_formula("v==V0 || v==V1", atv_s1.sig), "r0")
+    ph = ("v == V0 || v == V1", "r0")
     path = [("3", "r0", None), ("8", "r0", ph), ("11", "r0", ph),
             ("10", "r0", ph), ("13", "r0", ph), ("4", "r0", ph), ("0", "r0", None)]
     for q, r, p in path:
@@ -130,7 +129,7 @@ def test_ef_steady_on_atv_s1(atv_s1, flats, kripkes):
 
 def test_af_steady_false_at_dead_state(bone_s1, flats, kripkes):
     k = kripkes["bone_s1"]
-    ph = (parse_formula("Ob>0 && Oy==0", bone_s1.sig), "r5")
+    ph = ("Ob > 0 && Oy == 0", "r5")
     t = idx(flats["bone_s1"], "0_1_0", "r4", ph)
     assert t not in sat_set(k, parse_ctl("AF steady"))
 

@@ -35,7 +35,8 @@ BONE_S0_STEADY = {("0_0_1", "r0"), ("0_0_2", "r0"), ("2_0_0", "r1"),
 
 
 def phase(sys_, text, target):
-    return (parse_formula(text, sys_.sig), target)
+    """The name of the phase of invariant ``text`` toward ``target``."""
+    return (pretty(parse_formula(text, sys_.sig)), target)
 
 
 def test_steady_step_in_resorption(bone_s0):
@@ -174,10 +175,7 @@ def test_json_export_round_trips(flats):
                 (entry["phase"]["inv"], entry["phase"]["target"]))
 
     def from_state(f):
-        if f.phase is None:
-            return (f.q, f.r, None)
-        from sbcheck.constraints import pretty
-        return (f.q, f.r, (pretty(f.phase[0]), f.phase[1]))
+        return (f.q, f.r, f.phase)
 
     states = [from_json(e) for e in doc["states"]]
     assert states == [from_state(f) for f in flat.states]
@@ -193,13 +191,13 @@ def test_json_export_round_trips(flats):
 def _state_key(f):
     if f.phase is None:
         return (f.q, f.r, "", "")
-    return (f.q, f.r, f.phase[1], pretty(f.phase[0]))
+    return (f.q, f.r, f.phase[1], f.phase[0])
 
 
 def _label_key(lab):
     if lab is None:
         return (0, "", "")
-    return (1, lab[1], pretty(lab[0]))
+    return (1, lab[1], lab[0])
 
 
 def _oracle_label(src, lab):
@@ -291,6 +289,16 @@ def test_flat_build_stops_past_its_state_budget(bundled):
         with pytest.raises(StateBudgetError) as exc:
             build_flat(sys_, max_states=n - 1)
         assert str(exc.value) == f"build_flat passed the state budget of {n - 1} flat states"
+
+
+def test_the_rules_count_each_code_build_flat_steps(bundled):
+    systems = list(bundled.values())
+    systems += [gen_random(seed, *acceptance_schedule(seed)) for seed in range(100)]
+    systems += [corridor_system(n) for n in (1, 2)]
+    for sys_ in systems:
+        for root in (None, *oracle_grid(sys_)[:3]):
+            flat = build_flat(sys_, root=root)
+            assert flat._rules.stepped == flat.n_states, (sys_.name, root)
 
 
 # ---------------------------------------------------------------------------

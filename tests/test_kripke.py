@@ -1,7 +1,6 @@
 import random
 
 from sbcheck.cli import gen_random
-from sbcheck.constraints import parse_formula
 from sbcheck.flatten import FlatState, build_flat
 from sbcheck.kripke import to_dot, to_kripke
 
@@ -17,7 +16,7 @@ def flat_dead(flat):
 
 def test_dead_state_gets_plain_self_loop(bone_s1, flats, kripkes):
     k = kripkes["bone_s1"]
-    ph = (parse_formula("Ob>0 && Oy==0", bone_s1.sig), "r5")
+    ph = ("Ob > 0 && Oy == 0", "r5")
     t = idx(flats["bone_s1"], "0_1_0", "r4", ph)
     assert k.succ[t] == (t,)
     assert k.labels(t) == frozenset()
@@ -38,7 +37,7 @@ def test_border_state_labels(flats, kripkes):
 
 def test_mid_phase_state_labels(atv_s1, flats, kripkes):
     k = kripkes["atv_s1"]
-    ph = (parse_formula("v==V0 || v==V1", atv_s1.sig), "r0")
+    ph = ("v == V0 || v == V1", "r0")
     t = idx(flats["atv_s1"], "11", "r0", ph)
     assert k.labels(t) == {"adapting", "progress"}
 

@@ -39,8 +39,8 @@ def test_parallel_transitions_are_distinct_phases():
     assert validate(sys_) == []
     assert len(sys_.s.transitions) == 2  # same pair, different invariants
     flat = build_flat(sys_)
-    low = (parse_formula("x <= 2", sig), "r1")
-    high = (parse_formula("x >= 2", sig), "r1")
+    low = ("x <= 2", "r1")
+    high = ("x >= 2", "r1")
     assert FlatState("a", "r0", low) in flat.states
     assert FlatState("a", "r0", high) in flat.states
     # the low-invariant phase dies at a; the high one completes at (c, r1)
@@ -70,11 +70,11 @@ def test_transitions_and_phases_are_told_apart_by_printed_invariant():
     # phase per target
     assert [(tr.source, tr.target) for tr in sys_.s.transitions] \
         == [("r0", "r1"), ("r2", "r1"), ("r0", "r2")]
-    assert [(pretty(inv), target) for inv, target in sys_.s.phases[1:]] \
-        == [("x >= 2", "r1"), ("x >= 2", "r2")]
+    assert sys_.s.phases[1:] == (("x >= 2", "r1"), ("x >= 2", "r2"))
+    assert [pretty(inv) for inv in sys_.s.phase_inv[1:]] == ["x >= 2", "x >= 2"]
     assert sys_.s.phase_rank == {("x >= 2", "r1"): 1, ("x >= 2", "r2"): 2}
     flat = build_flat(sys_)
-    assert FlatState("a", "r0", (parse_formula("x>=2", sig), "r1")) in flat.states
+    assert FlatState("a", "r0", ("x >= 2", "r1")) in flat.states
 
 
 def test_immediate_and_gradual_start_coexist():
@@ -96,7 +96,7 @@ def test_immediate_and_gradual_start_coexist():
     # both are adaptation transitions, of the system's one phase
     assert all(lab is sys_.s.phases[1] for lab, _ in succs)
     targets = {g for _, g in succs}
-    ph = (parse_formula("true", sig), "r1")
+    ph = ("true", "r1")
     assert targets == {FlatState("d", "r1", None),   # immediate completion
                        FlatState("g", "r0", ph)}     # phase entry
     assert check_strong(sys_).holds is True
