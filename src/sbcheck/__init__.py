@@ -23,6 +23,7 @@ from .constraints import (
     Formula,
     FormulaError,
     FormulaSyntaxError,
+    InputError,
     Signature,
     SortMismatchError,
     UnknownObservableError,

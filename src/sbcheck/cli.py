@@ -1,9 +1,10 @@
 """Command-line front end and the seeded random system generator.
 
 Exit codes: 0 when the checked property holds (or the command just
-succeeds), 1 when it fails, 2 for usage, parse, validation or file errors
-and for a state space past its ``--max-states`` budget, 3 for an internal
-error, reported with the exception's name.
+succeeds), 1 when it fails, 2 for usage and file errors and for every
+``InputError`` (parse and validation errors, a state space past its
+``--max-states`` budget, a bad root or generator setting), 3 for an
+internal error, reported with the exception's name.
 
 :func:`run` builds its argument parser once per process, on first use, and
 is safe to call repeatedly in-process: each call parses into a fresh
@@ -21,23 +22,12 @@ import random
 import sys as _sys
 
 from . import adapt, flatten, kripke
-from .constraints import BoolSort, BoundedInt, EnumSort, FormulaError, Signature, parse_formula, pretty
-from .ctl import CtlError, parse_ctl, sat_set
-from .flatten import PreconditionError
-from .model import (
-    BLevel,
-    BState,
-    ModelError,
-    SBSystem,
-    SLevel,
-    StateBudgetError,
-    STransition,
-    load_model,
-    validate,
-)
+from .constraints import BoolSort, BoundedInt, EnumSort, InputError, Signature, parse_formula, pretty
+from .ctl import parse_ctl, sat_set
+from .model import BLevel, BState, ModelError, SBSystem, SLevel, STransition, load_model, validate
 
 
-class GenerationError(Exception):
+class GenerationError(InputError):
     pass
 
 
@@ -246,7 +236,10 @@ def _cmd_relation(args) -> int:
 def _cmd_verify_relation(args) -> int:
     sys_ = _load_valid(args)
     with open(args.relation, "r", encoding="utf-8-sig") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except RecursionError:  # nested too deep to be a relation file
+            doc = None
     pairs = doc.get("pairs") if isinstance(doc, dict) else None
     if not isinstance(pairs, list) or not all(
             isinstance(p, list) and len(p) == 2
@@ -390,8 +383,7 @@ def run(argv) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except (ModelError, FormulaError, CtlError, GenerationError, StateBudgetError,
-            PreconditionError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (InputError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"sbcheck: error: {exc}", file=_sys.stderr)
         return 2
     except Exception as exc:

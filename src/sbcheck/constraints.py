@@ -12,7 +12,11 @@ tokens.  :func:`parse_with` is the one expression parser, an
 operator-precedence loop over explicit stacks that takes its grammar as
 data (:class:`Grammar`); this module holds the constraint grammar, ``ctl``
 the CTL one.  Parsing stops at the first token that cannot extend the
-expression, which is where a formula inside a model line ends.
+expression, which is where a formula inside a model line ends.  A syntax
+error in either grammar raises :class:`FormulaSyntaxError`.
+
+:class:`InputError` is the base of every error in what a caller gives the
+package, and the one place that prints a location.
 
 Every walk over a formula tree runs on an explicit stack, so formulas of
 any depth or length are accepted.  Trees are never hashed: the printed text
@@ -33,9 +37,10 @@ _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 _RESERVED = frozenset({"true", "false"})
 
 
-class FormulaError(Exception):
-    """Base class for constraint-language diagnostics; ``message`` is the
-    text without its location."""
+class InputError(Exception):
+    """Base class of every error in what a caller gives the package: a
+    model, a formula, a file, a bound or a root.  ``message`` is the text
+    without its location; the location, when known, is printed after it."""
 
     def __init__(self, message: str, line: int | None = None, col: int | None = None):
         self.message = message
@@ -44,6 +49,15 @@ class FormulaError(Exception):
         super().__init__(message)
         self.line = line
         self.col = col
+
+    @classmethod
+    def at(cls, message: str, tok: Token) -> InputError:
+        """The error located at the start of ``tok``."""
+        return cls(message, tok.line, tok.col)
+
+
+class FormulaError(InputError):
+    """Base class for constraint-language diagnostics."""
 
 
 class FormulaSyntaxError(FormulaError):
@@ -449,16 +463,15 @@ class Grammar:
     higher precedences bind tighter, and the operators of one precedence
     share one associativity.  ``prefix`` maps an operator to its build.
     ``primary(tok, ctx)`` returns the leaf for ``tok``, or None when ``tok``
-    cannot start an operand; ``error(message, tok)`` makes the exception for
-    a syntax error at ``tok``.
+    cannot start an operand.  A syntax error raises
+    :class:`FormulaSyntaxError` at its token, whatever the grammar.
     """
 
-    def __init__(self, binary, prefix, groups, primary, error):
+    def __init__(self, binary, prefix, groups, primary):
         self.binary = binary
         self.prefix = prefix
         self.openers = {g.opener[0]: g for g in groups}
         self.primary = primary
-        self.error = error
 
 
 def _shown(tok: Token) -> str:
@@ -507,7 +520,7 @@ def parse_with(grammar: Grammar, toks: list[Token], pos: int = 0, ctx=None):
             continue
         node = grammar.primary(tok, ctx)
         if node is None:
-            raise grammar.error(f"unexpected {_shown(tok)}", tok)
+            raise FormulaSyntaxError.at(f"unexpected {_shown(tok)}", tok)
         positions[id(node)] = (tok.line, tok.col)
         out.append(node)
         pos += 1
@@ -530,7 +543,7 @@ def parse_with(grammar: Grammar, toks: list[Token], pos: int = 0, ctx=None):
             if group is None:
                 return out[0], pos, positions
             if tok.text != group.ends[k]:
-                raise grammar.error(f"expected {group.ends[k]!r}, found {_shown(tok)}", tok)
+                raise FormulaSyntaxError.at(f"expected {group.ends[k]!r}, found {_shown(tok)}", tok)
             pos += 1
             if k + 1 < len(group.ends):
                 ops[-1] = (_GROUP, group, k + 1)
@@ -554,16 +567,12 @@ def _formula_primary(tok: Token, sig: Signature):
         return Var(tok.text)
     if sig.label_sort(tok.text) is not None:
         return EnumConst(tok.text)
-    raise UnknownObservableError(f"unknown observable {tok.text!r}", tok.line, tok.col)
+    raise UnknownObservableError.at(f"unknown observable {tok.text!r}", tok)
 
 
 def _negate(arg):
     """Prefix ``-``: a negative literal, or ``0 - arg``, which prints back."""
     return IntConst(-arg.value) if type(arg) is IntConst else Arith("-", IntConst(0), arg)
-
-
-def _syntax_error(message: str, tok: Token) -> FormulaSyntaxError:
-    return FormulaSyntaxError(message, tok.line, tok.col)
 
 
 def _binary(node_type, precedence: int, assoc: str, *ops: str):
@@ -578,7 +587,6 @@ FORMULA_GRAMMAR = Grammar(
     prefix={"!": Not, "-": _negate},
     groups=(Group(("(",), (")",)),),
     primary=_formula_primary,
-    error=_syntax_error,
 )
 
 
@@ -592,7 +600,7 @@ def parse_formula(text: str, sig: Signature, expect: str = _BOOL) -> Formula:
     toks = tokenize(text)
     node, pos, positions = parse_with(FORMULA_GRAMMAR, toks, 0, sig)
     if toks[pos].kind != "EOF":
-        raise _syntax_error(f"unexpected {toks[pos].text!r} after formula", toks[pos])
+        raise FormulaSyntaxError.at(f"unexpected {toks[pos].text!r} after formula", toks[pos])
     sort_check(node, sig, positions, expect=expect)
     return node
 

@@ -23,7 +23,9 @@ of CTL.
 
 Formulas are read by the operator-precedence parser of ``constraints``,
 from the tokens of its lexer (so ``#`` starts a comment), with the grammar
-table ``CTL_GRAMMAR``.
+table ``CTL_GRAMMAR``.  :func:`parse_ctl` turns the parser's syntax errors
+into :class:`CtlParseError`, an input error with the same message and
+location.
 """
 
 from __future__ import annotations
@@ -32,7 +34,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Union
 
-from .constraints import LEFT, RIGHT, FormulaSyntaxError, Grammar, Group, Token, parse_with, tokenize
+from .constraints import (LEFT, RIGHT, FormulaSyntaxError, Grammar, Group, InputError, Token,
+                          parse_with, tokenize)
 from .graph import cyclic_states, reach, shortest_path
 
 AP = ("adapting", "steady", "progress")
@@ -68,15 +71,11 @@ class Kripke:
         return pred
 
 
-class CtlError(Exception):
-    pass
+class CtlParseError(InputError):
+    """A syntax error in a CTL formula, located like every input error."""
 
 
-class CtlParseError(CtlError):
-    pass
-
-
-class CtlWitnessError(CtlError):
+class CtlWitnessError(Exception):
     """Raised when a witness or counterexample precondition does not hold."""
 
 
@@ -165,17 +164,13 @@ def ax(phi: CtlFormula) -> CtlFormula:
 _UNARY = {"!": CtlNot, "EX": CtlEX, "AX": ax, "EF": ef, "AF": af, "EG": eg, "AG": ag}
 
 
-def _ctl_error(message: str, tok: Token) -> CtlParseError:
-    return CtlParseError(f"{message} (line {tok.line}, column {tok.col})")
-
-
 def _ctl_primary(tok: Token, ctx):
     if tok.text in ("true", "false"):
         return CtlTrue() if tok.text == "true" else CtlFalse()
     if tok.text in AP:
         return CtlAtom(tok.text)
     if tok.kind == "IDENT":
-        raise _ctl_error(f"unknown atom {tok.text!r}", tok)
+        raise FormulaSyntaxError.at(f"unknown atom {tok.text!r}", tok)
     return None
 
 
@@ -185,7 +180,6 @@ CTL_GRAMMAR = Grammar(
     groups=(Group(("(",), (")",)), Group(("E", "["), ("U", "]"), CtlEU),
             Group(("A", "["), ("U", "]"), CtlAU)),
     primary=_ctl_primary,
-    error=_ctl_error,
 )
 
 
@@ -193,11 +187,11 @@ def parse_ctl(text: str) -> CtlFormula:
     """Parse a CTL formula over the atoms adapting, steady and progress."""
     try:
         toks = tokenize(text)
+        node, pos, _ = parse_with(CTL_GRAMMAR, toks)
+        if toks[pos].kind != "EOF":
+            raise FormulaSyntaxError.at(f"unexpected {toks[pos].text!r} after formula", toks[pos])
     except FormulaSyntaxError as exc:
-        raise CtlParseError(str(exc)) from exc
-    node, pos, _ = parse_with(CTL_GRAMMAR, toks)
-    if toks[pos].kind != "EOF":
-        raise _ctl_error(f"unexpected {toks[pos].text!r} after formula", toks[pos])
+        raise CtlParseError(exc.message, exc.line, exc.col) from exc
     return node
 
 

@@ -43,13 +43,14 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Optional
 
+from .constraints import InputError
 from .model import SBSystem, StateBudgetError
 
 Phase = tuple[str, str]  # (printed invariant, target structure state)
 FlatLabel = Optional[Phase]  # None for a steady transition, else its phase
 
 
-class PreconditionError(ValueError):
+class PreconditionError(InputError, ValueError):
     """A root pair outside the system or violating its structure label."""
 
 

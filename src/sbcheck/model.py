@@ -8,8 +8,9 @@ space.
 
 Model files are read as token lines: each line is tokenized once, so token
 columns are file columns, and every statement or section header ends with
-its line.  A :class:`ModelError` carries the line and column of the
-offending token.
+its line.  A :class:`ModelError`, like every input error, carries the
+line and column of the offending token.  Each level indexes its states,
+and the structure level its phases, once, in its constructor.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .constraints import (
     Formula,
     FormulaError,
     FormulaSyntaxError,
+    InputError,
     Signature,
     Sort,
     Token,
@@ -43,19 +45,12 @@ from .constraints import (
 log = logging.getLogger(__name__)
 
 
-class ModelError(Exception):
+class ModelError(InputError):
     """Raised for malformed model descriptions, located at the line and
     column of the offending token when there is one."""
 
-    def __init__(self, message: str, line: int | None = None, col: int | None = None):
-        if line is not None:
-            message = f"{message} (line {line}, column {col})"
-        super().__init__(message)
-        self.line = line
-        self.col = col
 
-
-class StateBudgetError(Exception):
+class StateBudgetError(InputError):
     """Raised when a state space grows past the budget its caller set."""
 
     def __init__(self, layer: str, budget: int, what: str):
@@ -71,7 +66,11 @@ class BState:
 
 
 class BLevel:
-    """Behaviour machine: finite states, an initial state, transitions."""
+    """Behaviour machine: finite states, an initial state, transitions.
+
+    ``ids`` lists the state ids in sorted order, and ``rank`` maps each id
+    to its position there.
+    """
 
     def __init__(self, states: Iterable[BState], initial: str,
                  transitions: Iterable[tuple[str, str]]):
@@ -81,6 +80,8 @@ class BLevel:
                 raise ValueError(f"duplicate behaviour state {st.id!r}")
             self.states[st.id] = st
         self.initial = initial
+        self.ids = tuple(sorted(self.states))
+        self.rank = {q: i for i, q in enumerate(self.ids)}
         # dedupe in input order: pairs listed by source keep their runs, which
         # the sort merges instead of comparing pair by pair
         self.transitions = tuple(sorted(dict.fromkeys(transitions)))
@@ -90,15 +91,6 @@ class BLevel:
 
     def successors(self, q: str) -> tuple[str, ...]:
         return self._succ.get(q, ())
-
-    @cached_property
-    def ids(self) -> tuple[str, ...]:
-        """State ids in sorted order; a state's position is its rank."""
-        return tuple(sorted(self.states))
-
-    @cached_property
-    def rank(self) -> dict[str, int]:
-        return {q: i for i, q in enumerate(self.ids)}
 
     @cached_property
     def succ_ranks(self) -> tuple[tuple[int, ...], ...]:
@@ -117,7 +109,17 @@ class STransition:
 
 class SLevel:
     """Structural machine: constraint-labelled states, invariant-labelled
-    transitions."""
+    transitions.
+
+    The level indexes itself once, when it is built.  ``ids`` and ``rank``
+    order the states as in :class:`BLevel`.  A phase is named by its
+    printed invariant and its target; ``phases[p]`` is the name of phase
+    ``p`` and ``phase_rank`` maps a name back to ``p``.  Ranks run from 1
+    by target, then printed invariant; rank 0 is ``None``, no phase.
+    ``phase_inv[p]`` is the invariant formula of phase ``p``, and
+    ``phase_starts[r]`` lists, ascending, the phases that the transitions
+    of the state of rank ``r`` start.
+    """
 
     def __init__(self, states: Iterable[tuple[str, Formula]], initial: str,
                  transitions: Iterable[STransition]):
@@ -127,56 +129,28 @@ class SLevel:
                 raise ValueError(f"duplicate structure state {rid!r}")
             self.states[rid] = label
         self.initial = initial
+        self.ids = tuple(sorted(self.states))
+        self.rank = {r: i for i, r in enumerate(self.ids)}
         # a transition is known by its printed invariant, which identifies
         # the tree because ``pretty`` round-trips; no formula tree is hashed
         keyed: dict[tuple[str, str, str], STransition] = {}
-        self._phase_inv: dict[tuple[str, str], Formula] = {}
+        inv: dict[tuple[str, str], Formula] = {}
+        starts: dict[str, set[tuple[str, str]]] = {r: set() for r in self.ids}
         for tr in transitions:
-            text = pretty(tr.inv)
-            keyed.setdefault((tr.source, text, tr.target), tr)
-            self._phase_inv.setdefault((text, tr.target), tr.inv)
+            name = (pretty(tr.inv), tr.target)
+            keyed.setdefault((tr.source, *name), tr)
+            inv.setdefault(name, tr.inv)
+            if tr.source in starts:
+                starts[tr.source].add(name)
         self.transitions = tuple(keyed.values())
-        self._keys = tuple(keyed)
+        self.phases = (None, *sorted(inv, key=lambda name: (name[1], name[0])))
+        self.phase_rank = {name: p for p, name in enumerate(self.phases) if p}
+        self.phase_inv = (None, *map(inv.__getitem__, self.phases[1:]))
+        self.phase_starts = tuple(tuple(sorted(map(self.phase_rank.__getitem__, names)))
+                                  for names in starts.values())
 
     def label(self, r: str) -> Formula:
         return self.states[r]
-
-    @cached_property
-    def ids(self) -> tuple[str, ...]:
-        """State ids in sorted order; a state's position is its rank."""
-        return tuple(sorted(self.states))
-
-    @cached_property
-    def rank(self) -> dict[str, int]:
-        return {r: i for i, r in enumerate(self.ids)}
-
-    @cached_property
-    def phase_rank(self) -> dict[tuple[str, str], int]:
-        """The rank of each phase, keyed by its printed invariant and its
-        target; ranks run from 1 by target, then printed invariant."""
-        order = sorted(self._phase_inv, key=lambda key: (key[1], key[0]))
-        return {key: p for p, key in enumerate(order, 1)}
-
-    @cached_property
-    def phase_starts(self) -> tuple[tuple[int, ...], ...]:
-        """For each state rank, the ascending ranks of the phases its
-        transitions start."""
-        starts: dict[str, set[int]] = {rid: set() for rid in self.ids}
-        for src, text, target in self._keys:
-            if src in starts:
-                starts[src].add(self.phase_rank[text, target])
-        return tuple(tuple(sorted(ps)) for ps in starts.values())
-
-    @cached_property
-    def phases(self) -> tuple[Optional[tuple[str, str]], ...]:
-        """The name of each phase by rank, its ``phase_rank`` key (printed
-        invariant, target); rank 0 is ``None``, no phase."""
-        return (None, *self.phase_rank)
-
-    @cached_property
-    def phase_inv(self) -> tuple[Optional[Formula], ...]:
-        """The invariant formula of each phase by rank, as in ``phases``."""
-        return (None, *map(self._phase_inv.__getitem__, self.phase_rank))
 
 
 class SBSystem:
@@ -238,12 +212,13 @@ class GuardedRule:
 
 @dataclass(frozen=True)
 class Diagnostic:
-    severity: str  # "error" | "warning"
+    """A well-formedness error found by :func:`validate`."""
+
     code: str
     message: str
 
     def __str__(self):
-        return f"{self.severity}[{self.code}]: {self.message}"
+        return f"error[{self.code}]: {self.message}"
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +303,7 @@ def validate(sys: SBSystem) -> list[Diagnostic]:
     out: list[Diagnostic] = []
 
     def err(code, message):
-        out.append(Diagnostic("error", code, message))
+        out.append(Diagnostic(code, message))
 
     b, s, sig = sys.b, sys.s, sys.sig
     if b.initial not in b.states:
@@ -369,8 +344,7 @@ def validate(sys: SBSystem) -> list[Diagnostic]:
 # Model DSL
 
 
-def _error(message: str, tok: Token) -> ModelError:
-    return ModelError(message, tok.line, tok.col)
+_error = ModelError.at
 
 
 def _end(toks, i) -> None:

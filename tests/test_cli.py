@@ -1,11 +1,14 @@
 import contextlib
+import importlib
 import io
 import json
+import pkgutil
 import time
 
 import pytest
 
-from sbcheck import adapt, cli, models
+import sbcheck
+from sbcheck import InputError, adapt, cli, ctl, models
 from sbcheck.cli import gen_random, run, system_to_dsl
 from sbcheck.flatten import build_flat
 from sbcheck.model import parse_model, validate
@@ -95,6 +98,17 @@ def test_verify_relation_with_bare_pair_list(tmp_path, capsys):
     assert "'pairs'" in capsys.readouterr().err
 
 
+def test_a_relation_file_nested_too_deep_is_an_input_error(tmp_path, capsys):
+    rel = tmp_path / "rel.json"
+    depth = 100_000
+    rel.write_text('{"pairs": ' + "[" * depth + "]" * depth + "}")
+    assert run(["verify-relation", model_path("atv_s1"),
+                "--relation", str(rel), "--mode", "weak"]) == 2
+    assert capsys.readouterr().err == (
+        f"sbcheck: error: {rel}: expected an object whose 'pairs' is a list of "
+        "[behaviour state, structure state] pairs\n")
+
+
 def test_directory_as_model(tmp_path, capsys):
     assert run(["check", str(tmp_path), "--mode", "weak"]) == 2
     assert "sbcheck: error:" in capsys.readouterr().err
@@ -117,6 +131,28 @@ def test_an_internal_value_error_exits_3(monkeypatch, capsys):
     monkeypatch.setattr(adapt, "check_weak", broken)
     assert run(["check", model_path("atv_s0"), "--mode", "weak"]) == 3
     assert capsys.readouterr().err == "sbcheck: internal error: ValueError: boom\n"
+
+
+def test_a_broken_witness_precondition_exits_3(monkeypatch, capsys):
+    # a witness search run on a set that does not hold at its start is a bug
+    def broken(k, good, t):
+        raise ctl.CtlWitnessError("no cycle reachable inside the given set")
+
+    monkeypatch.setattr(adapt, "witness_eg", broken)
+    assert run(["check", model_path("atv_s0"), "--mode", "weak"]) == 3
+    assert capsys.readouterr().err == ("sbcheck: internal error: CtlWitnessError: "
+                                       "no cycle reachable inside the given set\n")
+
+
+def test_every_error_class_but_the_witness_one_is_an_input_error():
+    # an error class of the package that is not an InputError exits 3
+    names = ["sbcheck"] + [m.name for m in pkgutil.walk_packages(sbcheck.__path__, "sbcheck.")]
+    classes = {obj for mod in map(importlib.import_module, names)
+               for obj in vars(mod).values()
+               if isinstance(obj, type) and issubclass(obj, BaseException)
+               and obj.__module__ == mod.__name__}
+    assert InputError in classes
+    assert {c for c in classes if not issubclass(c, InputError)} == {ctl.CtlWitnessError}
 
 
 @pytest.mark.parametrize("pair", [["nope", "r0"], ["0", "nope"]])

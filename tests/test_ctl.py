@@ -91,6 +91,20 @@ def test_parse_unknown_atom():
         parse_ctl("EX foo")
 
 
+@pytest.mark.parametrize("text, message, col", [
+    ("EX foo", "unknown atom 'foo'", 4),
+    ("EX $", "unexpected character '$'", 4),
+    ("steady steady", "unexpected 'steady' after formula", 8),
+    ("E[steady", "expected 'U', found end of formula", 9),
+])
+def test_a_ctl_parse_error_is_located_like_every_input_error(text, message, col):
+    with pytest.raises(CtlParseError) as info:
+        parse_ctl(text)
+    exc = info.value
+    assert (exc.message, exc.line, exc.col) == (message, 1, col)
+    assert str(exc) == f"{message} (line 1, column {col})"
+
+
 def test_parse_expansions_and_precedence():
     p = CtlAtom("progress")
     s = CtlAtom("steady")
