@@ -65,7 +65,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Literal, NamedTuple, Optional
 
 from .ctl import (
-    CtlWitnessError,
     Kripke,
     Lasso,
     ag,
@@ -433,16 +432,14 @@ def _failing_evidence(k: Kripke, inner, t0: int) -> Lasso:
     extends the run with a never-steady lasso.  Either way the reported run
     ends in a dead state's self-loop or an adapting cycle.
     """
-    try:
-        path = counterexample_ag(k, k.atoms["progress"], t0)
+    path = counterexample_ag(k, k.atoms["progress"], t0)
+    if path:
         return Lasso(path[:-1], path[-1:])
-    except CtlWitnessError:
-        pass
     path = counterexample_ag(k, sat_set(k, inner), t0)
-    try:
-        lasso = witness_eg(k, sat_set(k, NEVER_STEADY), path[-1])
-    except CtlWitnessError:
+    never_steady = sat_set(k, NEVER_STEADY)
+    if path[-1] not in never_steady:
         return Lasso(path, ())
+    lasso = witness_eg(k, never_steady, path[-1])
     return Lasso(path[:-1] + lasso.prefix, lasso.cycle)
 
 

@@ -11,9 +11,13 @@ expression: the model language, its formulas and CTL formulas all read its
 tokens.  :func:`parse_with` is the one expression parser, an
 operator-precedence loop over explicit stacks that takes its grammar as
 data (:class:`Grammar`); this module holds the constraint grammar, ``ctl``
-the CTL one.  Parsing stops at the first token that cannot extend the
-expression, which is where a formula inside a model line ends.  A syntax
-error in either grammar raises :class:`FormulaSyntaxError`.
+the CTL one, whose boolean operators are taken from it.  Parsing stops at
+the first token that cannot extend the expression, which is where a formula
+inside a model line ends; :func:`parse_text` reads a whole text with either
+grammar.  A syntax error in either grammar raises
+:class:`FormulaSyntaxError`.  The two languages share one tree as well: a
+CTL formula is made of this module's ``BoolConst``, ``Var``, ``Not`` and
+``BoolOp`` nodes and the three temporal nodes of ``ctl``.
 
 :class:`InputError` is the base of every error in what a caller gives the
 package, and the one place that prints a location.
@@ -590,6 +594,19 @@ FORMULA_GRAMMAR = Grammar(
 )
 
 
+def parse_text(grammar: Grammar, text: str, ctx=None):
+    """Parse all of ``text`` as one expression of ``grammar``.
+
+    Returns the tree and its map of node positions, as :func:`parse_with`
+    does; a token left after the expression is a syntax error.
+    """
+    toks = tokenize(text)
+    node, pos, positions = parse_with(grammar, toks, 0, ctx)
+    if toks[pos].kind != "EOF":
+        raise FormulaSyntaxError.at(f"unexpected {toks[pos].text!r} after formula", toks[pos])
+    return node, positions
+
+
 def parse_formula(text: str, sig: Signature, expect: str = _BOOL) -> Formula:
     """Parse and sort-check a formula over ``sig``.
 
@@ -597,10 +614,7 @@ def parse_formula(text: str, sig: Signature, expect: str = _BOOL) -> Formula:
     formula.  Raises FormulaSyntaxError, UnknownObservableError or
     SortMismatchError with line/column information.
     """
-    toks = tokenize(text)
-    node, pos, positions = parse_with(FORMULA_GRAMMAR, toks, 0, sig)
-    if toks[pos].kind != "EOF":
-        raise FormulaSyntaxError.at(f"unexpected {toks[pos].text!r} after formula", toks[pos])
+    node, positions = parse_text(FORMULA_GRAMMAR, text, sig)
     sort_check(node, sig, positions, expect=expect)
     return node
 

@@ -1,9 +1,13 @@
 """Kripke structures and explicit-state CTL model checking over them.
 
 A ``Kripke`` structure holds successor tuples over states ``0..n-1`` and,
-per atom of ``AP``, the set of states it labels.  The core connectives are
-true, false, atoms, the boolean operators, EX and the two until operators.
-The remaining temporal operators are expanded at parse time:
+per atom of ``AP``, the set of states it labels.  A CTL formula is a
+propositional formula of the constraint language, whose variables are the
+atoms, with three temporal nodes added: ``CtlEX`` and the two until
+operators ``CtlEU`` and ``CtlAU``.  Its boolean nodes are the constraint
+language's ``BoolConst``, ``Var``, ``Not`` and ``BoolOp`` (with ``&&``,
+``||`` or ``=>``).  The remaining temporal operators are expanded at parse
+time:
 
     EF p = E[true U p]      AF p = A[true U p]
     EG p = !AF !p           AG p = !EF !p          AX p = !EX !p
@@ -23,9 +27,8 @@ of CTL.
 
 Formulas are read by the operator-precedence parser of ``constraints``,
 from the tokens of its lexer (so ``#`` starts a comment), with the grammar
-table ``CTL_GRAMMAR``.  :func:`parse_ctl` turns the parser's syntax errors
-into :class:`CtlParseError`, an input error with the same message and
-location.
+table ``CTL_GRAMMAR``, whose boolean operators are those of the constraint
+grammar.  A syntax error raises the parser's :class:`FormulaSyntaxError`.
 """
 
 from __future__ import annotations
@@ -34,8 +37,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Union
 
-from .constraints import (LEFT, RIGHT, FormulaSyntaxError, Grammar, Group, InputError, Token,
-                          parse_with, tokenize)
+from .constraints import (FORMULA_GRAMMAR, BoolConst, BoolOp, FormulaSyntaxError, Grammar,
+                          Group, Not, Token, Var, parse_text)
 from .graph import cyclic_states, reach, shortest_path
 
 AP = ("adapting", "steady", "progress")
@@ -71,50 +74,8 @@ class Kripke:
         return pred
 
 
-class CtlParseError(InputError):
-    """A syntax error in a CTL formula, located like every input error."""
-
-
 class CtlWitnessError(Exception):
-    """Raised when a witness or counterexample precondition does not hold."""
-
-
-@dataclass(frozen=True)
-class CtlTrue:
-    pass
-
-
-@dataclass(frozen=True)
-class CtlFalse:
-    pass
-
-
-@dataclass(frozen=True)
-class CtlAtom:
-    name: str
-
-
-@dataclass(frozen=True)
-class CtlNot:
-    arg: "CtlFormula"
-
-
-@dataclass(frozen=True)
-class CtlAnd:
-    left: "CtlFormula"
-    right: "CtlFormula"
-
-
-@dataclass(frozen=True)
-class CtlOr:
-    left: "CtlFormula"
-    right: "CtlFormula"
-
-
-@dataclass(frozen=True)
-class CtlImplies:
-    left: "CtlFormula"
-    right: "CtlFormula"
+    """Raised when a witness precondition does not hold: a bug of its caller."""
 
 
 @dataclass(frozen=True)
@@ -134,48 +95,47 @@ class CtlAU:
     right: "CtlFormula"
 
 
-CtlFormula = Union[CtlTrue, CtlFalse, CtlAtom, CtlNot, CtlAnd, CtlOr,
-                   CtlImplies, CtlEX, CtlEU, CtlAU]
+CtlFormula = Union[BoolConst, Var, Not, BoolOp, CtlEX, CtlEU, CtlAU]
 
 
 def ef(phi: CtlFormula) -> CtlFormula:
-    return CtlEU(CtlTrue(), phi)
+    return CtlEU(BoolConst(True), phi)
 
 
 def af(phi: CtlFormula) -> CtlFormula:
-    return CtlAU(CtlTrue(), phi)
+    return CtlAU(BoolConst(True), phi)
 
 
 def eg(phi: CtlFormula) -> CtlFormula:
-    return CtlNot(af(CtlNot(phi)))
+    return Not(af(Not(phi)))
 
 
 def ag(phi: CtlFormula) -> CtlFormula:
-    return CtlNot(ef(CtlNot(phi)))
+    return Not(ef(Not(phi)))
 
 
 def ax(phi: CtlFormula) -> CtlFormula:
-    return CtlNot(CtlEX(CtlNot(phi)))
+    return Not(CtlEX(Not(phi)))
 
 
 # ---------------------------------------------------------------------------
 # Parser
 
-_UNARY = {"!": CtlNot, "EX": CtlEX, "AX": ax, "EF": ef, "AF": af, "EG": eg, "AG": ag}
+_UNARY = {"!": Not, "EX": CtlEX, "AX": ax, "EF": ef, "AF": af, "EG": eg, "AG": ag}
 
 
 def _ctl_primary(tok: Token, ctx):
     if tok.text in ("true", "false"):
-        return CtlTrue() if tok.text == "true" else CtlFalse()
+        return BoolConst(tok.text == "true")
     if tok.text in AP:
-        return CtlAtom(tok.text)
+        return Var(tok.text)
     if tok.kind == "IDENT":
         raise FormulaSyntaxError.at(f"unknown atom {tok.text!r}", tok)
     return None
 
 
 CTL_GRAMMAR = Grammar(
-    binary={"=>": (1, RIGHT, CtlImplies), "||": (2, LEFT, CtlOr), "&&": (3, LEFT, CtlAnd)},
+    binary={op: FORMULA_GRAMMAR.binary[op] for op in ("=>", "||", "&&")},
     prefix=_UNARY,
     groups=(Group(("(",), (")",)), Group(("E", "["), ("U", "]"), CtlEU),
             Group(("A", "["), ("U", "]"), CtlAU)),
@@ -185,14 +145,7 @@ CTL_GRAMMAR = Grammar(
 
 def parse_ctl(text: str) -> CtlFormula:
     """Parse a CTL formula over the atoms adapting, steady and progress."""
-    try:
-        toks = tokenize(text)
-        node, pos, _ = parse_with(CTL_GRAMMAR, toks)
-        if toks[pos].kind != "EOF":
-            raise FormulaSyntaxError.at(f"unexpected {toks[pos].text!r} after formula", toks[pos])
-    except FormulaSyntaxError as exc:
-        raise CtlParseError(exc.message, exc.line, exc.col) from exc
-    return node
+    return parse_text(CTL_GRAMMAR, text)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -201,13 +154,12 @@ def parse_ctl(text: str) -> CtlFormula:
 
 def _operands(node: CtlFormula) -> tuple[CtlFormula, ...]:
     match node:
-        case CtlNot(arg=x) | CtlEX(arg=x):
+        case Not(arg=x) | CtlEX(arg=x):
             return (x,)
-        case (CtlAnd(left=l, right=r) | CtlOr(left=l, right=r)
-              | CtlImplies(left=l, right=r) | CtlEU(left=l, right=r)
+        case (BoolOp(op="&&" | "||" | "=>", left=l, right=r) | CtlEU(left=l, right=r)
               | CtlAU(left=l, right=r)):
             return (l, r)
-        case CtlTrue() | CtlFalse() | CtlAtom():
+        case BoolConst() | Var():
             return ()
     raise TypeError(f"not a CTL node: {node!r}")
 
@@ -235,19 +187,17 @@ def sat_set(k: Kripke, phi: CtlFormula) -> frozenset[int]:
         stack.pop()
         sub = [memo[id(x)] for x in args]
         match node:
-            case CtlTrue():
-                res = everything
-            case CtlFalse():
-                res = frozenset()
-            case CtlAtom(name=name):
+            case BoolConst(value=value):
+                res = everything if value else frozenset()
+            case Var(name=name):
                 res = k.atoms[name]
-            case CtlNot():
+            case Not():
                 res = everything - sub[0]
-            case CtlAnd():
+            case BoolOp(op="&&"):
                 res = sub[0] & sub[1]
-            case CtlOr():
+            case BoolOp(op="||"):
                 res = sub[0] | sub[1]
-            case CtlImplies():
+            case BoolOp(op="=>"):
                 res = (everything - sub[0]) | sub[1]
             case CtlEX():
                 target, succ = sub[0], k.succ
@@ -334,13 +284,9 @@ def witness_eg(k: Kripke, good: frozenset[int], t: int) -> Lasso:
 
 
 def counterexample_ag(k: Kripke, good: frozenset[int], t: int) -> tuple[int, ...]:
-    """Shortest path from ``t`` to a state outside ``good``.
-
-    Requires such a state to be reachable from ``t``; ties between equally
-    near ones break on the state index.
+    """Shortest path from ``t`` to a state outside ``good``, or ``()`` when
+    no such state is reachable from ``t``; ties between equally near ones
+    break on the state index.
     """
     bad = frozenset(range(k.n_states)) - good
-    path = shortest_path(k.succ.__getitem__, t, bad)
-    if path is None:
-        raise CtlWitnessError("no state outside the given set is reachable")
-    return tuple(path)
+    return tuple(shortest_path(k.succ.__getitem__, t, bad) or ())

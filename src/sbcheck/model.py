@@ -259,6 +259,8 @@ def expand_rules(rules: Iterable[GuardedRule], sig: Signature,
         key(init): (dict(init), canonical_state_id(sig, init))}
     queue = [key(init)]
     transitions: set[tuple[str, str]] = set()
+    if max_states is not None and max_states < 1:  # the initial state counts
+        raise StateBudgetError("expand_rules", max_states, "behaviour states")
     while queue:
         obs, src = seen[queue.pop()]
         for rule in rules:

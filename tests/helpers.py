@@ -46,16 +46,8 @@ from sbcheck.constraints import (
 from sbcheck.ctl import (
     AP,
     CtlAU,
-    CtlAnd,
-    CtlAtom,
     CtlEU,
     CtlEX,
-    CtlFalse,
-    CtlImplies,
-    CtlNot,
-    CtlOr,
-    CtlParseError,
-    CtlTrue,
     CtlWitnessError,
     Kripke,
     Lasso,
@@ -329,7 +321,7 @@ def oracle_strong_relation(sys):
 # its operator-precedence parser, kept to check it against
 
 
-_ORACLE_UNARY = {"!": CtlNot, "EX": CtlEX, "AX": ax, "EF": ef, "AF": af, "EG": eg, "AG": ag}
+_ORACLE_UNARY = {"!": Not, "EX": CtlEX, "AX": ax, "EF": ef, "AF": af, "EG": eg, "AG": ag}
 
 
 class OracleFormulaParser:
@@ -697,7 +689,7 @@ class OracleCtlParser:
                     i += len(sym)
                     break
             else:
-                raise CtlParseError(f"unexpected character {ch!r} at offset {i}")
+                raise FormulaSyntaxError(f"unexpected character {ch!r} at offset {i}")
         toks.append("")
         return toks
 
@@ -712,33 +704,33 @@ class OracleCtlParser:
     def expect(self, text: str):
         tok = self.take()
         if tok != text:
-            raise CtlParseError(f"expected {text!r}, found {tok!r}")
+            raise FormulaSyntaxError(f"expected {text!r}, found {tok!r}")
 
     def parse(self) -> CtlFormula:
         node = self._implies()
         if self.peek() != "":
-            raise CtlParseError(f"unexpected {self.peek()!r} after formula")
+            raise FormulaSyntaxError(f"unexpected {self.peek()!r} after formula")
         return node
 
     def _implies(self):
         node = self._or()
         if self.peek() == "=>":
             self.take()
-            return CtlImplies(node, self._implies())
+            return BoolOp("=>", node, self._implies())
         return node
 
     def _or(self):
         node = self._and()
         while self.peek() == "||":
             self.take()
-            node = CtlOr(node, self._and())
+            node = BoolOp("||", node, self._and())
         return node
 
     def _and(self):
         node = self._unary()
         while self.peek() == "&&":
             self.take()
-            node = CtlAnd(node, self._unary())
+            node = BoolOp("&&", node, self._unary())
         return node
 
     def _unary(self):
@@ -769,14 +761,14 @@ class OracleCtlParser:
             self.expect(")")
             return node
         if tok == "true":
-            return CtlTrue()
+            return BoolConst(True)
         if tok == "false":
-            return CtlFalse()
+            return BoolConst(False)
         if tok in AP:
-            return CtlAtom(tok)
+            return Var(tok)
         if tok == "":
-            raise CtlParseError("unexpected end of formula")
-        raise CtlParseError(f"unknown atom {tok!r}")
+            raise FormulaSyntaxError("unexpected end of formula")
+        raise FormulaSyntaxError(f"unknown atom {tok!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -798,18 +790,18 @@ def random_kripke(rng: random.Random, n_states: int, out_degree: int = 3) -> Kri
 
 def random_ctl(rng: random.Random, depth: int):
     if depth <= 0:
-        return rng.choice([CtlTrue(), CtlFalse(), CtlAtom("adapting"),
-                           CtlAtom("steady"), CtlAtom("progress")])
+        return rng.choice([BoolConst(True), BoolConst(False), Var("adapting"),
+                           Var("steady"), Var("progress")])
     pick = rng.randrange(12)
     sub = lambda: random_ctl(rng, depth - 1)
     if pick == 0:
-        return CtlNot(sub())
+        return Not(sub())
     if pick == 1:
-        return CtlAnd(sub(), sub())
+        return BoolOp("&&", sub(), sub())
     if pick == 2:
-        return CtlOr(sub(), sub())
+        return BoolOp("||", sub(), sub())
     if pick == 3:
-        return CtlImplies(sub(), sub())
+        return BoolOp("=>", sub(), sub())
     if pick == 4:
         return CtlEX(sub())
     if pick == 5:
@@ -887,19 +879,19 @@ def oracle_sat(k: Kripke, phi) -> frozenset[int]:
         return forward_eu(sat_a, frozenset(cyc) & sat_a)
 
     match phi:
-        case CtlTrue():
+        case BoolConst(value=True):
             return everything
-        case CtlFalse():
+        case BoolConst(value=False):
             return frozenset()
-        case CtlAtom(name=name):
+        case Var(name=name):
             return frozenset(t for t in everything if name in k.labels(t))
-        case CtlNot(arg=x):
+        case Not(arg=x):
             return everything - oracle_sat(k, x)
-        case CtlAnd(left=l, right=r):
+        case BoolOp(op="&&", left=l, right=r):
             return oracle_sat(k, l) & oracle_sat(k, r)
-        case CtlOr(left=l, right=r):
+        case BoolOp(op="||", left=l, right=r):
             return oracle_sat(k, l) | oracle_sat(k, r)
-        case CtlImplies(left=l, right=r):
+        case BoolOp(op="=>", left=l, right=r):
             return (everything - oracle_sat(k, l)) | oracle_sat(k, r)
         case CtlEX(arg=x):
             target = oracle_sat(k, x)

@@ -507,6 +507,28 @@ def test_a_failing_strong_verdict_reuses_no_witness(first, second, monkeypatch):
     assert calls == {"witness_eg": sum(alone)}
 
 
+def test_failing_verdicts_pick_their_evidence_without_a_witness_error(bundled, monkeypatch):
+    # CtlWitnessError means a bug of the caller, so no verdict may provoke it
+    raised = []
+
+    def watched(fn):
+        def call(*args):
+            try:
+                return fn(*args)
+            except ctl.CtlWitnessError as exc:
+                raised.append(exc)
+                raise
+        return call
+
+    for name in ("witness_eg", "counterexample_ag"):
+        monkeypatch.setattr(adapt, name, watched(getattr(adapt, name)))
+    systems = list(bundled.values())
+    systems += [gen_random(seed, *acceptance_schedule(seed)) for seed in range(500)]
+    holds = [verdict(s).holds for s in systems for verdict in (check_weak, check_strong)]
+    assert not all(holds) and any(holds)
+    assert raised == []
+
+
 def test_a_checked_system_is_freed_by_reference_counting():
     gc.collect()
     gc.disable()  # from here on only reference counts free anything

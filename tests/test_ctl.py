@@ -17,15 +17,10 @@ from helpers import (
 from sbcheck import ctl
 from sbcheck.adapt import STRONG_FORMULA, STRONG_INNER, WEAK_FORMULA, WEAK_INNER
 from sbcheck.cli import gen_random
+from sbcheck.constraints import (BoolConst, BoolOp, Cmp, EnumConst, FormulaSyntaxError, IntConst,
+                                 Not, Var)
 from sbcheck.ctl import (
-    CtlAtom,
     CtlEX,
-    CtlFalse,
-    CtlImplies,
-    CtlNot,
-    CtlOr,
-    CtlParseError,
-    CtlTrue,
     CtlWitnessError,
     Lasso,
     af,
@@ -87,7 +82,7 @@ def test_parse_strong_formula():
 
 
 def test_parse_unknown_atom():
-    with pytest.raises(CtlParseError, match="unknown atom"):
+    with pytest.raises(FormulaSyntaxError, match="unknown atom"):
         parse_ctl("EX foo")
 
 
@@ -98,7 +93,7 @@ def test_parse_unknown_atom():
     ("E[steady", "expected 'U', found end of formula", 9),
 ])
 def test_a_ctl_parse_error_is_located_like_every_input_error(text, message, col):
-    with pytest.raises(CtlParseError) as info:
+    with pytest.raises(FormulaSyntaxError) as info:
         parse_ctl(text)
     exc = info.value
     assert (exc.message, exc.line, exc.col) == (message, 1, col)
@@ -106,17 +101,17 @@ def test_a_ctl_parse_error_is_located_like_every_input_error(text, message, col)
 
 
 def test_parse_expansions_and_precedence():
-    p = CtlAtom("progress")
-    s = CtlAtom("steady")
+    p = Var("progress")
+    s = Var("steady")
     assert parse_ctl("AX steady") == ax(s)
     assert parse_ctl("AF steady") == af(s)
     assert parse_ctl("E[progress U steady]") == parse_ctl("E [ progress U steady ]")
     assert parse_ctl("adapting => steady || progress") == \
-        CtlImplies(CtlAtom("adapting"), CtlOr(s, p))
-    assert parse_ctl("!adapting && progress").left == CtlNot(CtlAtom("adapting"))
-    with pytest.raises(CtlParseError):
+        BoolOp("=>", Var("adapting"), BoolOp("||", s, p))
+    assert parse_ctl("!adapting && progress").left == Not(Var("adapting"))
+    with pytest.raises(FormulaSyntaxError):
         parse_ctl("E[progress U steady")
-    with pytest.raises(CtlParseError):
+    with pytest.raises(FormulaSyntaxError):
         parse_ctl("")
 
 
@@ -124,15 +119,29 @@ def test_parse_expansions_and_precedence():
 # Satisfaction sets
 
 
+@pytest.mark.parametrize("node", [
+    BoolOp("<=>", Var("steady"), Var("progress")),
+    Cmp("==", IntConst(1), IntConst(1)),
+    IntConst(1),
+    EnumConst("steady"),
+])
+def test_a_constraint_node_outside_ctl_is_rejected(kripkes, node):
+    # CTL shares the constraint tree, but only its boolean nodes over atoms
+    k = kripkes["atv_s0"]
+    for phi in (node, Not(node), ef(node)):
+        with pytest.raises(TypeError, match="not a CTL node"):
+            sat_set(k, phi)
+
+
 def test_eg_true_is_everything(kripkes):
     for k in kripkes.values():
-        assert sat_set(k, eg(CtlTrue())) == frozenset(range(k.n_states))
+        assert sat_set(k, eg(BoolConst(True))) == frozenset(range(k.n_states))
 
 
 def test_ef_steady_on_atv_s1(atv_s1, flats, kripkes):
     k = kripkes["atv_s1"]
     got = sat_set(k, parse_ctl("E[true U steady]"))
-    assert got == oracle_sat(k, ef(CtlAtom("steady")))
+    assert got == oracle_sat(k, ef(Var("steady")))
     # the successful adaptation path stays inside the set
     ph = ("v == V0 || v == V1", "r0")
     path = [("3", "r0", None), ("8", "r0", ph), ("11", "r0", ph),
@@ -185,14 +194,14 @@ def test_witness_on_atv_s1(kripkes):
 
 def test_witness_single_self_loop():
     k = to_kripke(build_flat(single_loop_system()))
-    lasso = witness_eg(k, sat_set(k, eg(CtlAtom("steady"))), k.initial)
+    lasso = witness_eg(k, sat_set(k, eg(Var("steady"))), k.initial)
     assert lasso == Lasso((), (k.initial,))
 
 
 def test_witness_precondition_is_enforced(kripkes):
     k = kripkes["bone_s1"]
     with pytest.raises(CtlWitnessError):
-        witness_eg(k, sat_set(k, eg(CtlFalse())), k.initial)
+        witness_eg(k, sat_set(k, eg(BoolConst(False))), k.initial)
 
 
 def test_counterexample_on_atv_s1(kripkes):
@@ -204,7 +213,7 @@ def test_counterexample_on_atv_s1(kripkes):
     bad = path[-1]
     assert bad not in sat_set(k, STRONG_INNER)
     assert "adapting" in k.labels(bad)
-    assert bad not in sat_set(k, af(CtlAtom("steady")))
+    assert bad not in sat_set(k, af(Var("steady")))
 
 
 def test_counterexample_on_bone_s1(kripkes):
@@ -215,13 +224,13 @@ def test_counterexample_on_bone_s1(kripkes):
 
 def test_counterexample_trivially_false_inner(kripkes):
     k = kripkes["atv_s0"]
-    assert counterexample_ag(k, sat_set(k, CtlFalse()), k.initial) == (k.initial,)
+    assert counterexample_ag(k, sat_set(k, BoolConst(False)), k.initial) == (k.initial,)
 
 
 def test_counterexample_precondition_is_enforced(kripkes):
+    # no state outside the set is reachable: the path is empty
     k = kripkes["atv_s0"]
-    with pytest.raises(CtlWitnessError):
-        counterexample_ag(k, sat_set(k, CtlTrue()), k.initial)
+    assert counterexample_ag(k, sat_set(k, BoolConst(True)), k.initial) == ()
 
 
 # ---------------------------------------------------------------------------
@@ -234,9 +243,9 @@ def test_dualities_on_random_structures():
         k = random_kripke(rng, rng.randint(1, 12))
         phi = random_ctl(rng, 3)
         everything = frozenset(range(k.n_states))
-        assert sat_set(k, ag(phi)) == everything - sat_set(k, ef(CtlNot(phi)))
-        assert sat_set(k, af(phi)) == everything - sat_set(k, eg(CtlNot(phi)))
-        assert sat_set(k, ax(phi)) == everything - sat_set(k, CtlEX(CtlNot(phi)))
+        assert sat_set(k, ag(phi)) == everything - sat_set(k, ef(Not(phi)))
+        assert sat_set(k, af(phi)) == everything - sat_set(k, eg(Not(phi)))
+        assert sat_set(k, ax(phi)) == everything - sat_set(k, CtlEX(Not(phi)))
 
 
 def test_ef_monotone_in_the_argument():
@@ -245,7 +254,7 @@ def test_ef_monotone_in_the_argument():
         k = random_kripke(rng, rng.randint(1, 12))
         phi = random_ctl(rng, 3)
         chi = random_ctl(rng, 3)
-        weaker = CtlOr(phi, chi)  # phi => weaker is valid
+        weaker = BoolOp("||", phi, chi)  # phi => weaker is valid
         assert sat_set(k, ef(phi)) <= sat_set(k, ef(weaker))
 
 
@@ -292,8 +301,8 @@ def test_witness_matches_reference_oracle(bundled, monkeypatch):
     systems += [gen_random(seed, *acceptance_schedule(seed)) for seed in range(500)]
     systems += [rules_system(seed) for seed in range(50)]
     systems += [corridor_system(n, seed) for n in (1, 2) for seed in (0, 1)]
-    inners = (WEAK_INNER, STRONG_INNER, CtlNot(CtlAtom("steady")),
-              CtlAtom("steady"), CtlAtom("progress"))
+    inners = (WEAK_INNER, STRONG_INNER, Not(Var("steady")),
+              Var("steady"), Var("progress"))
     pairs = [(to_kripke(build_flat(s)), inner) for s in systems for inner in inners]
     rng = random.Random(9)
     pairs += [(random_kripke(rng, rng.randint(1, 12)), random_ctl(rng, rng.randint(1, 4)))
@@ -328,7 +337,7 @@ def test_witness_matches_reference_oracle(bundled, monkeypatch):
         always = sat_set(k, ag(inner))
         cases = [] if always == good else [(always, t) for t in sorted(always)]
         if k.initial not in always:
-            never_steady = sat_set(k, eg(CtlNot(CtlAtom("steady"))))
+            never_steady = sat_set(k, eg(Not(Var("steady"))))
             end = counterexample_ag(k, sat_set(k, inner), k.initial)[-1]
             if end in never_steady:
                 cases.append((never_steady, end))

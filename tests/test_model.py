@@ -429,3 +429,19 @@ structure
     path.write_text(text)
     with pytest.raises(StateBudgetError):
         model.load_model(path, 9)
+
+
+def test_rule_expansion_counts_the_initial_state_against_its_budget():
+    text = """system still
+observables
+  x : int 0..1
+behaviour rules
+  init x=0
+structure
+  state r0 : x >= 0
+  init r0
+"""
+    assert len(parse_model(text, max_states=1).b.states) == 1
+    with pytest.raises(StateBudgetError) as exc:
+        parse_model(text, max_states=0)
+    assert str(exc.value) == "expand_rules passed the state budget of 0 behaviour states"

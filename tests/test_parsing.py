@@ -26,26 +26,23 @@ from sbcheck import models
 from sbcheck.cli import gen_random, system_to_dsl
 from sbcheck.constraints import (
     FORMULA_GRAMMAR,
+    BoolConst,
+    BoolOp,
     BoolSort,
     BoundedInt,
     EnumSort,
     FormulaError,
+    FormulaSyntaxError,
+    Not,
     Signature,
+    Var,
     parse_with,
     tokenize,
 )
 from sbcheck.ctl import (
-    CtlAnd,
-    CtlAtom,
     CtlAU,
     CtlEU,
     CtlEX,
-    CtlFalse,
-    CtlImplies,
-    CtlNot,
-    CtlOr,
-    CtlParseError,
-    CtlTrue,
     parse_ctl,
 )
 from sbcheck.model import parse_model
@@ -172,10 +169,10 @@ def _ctl_agrees_with_oracle(text) -> bool:
         want = OracleCtlParser(text).parse()
     except RecursionError:
         return True
-    except CtlParseError:
+    except FormulaSyntaxError:
         try:
             parse_ctl(text)
-        except CtlParseError:
+        except FormulaSyntaxError:
             return True
         return False
     return parse_ctl(text) == want
@@ -206,21 +203,21 @@ def _ctl_text(phi, rng) -> str:
         return f"({s})" if rng.random() < 0.7 else s
 
     match phi:
-        case CtlTrue():
+        case BoolConst(value=True):
             return "true"
-        case CtlFalse():
+        case BoolConst(value=False):
             return "false"
-        case CtlAtom(name=name):
+        case Var(name=name):
             return name
-        case CtlNot(arg=x):
+        case Not(arg=x):
             return "!" + operand(x)
         case CtlEX(arg=x):
             return "EX " + operand(x)
-        case CtlAnd(left=l, right=r):
+        case BoolOp(op="&&", left=l, right=r):
             return f"{operand(l)} && {operand(r)}"
-        case CtlOr(left=l, right=r):
+        case BoolOp(op="||", left=l, right=r):
             return f"{operand(l)} || {operand(r)}"
-        case CtlImplies(left=l, right=r):
+        case BoolOp(op="=>", left=l, right=r):
             return f"{operand(l)} => {operand(r)}"
         case CtlEU(left=l, right=r):
             return f"E[{_ctl_text(l, rng)} U {_ctl_text(r, rng)}]"
