@@ -31,14 +31,16 @@ state pairs directly from the flat semantics:
 * a strong adaptation relation requires all steady successors related and
   every adaptation phase to terminate, on related pairs only.
 
-``weak_relation`` and ``greatest_strong_relation`` compute the largest such
-relations coinductively, by deleting violating pairs from the satisfaction
-grid until a fixpoint; ``strong_relation`` instead checks the pairs reached
-from the initial pair by steady steps and completed phases (the reachable
-steady states), which carry strong adaptability of the whole system.  Both
-greatest relations share one worklist: a deleted pair queues the pairs
-whose clauses mention it.  A clause only becomes more violated as pairs
-leave, so the fixpoint reached does not depend on deletion order.
+Steady preempts adaptation, so a pair has one successor set: its steady
+successors, or else its phases' endpoints.  ``weak_relation`` and
+``greatest_strong_relation`` compute the largest such relations within the
+progressing grid pairs: weak deletes, by a worklist, each pair whose set
+misses the relation; strong drops each pair whose sets lead to a pair
+breaking a clause against them all (a phase's dead ends and cycles do not
+depend on the relation, and the phases end on related pairs when the set
+lies inside it).  ``strong_relation`` instead checks the pairs reached from
+the initial pair by steady steps and completed phases (the reachable
+steady states), which carry strong adaptability of the whole system.
 
 The relational route runs on the flat codes of ``flatten._Rules``: a state
 pair is keyed by the code of its steady flat state.  The unbudgeted entry
@@ -50,11 +52,11 @@ memo: it runs on a structure or on ``_Analysis`` tables of its own, and its
 ``strong_relation`` draws its candidate from the analysis that checks it.
 Pair facts are memoised, and so are phase facts (steady endpoints, a
 reachable dead end, a cycle) by adapting start state, each from one
-``graph.reach`` and one ``graph.cyclic_states``, and the worklist index.
-Codes are decoded to id pairs, by ``_Rules.pair``, only for the returned
-relation and for violation messages.  The relational route builds no flat
-system and never calls the CTL checker; the CTL verdicts never call the
-relation code.
+``graph.reach`` and one ``graph.cyclic_states``, and the pairs whose
+successor sets contain each pair.  Codes are decoded to id pairs, by
+``_Rules.pair``, only for the returned relation and for violation messages.
+The relational route builds no flat system and never calls the CTL
+checker; the CTL verdicts never call the relation code.
 """
 
 from __future__ import annotations
@@ -150,9 +152,8 @@ class _PhaseFacts(NamedTuple):
 class _PairFacts(NamedTuple):
     pair: int                       # the pair's steady flat code
     progress: bool
-    steady_pairs: frozenset[int]
+    next: frozenset[int]            # the steady successors, or else all endpoints
     phases: tuple[_PhaseFacts, ...]
-    weak_endpoints: frozenset[int]  # the union of the phases' endpoints
 
 
 class _Tables:
@@ -239,37 +240,34 @@ class _Analysis:
         return hit
 
     def facts(self, pair: int) -> _PairFacts:
-        """The facts of grid pair ``pair``, memoised: its steady successor
-        pairs and, per adaptation label, the merged phase facts of its first
-        states."""
+        """The facts of grid pair ``pair``, memoised: its successor set (a
+        steady group comes alone) and, per adaptation label, the merged
+        phase facts of its first states."""
         hit = self._facts.get(pair)
         if hit is not None:
             return hit
         groups = self.rules.step(pair)
-        steady: frozenset[int] = frozenset()
+        nxt: frozenset[int] = frozenset()
         phases = []
-        weak: frozenset[int] = frozenset()
         for p, ts in groups:
             if p == 0:
-                steady = frozenset(ts)
+                nxt = frozenset(ts)
                 continue
             part_ends, dead, cycle = zip(*map(self._start, ts))
             # one union, linear in the starts' endpoints; a lone start's set is shared
             ends = part_ends[0] if len(part_ends) == 1 else frozenset().union(*part_ends)
             phases.append(_PhaseFacts(p, ends, any(dead), any(cycle)))
-            weak = weak | ends if weak else ends
-        hit = self._facts[pair] = _PairFacts(pair, bool(groups), steady,
-                                             tuple(phases), weak)
+            nxt = nxt | ends if nxt else ends
+        hit = self._facts[pair] = _PairFacts(pair, bool(groups), nxt, tuple(phases))
         return hit
 
     def next_pairs(self, pair: int) -> frozenset[int]:
         """The pairs ``pair`` reaches by a steady step or a completed phase."""
-        pf = self.facts(pair)
-        return pf.steady_pairs | pf.weak_endpoints
+        return self.facts(pair).next
 
     def index(self) -> tuple[list[int], dict[int, list[int]]]:
-        """The progressing grid pairs, and for each pair the pairs whose steady
-        successors or phase endpoints contain it; mode-free, so memoised."""
+        """The progressing grid pairs, and for each pair the pairs whose
+        successor sets contain it; mode-free, so memoised."""
         t = self.tables
         if t.index is None:
             pairs = [pair for pair in self.grid() if self.facts(pair).progress]
@@ -286,22 +284,24 @@ class _Analysis:
 
 
 # A clause function yields each broken clause with a function making its
-# message, so that the deletion worklist, which only asks whether a pair
-# breaks a clause, never decodes or sorts the pairs a message names.
+# message, so that the strong seeds and ``strong_relation``, which only ask
+# whether a pair breaks a clause, never decode or sort the pairs a message
+# names.
 Message = Callable[[], str]
 
 
 def _weak_violations(an: _Analysis, pf: _PairFacts, rel) -> Iterator[tuple[str, Message]]:
-    """Weak clauses (ii) and (iii) that a pair with facts ``pf`` breaks."""
-    if pf.steady_pairs and pf.steady_pairs.isdisjoint(rel):
-        yield "ii", lambda: "no steady successor lands on a related pair"
-    if pf.phases and pf.weak_endpoints.isdisjoint(rel):
-        yield "iii", lambda: "no adaptation phase completes on a related pair"
+    """Weak clause (ii) or (iii) when no successor of ``pf`` is related."""
+    if pf.next.isdisjoint(rel):
+        if pf.phases:
+            yield "iii", lambda: "no adaptation phase completes on a related pair"
+        else:
+            yield "ii", lambda: "no steady successor lands on a related pair"
 
 
 def _strong_violations(an: _Analysis, pf: _PairFacts, rel) -> Iterator[tuple[str, Message]]:
     """Strong clauses (ii) and (iii) that a pair with facts ``pf`` breaks."""
-    missing = pf.steady_pairs - rel
+    missing = frozenset() if pf.phases else pf.next - rel
     if missing:
         yield "ii", lambda: f"steady successors {an.sorted_pairs(missing)} unrelated"
     for ph in pf.phases:
@@ -319,14 +319,15 @@ def _strong_violations(an: _Analysis, pf: _PairFacts, rel) -> Iterator[tuple[str
                                                    f"{an.sorted_pairs(ends)}")
 
 
-def _greatest(sys: SBSystem, violations, max_states: int | None) -> AdaptRelation:
-    """Greatest relation of progressing grid pairs breaking no clause.
+def weak_relation(sys: SBSystem, max_states: int | None = None) -> AdaptRelation:
+    """Greatest weak adaptation relation over the whole state grid.
 
-    Works on pair codes over one ``_Analysis``, so every pair entering the
-    same adaptation phase shares that phase's facts.  Deletes violating
-    pairs through a worklist; a deleted pair queues the pairs whose steady
-    successors or phase endpoints contain it, since only their clauses can
-    change.  The result is decoded to id pairs once, at the end.
+    Starts from every pair whose behaviour state satisfies the structure
+    constraints and can progress, then deletes pairs whose steady moves all
+    leave the relation or whose adaptation phases never complete on a related
+    pair, until nothing changes; a deleted pair queues the pairs whose
+    successor sets contain it.  Stepping more than ``max_states`` flat
+    states, when given, raises :class:`StateBudgetError`.
     """
     an = _Analysis(sys, max_states)
     pairs, mentioned_by = an.index()
@@ -334,29 +335,24 @@ def _greatest(sys: SBSystem, violations, max_states: int | None) -> AdaptRelatio
     work = list(pairs)
     while work:
         pair = work.pop()
-        if pair in rel and next(violations(an, an.facts(pair), rel), None):
+        if pair in rel and an.next_pairs(pair).isdisjoint(rel):
             rel.remove(pair)
             work.extend(mentioned_by.get(pair, ()))
     return AdaptRelation(frozenset(map(an.rules.pair, rel)))
 
 
-def weak_relation(sys: SBSystem, max_states: int | None = None) -> AdaptRelation:
-    """Greatest weak adaptation relation over the whole state grid.
-
-    Starts from every pair whose behaviour state satisfies the structure
-    constraints and can progress, then deletes pairs whose steady moves all
-    leave the relation or whose adaptation phases never complete on a related
-    pair, until nothing changes.  Stepping more than ``max_states`` flat
-    states, when given, raises :class:`StateBudgetError`.
-    """
-    return _greatest(sys, _weak_violations, max_states)
-
-
 def greatest_strong_relation(sys: SBSystem,
                              max_states: int | None = None) -> AdaptRelation:
     """Greatest strong adaptation relation over the whole state grid, under
-    ``max_states`` as in :func:`weak_relation`."""
-    return _greatest(sys, _strong_violations, max_states)
+    ``max_states`` as in :func:`weak_relation`: the progressing grid pairs
+    whose successor sets lead to no pair breaking a clause against them."""
+    an = _Analysis(sys, max_states)
+    pairs, mentioned_by = an.index()
+    live = set(pairs)
+    seeds = [pair for pair in pairs
+             if next(_strong_violations(an, an.facts(pair), live), None)]
+    live -= reach(lambda pair: mentioned_by.get(pair, ()), seeds)
+    return AdaptRelation(frozenset(map(an.rules.pair, live)))
 
 
 def strong_relation(sys: SBSystem,

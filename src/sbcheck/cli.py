@@ -22,9 +22,10 @@ import random
 import sys as _sys
 
 from . import adapt, flatten, kripke
-from .constraints import BoolSort, BoundedInt, EnumSort, InputError, Signature, parse_formula, pretty
+from .constraints import BoundedInt, InputError, Signature, parse_formula, pretty
 from .ctl import parse_ctl, sat_set
-from .model import BLevel, BState, ModelError, SBSystem, SLevel, STransition, load_model, validate
+from .model import (BLevel, BState, ModelError, SBSystem, SLevel, STransition, load_model,
+                    validate, value_text)
 
 
 class GenerationError(InputError):
@@ -95,20 +96,8 @@ def gen_random(seed: int, n_b: int, n_s: int, density: float) -> SBSystem:
 
 def system_to_dsl(sys: SBSystem) -> str:
     """Serialize a system in the model DSL, deterministically."""
-
-    def value_text(v):
-        if isinstance(v, bool):
-            return "true" if v else "false"
-        return str(v)
-
     lines = [f"system {sys.name}", "", "observables"]
-    for name, sort in sys.sig.items():
-        if isinstance(sort, BoundedInt):
-            lines.append(f"  {name} : int {sort.lo}..{sort.hi}")
-        elif isinstance(sort, BoolSort):
-            lines.append(f"  {name} : bool")
-        elif isinstance(sort, EnumSort):
-            lines.append(f"  {name} : enum {{ {', '.join(sort.labels)} }}")
+    lines += [f"  {name} : {sort}" for name, sort in sys.sig.items()]
     lines += ["", "behaviour explicit"]
     for st in sys.b.states.values():
         body = ", ".join(f"{n}={value_text(st.obs[n])}" for n in sys.sig.names)

@@ -225,16 +225,15 @@ class Diagnostic:
 # Guarded rule expansion
 
 
+def value_text(v: Value) -> str:
+    """A value as the model language writes it."""
+    return ("true" if v else "false") if isinstance(v, bool) else str(v)
+
+
 def canonical_state_id(sig: Signature, obs: Mapping[str, Value]) -> str:
-    """Render an observation as a state id, values in declaration order."""
-    parts = []
-    for name, _sort in sig.items():
-        v = obs[name]
-        if isinstance(v, bool):
-            parts.append("true" if v else "false")
-        else:
-            parts.append(str(v))
-    return "_".join(parts)
+    """Render an observation as a state id, values in declaration order and
+    a minus sign spelled ``m``, so that the id is one word."""
+    return "_".join(value_text(obs[n]).replace("-", "m") for n in sig.names)
 
 
 def expand_rules(rules: Iterable[GuardedRule], sig: Signature,

@@ -989,6 +989,19 @@ def corridor_system(n_blocks: int, seed: int = 0) -> SBSystem:
     return SBSystem(f"corridor{n_blocks}", sig, b, s)
 
 
+def opened_corridor_system(n_blocks: int) -> SBSystem:
+    """:func:`corridor_system` opened into a line ending in a dead state.
+
+    The steps that wrap around the ring go, so the last state, in a gap, is
+    dead, and every pair of both greatest relations is deleted, one
+    deletion leading to the next.
+    """
+    ring = corridor_system(n_blocks)
+    trans = [(a, b) for a, b in ring.b.transitions if int(b[1:]) > int(a[1:])]
+    b = BLevel(list(ring.b.states.values()), ring.b.initial, trans)
+    return SBSystem(f"opened{n_blocks}", ring.sig, b, ring.s)
+
+
 def fan_system(n: int) -> SBSystem:
     """``n`` entering states that all start one shared adaptation phase.
 

@@ -9,6 +9,7 @@ from helpers import (
     corridor_system,
     fan_system,
     ladder_system,
+    opened_corridor_system,
     oracle_check,
     oracle_flat,
     oracle_grid,
@@ -361,6 +362,9 @@ def test_relation_route_matches_reference_oracle(bundled):
     systems += [fan_system(n) for n in (1, 2, 5, 17)]
     systems += [spread_fan_system(n) for n in (1, 2, 5, 17)]
     systems += [ladder_system(n) for n in (1, 2, 5, 17)]
+    # cyclic pair graphs through adaptation gaps, where every pair stays, and
+    # a line whose dead end deletes every pair, one after another
+    systems += [corridor_system(1), corridor_system(2), opened_corridor_system(2)]
     for sys_ in systems:
         _assert_relations_match_oracle(sys_)
 

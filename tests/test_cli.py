@@ -468,6 +468,59 @@ def test_negative_literals_in_labels_get_agreeing_verdicts(tmp_path, capsys):
     capsys.readouterr()
 
 
+NEGATIVE_RULE_MODELS = {
+    "one": """system negrules
+observables
+  x : int -2..2
+behaviour rules
+  init x=-2
+  rule U: x < 2 -> x := x + 1
+structure
+  state r0 : x <= -1
+  state r1 : x >= 1
+  init r0
+  trans r0 -> r1 inv x >= -2
+  trans r1 -> r0 inv true
+""",
+    "second": """system negsecond
+observables
+  x : int 0..2
+  y : int -1..1
+behaviour rules
+  init x=0, y=-1
+  rule A: x < 2 -> x := x + 1
+  rule B: y < 1 && x > 0 -> y := y + 1
+  rule C: x > 0 && y > -1 -> x := x - 1, y := y - 1
+structure
+  state r0 : y <= 0
+  state r1 : y >= 0 && x >= 1
+  init r0
+  trans r0 -> r1 inv x >= 1
+  trans r1 -> r0 inv true
+""",
+}
+
+
+@pytest.mark.parametrize("name", sorted(NEGATIVE_RULE_MODELS))
+def test_rule_states_with_negative_values_round_trip_through_dsl(name, tmp_path, capsys):
+    # a rule state's id spells a minus sign as m, so the id is one word;
+    # the first line of states adapts once and dead-ends, the second holds
+    text = NEGATIVE_RULE_MODELS[name]
+    sys_ = parse_model(text)
+    assert any("m" in q for q in sys_.b.states)
+    back = parse_model(system_to_dsl(sys_))
+    assert sorted(back.b.states) == sorted(sys_.b.states)
+    assert back.b.transitions == sys_.b.transitions
+    path, again = tmp_path / "rules.sb", tmp_path / "again.sb"
+    path.write_text(text, encoding="utf-8")
+    again.write_text(system_to_dsl(sys_), encoding="utf-8")
+    for command in ("check", "relation"):
+        for mode in ("weak", "strong"):
+            args = ["--mode", mode]
+            assert run([command, str(again), *args]) == run([command, str(path), *args])
+    capsys.readouterr()
+
+
 def test_color_env(capsys, monkeypatch):
     monkeypatch.setenv("SBCHECK_COLOR", "1")
     run(["check", model_path("atv_s0"), "--mode", "weak"])

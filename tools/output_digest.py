@@ -71,7 +71,11 @@ grid, on one freshly loaded system, and in the reverse order on another,
 for the same models.  It prints one line per run (file, order, sha256 of
 the returned relations and the checks' violation messages), and on stderr
 the combined digest ``RELATIONS``, which sees what one relation query
-leaves memoised for the next.
+leaves memoised for the next.  Its population adds, written into DIR as
+model files, the test suite's fan, spread fan and ladder systems of 1, 2, 5
+and 17, its guarded-rule systems 0-49, and the corridors of 1, 2 and 3
+blocks opened into lines that end in a dead state, on which every pair of
+both greatest relations is deleted.
 
 Usage, from the root of a checkout:
 
@@ -89,7 +93,15 @@ import random
 import re
 import sys
 
-from helpers import acceptance_schedule, corridor_system
+from helpers import (
+    acceptance_schedule,
+    corridor_system,
+    fan_system,
+    ladder_system,
+    opened_corridor_system,
+    rules_system,
+    spread_fan_system,
+)
 
 from sbcheck import adapt, cli, models
 from sbcheck.adapt import AdaptRelation, RelationCheck, check_strong, check_weak
@@ -139,6 +151,8 @@ RELATION_QUERIES = ("weak_relation", "greatest_strong_relation", "strong_relatio
                     "is_weak_adaptation", "is_strong_adaptation")
 BUDGET_SYSTEMS = 100  # acceptance systems run, after the bundled models
 CORRIDOR_BLOCKS = (1, 2, 3)
+FAN_SIZES = (1, 2, 5, 17)
+RULES_SYSTEMS = 50
 N_MUTANTS = 2000
 MUTANT_SOURCES = 200  # acceptance systems mutated, after the bundled models
 MUTANT_SEED = 20141
@@ -303,6 +317,15 @@ def run_memo(paths: list[str]) -> str:
     return total.hexdigest()
 
 
+def relation_files(out_dir: str) -> list[str]:
+    """The systems only the relation queries run on, written to ``out_dir``."""
+    systems = [make(n) for make in (fan_system, spread_fan_system, ladder_system)
+               for n in FAN_SIZES]
+    systems += [rules_system(seed) for seed in range(RULES_SYSTEMS)]
+    systems += [opened_corridor_system(n) for n in CORRIDOR_BLOCKS]
+    return [write_model(out_dir, sys_.name, sys_) for sys_ in systems]
+
+
 def run_relations(paths: list[str]) -> str:
     """Run the relation queries on one system per order; the combined digest."""
     total = hashlib.sha256()
@@ -369,7 +392,7 @@ def main(argv: list[str]) -> int:
             ctl.update(run_command(path, ("ctl", "--ctl", formula), ["--ctl", formula],
                                    with_err=True))
     memo = run_memo(files + corridors)
-    relations = run_relations(files + corridors)
+    relations = run_relations(files + corridors + relation_files(argv[0]))
     print("TOTAL", total.hexdigest(), file=sys.stderr)
     print("TOTAL+corridor", extended.hexdigest(), file=sys.stderr)
     print("MUTANTS", mutants, file=sys.stderr)
