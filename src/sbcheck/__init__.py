@@ -28,7 +28,6 @@ from .constraints import (
     SortMismatchError,
     UnknownObservableError,
     evaluate,
-    free_observables,
     parse_formula,
     pretty,
 )

@@ -34,13 +34,17 @@ state pairs directly from the flat semantics:
 Steady preempts adaptation, so a pair has one successor set: its steady
 successors, or else its phases' endpoints.  ``weak_relation`` and
 ``greatest_strong_relation`` compute the largest such relations within the
-progressing grid pairs: weak deletes, by a worklist, each pair whose set
-misses the relation; strong drops each pair whose sets lead to a pair
-breaking a clause against them all (a phase's dead ends and cycles do not
-depend on the relation, and the phases end on related pairs when the set
-lies inside it).  ``strong_relation`` instead checks the pairs reached from
-the initial pair by steady steps and completed phases (the reachable
-steady states), which carry strong adaptability of the whole system.
+progressing grid pairs, each by one backward fixpoint of ``graph`` over the
+pairs whose successor sets contain a pair.  Weak deletes a pair once its set
+misses the relation, an A-until: ``graph.attractor`` from the pairs whose
+set holds no progressing grid pair, a pair joining once all its successors
+have.  Strong drops each pair whose set leads to a pair breaking a clause
+against them all, an E-until: ``graph.reach`` back from those pairs (a
+phase's dead ends and cycles do not depend on the relation, and the phases
+end on related pairs when the set lies inside it).  ``strong_relation``
+instead checks the pairs reached from the initial pair by steady steps and
+completed phases (the reachable steady states), which carry strong
+adaptability of the whole system.
 
 The relational route runs on the flat codes of ``flatten._Rules``: a state
 pair is keyed by the code of its steady flat state.  The unbudgeted entry
@@ -79,7 +83,7 @@ from .ctl import (
 from .flatten import PreconditionError, _Rules, build_flat  # noqa: F401  (re-exported)
 # the benchmark's tracer (perfbench/spans.py) wraps adapt.flat_successors
 from .flatten import flat_successors  # noqa: F401
-from .graph import cyclic_states, reach
+from .graph import attractor, cyclic_states, reach
 from .kripke import to_kripke
 from .model import SBSystem
 
@@ -325,20 +329,19 @@ def weak_relation(sys: SBSystem, max_states: int | None = None) -> AdaptRelation
     Starts from every pair whose behaviour state satisfies the structure
     constraints and can progress, then deletes pairs whose steady moves all
     leave the relation or whose adaptation phases never complete on a related
-    pair, until nothing changes; a deleted pair queues the pairs whose
-    successor sets contain it.  Stepping more than ``max_states`` flat
-    states, when given, raises :class:`StateBudgetError`.
+    pair, until nothing changes: the deleted pairs are the ``graph.attractor``
+    of the pairs with no successor in the relation, backward over the pairs
+    whose successor sets contain each pair.  Stepping more than
+    ``max_states`` flat states, when given, raises :class:`StateBudgetError`.
     """
     an = _Analysis(sys, max_states)
     pairs, mentioned_by = an.index()
-    rel = set(pairs)
-    work = list(pairs)
-    while work:
-        pair = work.pop()
-        if pair in rel and an.next_pairs(pair).isdisjoint(rel):
-            rel.remove(pair)
-            work.extend(mentioned_by.get(pair, ()))
-    return AdaptRelation(frozenset(map(an.rules.pair, rel)))
+    live = set(pairs)
+    # the successors that can still keep each pair; a pair leaves at none
+    remaining = {pair: len(live.intersection(an.next_pairs(pair))) for pair in pairs}
+    left = attractor(lambda pair: mentioned_by.get(pair, ()), remaining,
+                     [pair for pair, n in remaining.items() if not n])
+    return AdaptRelation(frozenset(map(an.rules.pair, live - left)))
 
 
 def greatest_strong_relation(sys: SBSystem,

@@ -283,22 +283,6 @@ def evaluate(phi: Formula, obs: Mapping[str, Value]) -> Value:
     return vals[0]
 
 
-def free_observables(phi: Formula) -> frozenset[str]:
-    """Names of the variables occurring in ``phi``."""
-    out: set[str] = set()
-    stack = [phi]
-    while stack:
-        node = stack.pop()
-        t = type(node)
-        if t is Var:
-            out.add(node.name)
-        elif t is Not:
-            stack.append(node.arg)
-        elif t in _BINARY_NODES:
-            stack += (node.left, node.right)
-    return frozenset(out)
-
-
 # ---------------------------------------------------------------------------
 # Sort checking
 

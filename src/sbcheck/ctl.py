@@ -14,16 +14,15 @@ time:
 
 Satisfaction sets are computed bottom-up; an atom is its set, and the until
 operators are least fixpoints over the predecessor relation, each pass
-linear in states plus edges.  E[a U b] is backward reachability from b
-inside a; A[a U b] counts, per state, the successors not yet known to reach
-b.  The searches walk a set they are given and label nothing: a
-counterexample is a shortest path out of it, and an EG witness a lasso
-inside it, closed by two shortest-path searches, one backward from the cycle
-head to its nearest successor and one forward from that successor back to
-the head; the region reachable from the start, and its cycle states, are
-computed only when the start lies on no cycle.  Every traversal except the
-A-until counter runs through the primitives of ``graph``, which know nothing
-of CTL.
+linear in states plus edges: E[a U b] is ``graph.reach`` from b inside a,
+and A[a U b] is ``graph.attractor`` from b inside a, a state joining once
+all its successors have.  The searches walk a set they are given and label
+nothing: a counterexample is a shortest path out of it, and an EG witness a
+lasso inside it, closed by two shortest-path searches, one backward from the
+cycle head to its nearest successor and one forward from that successor back
+to the head; the region reachable from the start, and its cycle states, are
+computed only when the start lies on no cycle.  Every traversal runs through
+the primitives of ``graph``, which know nothing of CTL.
 
 Formulas are read by the operator-precedence parser of ``constraints``,
 from the tokens of its lexer (so ``#`` starts a comment), with the grammar
@@ -39,7 +38,7 @@ from typing import Union
 
 from .constraints import (FORMULA_GRAMMAR, BoolConst, BoolOp, FormulaSyntaxError, Grammar,
                           Group, Not, Token, Var, parse_text)
-from .graph import cyclic_states, reach, shortest_path
+from .graph import attractor, cyclic_states, reach, shortest_path
 
 AP = ("adapting", "steady", "progress")
 
@@ -206,25 +205,10 @@ def sat_set(k: Kripke, phi: CtlFormula) -> frozenset[int]:
             case CtlEU():
                 res = frozenset(reach(k.pred.__getitem__, sub[1], within=sub[0]))
             case CtlAU():
-                res = _au(k, sub[0], sub[1])
+                res = frozenset(attractor(k.pred.__getitem__, [len(ts) for ts in k.succ],
+                                          sub[1], within=sub[0]))
         memo[id(node)] = res
     return memo[id(phi)]
-
-
-def _au(k: Kripke, sat_a: frozenset[int], sat_b: frozenset[int]) -> frozenset[int]:
-    # count successors still able to avoid the result set
-    remaining = [len(ts) for ts in k.succ]
-    result = set(sat_b)
-    stack = list(sat_b)
-    pred = k.pred
-    while stack:
-        y = stack.pop()
-        for x in pred[y]:
-            remaining[x] -= 1
-            if remaining[x] == 0 and x in sat_a and x not in result:
-                result.add(x)
-                stack.append(x)
-    return frozenset(result)
 
 
 # ---------------------------------------------------------------------------

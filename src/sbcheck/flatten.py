@@ -221,10 +221,6 @@ class FlatLts:
             for e in range(offsets[i], offsets[i + 1]):
                 yield i, phases[self.labels[e]], self.targets[e]
 
-    def steady_pairs(self) -> frozenset[tuple[str, str]]:
-        P = self._rules.P
-        return frozenset(self._rules.pair(c) for c in self.codes if c % P == 0)
-
     def dead_states(self) -> tuple[FlatState, ...]:
         off = self.offsets
         return tuple(self.state(i) for i in range(len(self.codes))

@@ -4,11 +4,18 @@ A graph is given by its successor function: ``succ(v)`` iterates the
 successors of node ``v``.  Nodes are any hashable values; ``shortest_path``
 also orders them to break ties.  A ``within`` set restricts a search to the
 subgraph it induces.
+
+Every backward fixpoint of both routes is one of two primitives, run over
+the predecessor function: ``reach`` adds a node once *some* successor has
+joined (E-until, and the strong relation's drop), and ``attractor`` once
+*all* of them have, or as many as a count the caller gives (A-until, and the
+weak relation's deletion).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Collection, Container, Hashable, Iterable, Optional
+from typing import (Callable, Collection, Container, Hashable, Iterable, MutableMapping,
+                    MutableSequence, Optional)
 
 Succ = Callable[[Hashable], Iterable[Hashable]]
 
@@ -27,6 +34,28 @@ def reach(succ: Succ, sources: Iterable, within: Optional[Container] = None) -> 
                 seen.add(y)
                 stack.append(y)
     return seen
+
+
+def attractor(pred: Succ, remaining: MutableSequence[int] | MutableMapping,
+              sources: Iterable, within: Optional[Container] = None) -> set:
+    """The least set holding ``sources`` and every node ``x`` of ``within``
+    (of the graph when it is None) once ``remaining[x]`` of its successors
+    have joined.
+
+    ``pred(v)`` yields each predecessor of ``v`` once per edge.  The counts,
+    a list over dense nodes or a dict, are counted down in place; a node
+    whose count starts at 0 joins only as a source.  Linear in the nodes
+    and edges visited (the counter of Clarke, Emerson and Sistla 1986).
+    """
+    result = set(sources)
+    stack = list(result)
+    while stack:
+        for x in pred(stack.pop()):
+            remaining[x] -= 1
+            if remaining[x] == 0 and (within is None or x in within) and x not in result:
+                result.add(x)
+                stack.append(x)
+    return result
 
 
 def cyclic_states(succ: Succ, region: Collection) -> set:

@@ -119,6 +119,11 @@ def flat_out(flat, f) -> list:
     return [(lab, flat.state(j)) for src, lab, j in flat.edges() if src == i]
 
 
+def steady_pairs(flat) -> frozenset[tuple[str, str]]:
+    """The (behaviour, structure) id pairs of the steady states of ``flat``."""
+    return frozenset((f.q, f.r) for f in flat.states if f.is_steady)
+
+
 def oracle_flat_size(sys, root=None) -> tuple[int, int]:
     """Reachable flat state and labelled edge counts of ``oracle_flat``."""
     states, edges = oracle_flat(sys, root)
@@ -1055,6 +1060,20 @@ def ladder_system(n: int) -> SBSystem:
         if i + 1 < n:
             trans.append((f"g{i}", f"g{i + 1}"))
     return SBSystem(f"ladder{n}", sig, BLevel(states, "s", trans), _two_phase_structure(sig))
+
+
+def cascade_ladder_system(n: int) -> SBSystem:
+    """:func:`ladder_system` whose ends step down the line instead of looping.
+
+    Each end ``e<i>`` steps to ``e<i-1>``, and ``e0`` to a dead ``x=1``
+    state ``d``.  So the ends leave both greatest relations in turn, and the
+    entering pair, whose phase ends on all of them, leaves at the last one.
+    """
+    ladder = ladder_system(n)
+    trans = [(a, b) for a, b in ladder.b.transitions if a != b]
+    trans += [(f"e{i}", f"e{i - 1}" if i else "d") for i in range(n)]
+    states = [*ladder.b.states.values(), BState("d", {"x": 1})]
+    return SBSystem(f"cascade_ladder{n}", ladder.sig, BLevel(states, "s", trans), ladder.s)
 
 
 def _two_phase_structure(sig) -> SLevel:

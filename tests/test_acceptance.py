@@ -21,6 +21,7 @@ from helpers import (
     prop1_violations,
     random_ctl,
     random_kripke,
+    steady_pairs,
 )
 
 from sbcheck.adapt import (
@@ -154,7 +155,7 @@ def test_criterion_6_relation_algebra(generated):
         if sr is not None:
             assert sr.pairs <= rel_w.pairs, sys_.name
             # propagation: reachable steady pairs all strong-related
-            assert build_flat(sys_).steady_pairs() <= rel_s.pairs, sys_.name
+            assert steady_pairs(build_flat(sys_)) <= rel_s.pairs, sys_.name
         # computed relations pass their own checkers
         assert is_weak_adaptation(sys_, rel_w).ok, sys_.name
         assert is_strong_adaptation(sys_, rel_s).ok, sys_.name

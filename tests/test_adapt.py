@@ -6,6 +6,7 @@ import weakref
 import pytest
 from helpers import (
     acceptance_schedule,
+    cascade_ladder_system,
     corridor_system,
     fan_system,
     ladder_system,
@@ -17,6 +18,7 @@ from helpers import (
     oracle_strong_relation,
     rules_system,
     spread_fan_system,
+    steady_pairs,
 )
 
 from sbcheck import adapt, ctl, models
@@ -218,7 +220,7 @@ def test_state_adaptable_preconditions(atv_s0):
 
 def test_state_adaptable_off_reachable_pair(bone_s0):
     # (0_2_0, r2) is not reachable steadily from the initial state
-    assert ("0_2_0", "r2") not in build_flat(bone_s0).steady_pairs()
+    assert ("0_2_0", "r2") not in steady_pairs(build_flat(bone_s0))
     assert state_adaptable(bone_s0, "0_2_0", "r2", "strong") is True
 
 
@@ -273,7 +275,7 @@ def test_strong_propagates_to_reachable_steady_pairs():
     for sys_ in _random_systems(902, 60):
         gs = greatest_strong_relation(sys_)
         if (sys_.b.initial, sys_.s.initial) in gs:
-            assert build_flat(sys_).steady_pairs() <= gs.pairs
+            assert steady_pairs(build_flat(sys_)) <= gs.pairs
 
 
 def test_computed_relations_self_verify(bundled):
@@ -362,6 +364,8 @@ def test_relation_route_matches_reference_oracle(bundled):
     systems += [fan_system(n) for n in (1, 2, 5, 17)]
     systems += [spread_fan_system(n) for n in (1, 2, 5, 17)]
     systems += [ladder_system(n) for n in (1, 2, 5, 17)]
+    # ends that leave one after another, the entering pair only after the last
+    systems += [cascade_ladder_system(n) for n in (1, 2, 5, 17)]
     # cyclic pair graphs through adaptation gaps, where every pair stays, and
     # a line whose dead end deletes every pair, one after another
     systems += [corridor_system(1), corridor_system(2), opened_corridor_system(2)]
@@ -384,7 +388,7 @@ def test_reached_pairs_are_the_flat_steady_pairs():
         reached = reach(an.next_pairs, (an.rules.steady(sys_.b.initial, sys_.s.initial),))
         pairs = frozenset(map(an.rules.pair, reached))
         flat = build_flat(sys_)
-        assert pairs == flat.steady_pairs(), sys_.name
+        assert pairs == steady_pairs(flat), sys_.name
         assert pairs == {(q, r) for q, r, phase in oracle_flat(sys_)[0]
                          if phase is None}, sys_.name
         assert an.rules.stepped == flat.n_states, sys_.name

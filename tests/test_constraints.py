@@ -34,7 +34,6 @@ from sbcheck.constraints import (
     UnknownObservableError,
     Var,
     evaluate,
-    free_observables,
     parse_formula,
     parse_with,
     pretty,
@@ -74,7 +73,6 @@ def test_parse_congestion_example(atv_sig):
     phi = parse_formula(
         "congestion => velocity < 5 && !congestion => velocity > 0", atv_sig)
     assert isinstance(phi, BoolOp) and phi.op == "=>"
-    assert free_observables(phi) == {"velocity", "congestion"}
 
 
 def test_parse_true_literal(atv_sig):
@@ -143,13 +141,6 @@ def test_intermediate_arithmetic_unbounded(bone_sig):
     # 2*4*... exceeds every sort bound; evaluation stays exact
     phi = parse_formula("Oc * Ob * 100 > 500", bone_sig)
     assert evaluate(phi, {"Oc": 2, "Ob": 4, "Oy": 0}) is True
-
-
-def test_free_observables(bone_sig, enum_sig):
-    assert free_observables(BoolConst(True)) == frozenset()
-    assert free_observables(parse_formula("Oc>0 && Ob==0 && Oy==0", bone_sig)) \
-        == {"Oc", "Ob", "Oy"}
-    assert free_observables(parse_formula("v==V0 || v==V1", enum_sig)) == {"v"}
 
 
 def test_signature_rejects_ambiguity():

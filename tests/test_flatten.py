@@ -11,6 +11,7 @@ from helpers import (
     prop1_violations,
     rules_system,
     single_loop_system,
+    steady_pairs,
 )
 
 from sbcheck.adapt import _Analysis
@@ -63,11 +64,11 @@ def test_adaptation_start_in_atv(atv_s0):
 
 
 def test_atv_s0_steady_projection(flats):
-    assert flats["atv_s0"].steady_pairs() == ATV_S0_STEADY
+    assert steady_pairs(flats["atv_s0"]) == ATV_S0_STEADY
 
 
 def test_bone_s0_steady_projection(flats):
-    assert flats["bone_s0"].steady_pairs() == BONE_S0_STEADY
+    assert steady_pairs(flats["bone_s0"]) == BONE_S0_STEADY
 
 
 def test_single_self_loop_system():

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from sbcheck.graph import cyclic_states, reach, shortest_path
+from sbcheck.graph import attractor, cyclic_states, reach, shortest_path
 
 
 def random_graph(rng: random.Random):
@@ -46,6 +46,55 @@ def test_reach_matches_closure(restricted):
         within = region if restricted else set(range(n))
         got = reach(succ.__getitem__, sources, within=within if restricted else None)
         assert got == closure(succ, sources, within), seed
+
+
+def naive_attractor(succ, count, sources, within):
+    """The least set holding ``sources`` and each node ``x`` of ``within``
+    with ``count[x] >= 1`` and at least ``count[x]`` successors in it."""
+    out = set(sources)
+    while True:
+        more = {x for x in within - out
+                if count[x] >= 1 and sum(y in out for y in succ[x]) >= count[x]}
+        if not more:
+            return out
+        out |= more
+
+
+def predecessors(succ):
+    """``pred(v)`` of the graph ``succ``: each predecessor once per edge."""
+    pred = [[] for _ in succ]
+    for x, ys in enumerate(succ):
+        for y in ys:
+            pred[y].append(x)
+    return pred.__getitem__
+
+
+@pytest.mark.parametrize("restricted", [False, True])
+def test_attractor_matches_naive_fixpoint(restricted):
+    for seed in SEEDS:
+        rng = random.Random(seed)
+        n = rng.randint(1, 40)
+        succ = [rng.sample(range(n), rng.randint(0, min(n, 4))) for _ in range(n)]
+        count = [rng.randint(0, len(ys)) for ys in succ]
+        within = {v for v in range(n) if rng.random() < 0.7} if restricted else set(range(n))
+        sources = rng.sample(range(n), rng.randint(0, min(n, 4)))
+        expected = naive_attractor(succ, count, sources, within)
+        # the counts are the caller's, a list over dense nodes or a dict
+        for remaining in (list(count), dict(enumerate(count))):
+            got = attractor(predecessors(succ), remaining, sources,
+                            within=within if restricted else None)
+            assert got == expected, seed
+
+
+def test_attractor_with_a_zero_count_joins_only_as_a_source():
+    # 0 -> 1 and 0 -> 2; 2 is the source
+    succ = [(1, 2), (), ()]
+    assert attractor(predecessors(succ), [0, 0, 0], [2]) == {2}
+    assert attractor(predecessors(succ), [1, 0, 0], [2]) == {0, 2}
+    assert attractor(predecessors(succ), [2, 0, 0], [2]) == {2}
+    assert attractor(predecessors(succ), [0, 0, 0], [0, 2]) == {0, 2}
+    # a node outside ``within`` joins only as a source too
+    assert attractor(predecessors(succ), [1, 0, 0], [2], within={1, 2}) == {2}
 
 
 def test_cyclic_states_are_the_states_that_return_to_themselves():

@@ -2,7 +2,7 @@
 
 import random
 
-from helpers import flat_out
+from helpers import flat_out, steady_pairs
 
 from sbcheck.adapt import (
     check_strong,
@@ -126,7 +126,7 @@ structure
     assert validate(sys_) == []
     flat = build_flat(sys_)
     # every move is an immediate adaptation between the two regions
-    assert flat.steady_pairs() == {("p", "r0"), ("q", "r1")}
+    assert steady_pairs(flat) == {("p", "r0"), ("q", "r1")}
     assert flat.n_states == 2
     assert check_weak(sys_).holds and check_strong(sys_).holds
     rel = strong_relation(sys_)

@@ -72,10 +72,11 @@ for the same models.  It prints one line per run (file, order, sha256 of
 the returned relations and the checks' violation messages), and on stderr
 the combined digest ``RELATIONS``, which sees what one relation query
 leaves memoised for the next.  Its population adds, written into DIR as
-model files, the test suite's fan, spread fan and ladder systems of 1, 2, 5
-and 17, its guarded-rule systems 0-49, and the corridors of 1, 2 and 3
-blocks opened into lines that end in a dead state, on which every pair of
-both greatest relations is deleted.
+model files, the test suite's fan, spread fan, ladder and cascade ladder
+systems of 1, 2, 5 and 17, its guarded-rule systems 0-49, and the corridors
+of 1, 2 and 3 blocks opened into lines that end in a dead state, on which
+every pair of both greatest relations is deleted, as on the cascade ladders,
+whose entering pair leaves only after each end of its phase has.
 
 Usage, from the root of a checkout:
 
@@ -95,6 +96,7 @@ import sys
 
 from helpers import (
     acceptance_schedule,
+    cascade_ladder_system,
     corridor_system,
     fan_system,
     ladder_system,
@@ -319,7 +321,8 @@ def run_memo(paths: list[str]) -> str:
 
 def relation_files(out_dir: str) -> list[str]:
     """The systems only the relation queries run on, written to ``out_dir``."""
-    systems = [make(n) for make in (fan_system, spread_fan_system, ladder_system)
+    systems = [make(n) for make in (fan_system, spread_fan_system, ladder_system,
+                                    cascade_ladder_system)
                for n in FAN_SIZES]
     systems += [rules_system(seed) for seed in range(RULES_SYSTEMS)]
     systems += [opened_corridor_system(n) for n in CORRIDOR_BLOCKS]
