@@ -67,9 +67,9 @@ from __future__ import annotations
 
 import weakref
 from collections import defaultdict
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Literal, NamedTuple, Optional
 
+from .constraints import Record
 from .ctl import (
     Kripke,
     Lasso,
@@ -97,11 +97,13 @@ NEVER_STEADY = parse_ctl("EG !steady")
 Pair = tuple[str, str]
 
 
-@dataclass(frozen=True)
-class AdaptRelation:
+class AdaptRelation(Record):
     """A set of (behaviour state, structure state) pairs."""
 
-    pairs: frozenset[Pair]
+    __slots__ = ("pairs",)
+
+    def __init__(self, pairs: frozenset[Pair]):
+        object.__setattr__(self, "pairs", pairs)
 
     def __contains__(self, pair: Pair) -> bool:
         return pair in self.pairs
@@ -117,29 +119,35 @@ class AdaptRelation:
         return AdaptRelation(frozenset(pairs))
 
 
-@dataclass(frozen=True)
-class Violation:
-    pair: Pair
-    clause: str  # "i" | "ii" | "iii"
-    message: str
+class Violation(Record):
+    __slots__ = ("pair", "clause", "message")
+
+    def __init__(self, pair: Pair, clause: str, message: str):
+        object.__setattr__(self, "pair", pair)
+        object.__setattr__(self, "clause", clause)  # "i" | "ii" | "iii"
+        object.__setattr__(self, "message", message)
 
     def __str__(self):
         return f"({self.pair[0]}, {self.pair[1]}) clause ({self.clause}): {self.message}"
 
 
-@dataclass(frozen=True)
-class RelationCheck:
-    ok: bool
-    violations: tuple[Violation, ...]
+class RelationCheck(Record):
+    __slots__ = ("ok", "violations")
+
+    def __init__(self, ok: bool, violations: tuple[Violation, ...]):
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "violations", violations)
 
 
 Evidence = Lasso  # a verdict's run of decoded FlatStates; a plain path has no cycle
 
 
-@dataclass(frozen=True)
-class Verdict:
-    holds: bool
-    evidence: Evidence
+class Verdict(Record):
+    __slots__ = ("holds", "evidence")
+
+    def __init__(self, holds: bool, evidence: Evidence):
+        object.__setattr__(self, "holds", holds)
+        object.__setattr__(self, "evidence", evidence)
 
 
 # ---------------------------------------------------------------------------
@@ -337,10 +345,12 @@ def weak_relation(sys: SBSystem, max_states: int | None = None) -> AdaptRelation
     an = _Analysis(sys, max_states)
     pairs, mentioned_by = an.index()
     live = set(pairs)
-    # the successors that can still keep each pair; a pair leaves at none
-    remaining = {pair: len(live.intersection(an.next_pairs(pair))) for pair in pairs}
+    # the successors that can still keep each pair; a pair leaves at none,
+    # and the successors outside the progressing grid are gone from the start
+    remaining = {pair: len(an.next_pairs(pair)) for pair in pairs}
     left = attractor(lambda pair: mentioned_by.get(pair, ()), remaining,
-                     [pair for pair, n in remaining.items() if not n])
+                     [pair for pair, n in remaining.items() if not n]
+                     + [other for other in mentioned_by if other not in live])
     return AdaptRelation(frozenset(map(an.rules.pair, live - left)))
 
 

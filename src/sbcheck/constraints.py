@@ -20,7 +20,11 @@ CTL formula is made of this module's ``BoolConst``, ``Var``, ``Not`` and
 ``BoolOp`` nodes and the three temporal nodes of ``ctl``.
 
 :class:`InputError` is the base of every error in what a caller gives the
-package, and the one place that prints a location.
+package, and the one place that prints a location.  :class:`Record` is the
+slotted base of every immutable value class of the package (sorts, formula
+nodes, flat states, lassos, relations, verdicts): it gives them the
+equality, hash, repr, immutability, ``match`` patterns and copying of a
+frozen dataclass, with no code generated when a class is defined.
 
 Every walk over a formula tree runs on an explicit stack, so formulas of
 any depth or length are accepted.  Trees are never hashed: the printed text
@@ -31,7 +35,6 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Union
 
@@ -77,17 +80,56 @@ class SortMismatchError(FormulaError):
 
 
 # ---------------------------------------------------------------------------
+# Value classes
+
+
+class Record:
+    """Base of the package's value classes, which behave as frozen
+    dataclasses.  A subclass lists its fields in ``__slots__`` and stores
+    them in its own ``__init__`` with ``object.__setattr__``."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        names = cls.__match_args__ = cls.__slots__
+        # the tuple of a record's fields, read in C
+        get = operator.attrgetter(*names) if names else lambda self: ()
+        cls._astuple = staticmethod(get if len(names) != 1 else lambda self: (get(self),))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._astuple(self) == self._astuple(other)
+
+    def __hash__(self):
+        return hash(self._astuple(self))
+
+    def __repr__(self):
+        return "%s(%s)" % (self.__class__.__qualname__,
+                           ", ".join([f"{f}={getattr(self, f)!r}" for f in self.__slots__]))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._astuple(self)
+
+
+# ---------------------------------------------------------------------------
 # Sorts and signatures
 
 
-@dataclass(frozen=True)
-class BoundedInt:
-    lo: int
-    hi: int
+class BoundedInt(Record):
+    __slots__ = ("lo", "hi")
 
-    def __post_init__(self):
-        if self.lo > self.hi:
-            raise ValueError(f"empty integer sort {self.lo}..{self.hi}")
+    def __init__(self, lo: int, hi: int):
+        if lo > hi:
+            raise ValueError(f"empty integer sort {lo}..{hi}")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
 
     def contains(self, v: Value) -> bool:
         return isinstance(v, int) and not isinstance(v, bool) and self.lo <= v <= self.hi
@@ -96,8 +138,9 @@ class BoundedInt:
         return f"int {self.lo}..{self.hi}"
 
 
-@dataclass(frozen=True)
-class BoolSort:
+class BoolSort(Record):
+    __slots__ = ()
+
     def contains(self, v: Value) -> bool:
         return isinstance(v, bool)
 
@@ -105,18 +148,18 @@ class BoolSort:
         return "bool"
 
 
-@dataclass(frozen=True)
-class EnumSort:
-    labels: tuple[str, ...]
+class EnumSort(Record):
+    __slots__ = ("labels",)
 
-    def __post_init__(self):
-        if not self.labels:
+    def __init__(self, labels: tuple[str, ...]):
+        if not labels:
             raise ValueError("enum sort needs at least one label")
-        if len(set(self.labels)) != len(self.labels):
-            raise ValueError(f"duplicate enum labels in {self.labels}")
-        for lab in self.labels:
+        if len(set(labels)) != len(labels):
+            raise ValueError(f"duplicate enum labels in {labels}")
+        for lab in labels:
             if not _IDENT_RE.match(lab) or lab in _RESERVED:
                 raise ValueError(f"bad enum label {lab!r}")
+        object.__setattr__(self, "labels", labels)
 
     def contains(self, v: Value) -> bool:
         return v in self.labels
@@ -188,50 +231,66 @@ class Signature:
 # Formula AST
 
 
-@dataclass(frozen=True)
-class BoolConst:
-    value: bool
+class BoolConst(Record):
+    __slots__ = ("value",)
+
+    def __init__(self, value: bool):
+        object.__setattr__(self, "value", value)
 
 
-@dataclass(frozen=True)
-class IntConst:
-    value: int
+class IntConst(Record):
+    __slots__ = ("value",)
+
+    def __init__(self, value: int):
+        object.__setattr__(self, "value", value)
 
 
-@dataclass(frozen=True)
-class EnumConst:
-    label: str
+class EnumConst(Record):
+    __slots__ = ("label",)
+
+    def __init__(self, label: str):
+        object.__setattr__(self, "label", label)
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+class Var(Record):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        object.__setattr__(self, "name", name)
 
 
-@dataclass(frozen=True)
-class Arith:
-    op: str  # + - *
-    left: "Formula"
-    right: "Formula"
+class Arith(Record):
+    __slots__ = ("op", "left", "right")
+
+    def __init__(self, op: str, left: Formula, right: Formula):
+        object.__setattr__(self, "op", op)  # + - *
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
 
-@dataclass(frozen=True)
-class Cmp:
-    op: str  # == != < <= > >=
-    left: "Formula"
-    right: "Formula"
+class Cmp(Record):
+    __slots__ = ("op", "left", "right")
+
+    def __init__(self, op: str, left: Formula, right: Formula):
+        object.__setattr__(self, "op", op)  # == != < <= > >=
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
 
-@dataclass(frozen=True)
-class Not:
-    arg: "Formula"
+class Not(Record):
+    __slots__ = ("arg",)
+
+    def __init__(self, arg: Formula):
+        object.__setattr__(self, "arg", arg)
 
 
-@dataclass(frozen=True)
-class BoolOp:
-    op: str  # && || => <=>
-    left: "Formula"
-    right: "Formula"
+class BoolOp(Record):
+    __slots__ = ("op", "left", "right")
+
+    def __init__(self, op: str, left: Formula, right: Formula):
+        object.__setattr__(self, "op", op)  # && || => <=>
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
 
 Formula = Union[BoolConst, IntConst, EnumConst, Var, Arith, Cmp, Not, BoolOp]
@@ -402,6 +461,8 @@ def tokenize(text: str, first_line: int = 1) -> list[Token]:
     decimal digits, so ``2a`` and ``\u00b2`` are IDENTs.
     """
     toks: list[Token] = []
+    # a token is made as a tuple of its class, without the constructor's call
+    put, new = toks.append, tuple.__new__
     line, line_start = first_line, 0
     for m in _TOKEN_RE.finditer(text):
         kind = m.lastindex
@@ -413,9 +474,9 @@ def tokenize(text: str, first_line: int = 1) -> list[Token]:
             continue
         word, col = m.group(kind), m.start(kind) - line_start + 1
         if kind == _SYM:
-            toks.append(Token("SYM", word, line, col))
+            put(new(Token, ("SYM", word, line, col)))
         elif kind == _WORD and (word[0].isalpha() or word[0].isdigit()):
-            toks.append(Token("INT" if word.isdecimal() else "IDENT", word, line, col))
+            put(new(Token, ("INT" if word.isdecimal() else "IDENT", word, line, col)))
         else:
             raise FormulaSyntaxError(f"unexpected character {word[0]!r}", line, col)
     # the end stands where a trailing comment starts, at the last line's "#"
@@ -432,16 +493,19 @@ _PREFIX = 1_000  # prefixes bind tighter than every binary operator
 _GROUP = -1  # an open group stops the reductions of the operators inside it
 
 
-@dataclass(frozen=True)
-class Group:
+class Group(Record):
     """A bracketed construct: ``opener``, then one expression before each
     token of ``ends`` (separators, then the closer).  ``build`` combines the
     expressions; without it the group is its one expression, as with
     parentheses."""
 
-    opener: tuple[str, ...]
-    ends: tuple[str, ...]
-    build: Optional[Callable] = None
+    __slots__ = ("opener", "ends", "build")
+
+    def __init__(self, opener: tuple[str, ...], ends: tuple[str, ...],
+                 build: Optional[Callable] = None):
+        object.__setattr__(self, "opener", opener)
+        object.__setattr__(self, "ends", ends)
+        object.__setattr__(self, "build", build)
 
 
 class Grammar:

@@ -32,12 +32,11 @@ grammar.  A syntax error raises the parser's :class:`FormulaSyntaxError`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Union
 
 from .constraints import (FORMULA_GRAMMAR, BoolConst, BoolOp, FormulaSyntaxError, Grammar,
-                          Group, Not, Token, Var, parse_text)
+                          Group, Not, Record, Token, Var, parse_text)
 from .graph import attractor, cyclic_states, reach, shortest_path
 
 AP = ("adapting", "steady", "progress")
@@ -77,21 +76,27 @@ class CtlWitnessError(Exception):
     """Raised when a witness precondition does not hold: a bug of its caller."""
 
 
-@dataclass(frozen=True)
-class CtlEX:
-    arg: "CtlFormula"
+class CtlEX(Record):
+    __slots__ = ("arg",)
+
+    def __init__(self, arg: CtlFormula):
+        object.__setattr__(self, "arg", arg)
 
 
-@dataclass(frozen=True)
-class CtlEU:
-    left: "CtlFormula"
-    right: "CtlFormula"
+class CtlEU(Record):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: CtlFormula, right: CtlFormula):
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
 
-@dataclass(frozen=True)
-class CtlAU:
-    left: "CtlFormula"
-    right: "CtlFormula"
+class CtlAU(Record):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: CtlFormula, right: CtlFormula):
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
 
 CtlFormula = Union[BoolConst, Var, Not, BoolOp, CtlEX, CtlEU, CtlAU]
@@ -215,12 +220,14 @@ def sat_set(k: Kripke, phi: CtlFormula) -> frozenset[int]:
 # Witnesses and counterexamples
 
 
-@dataclass(frozen=True)
-class Lasso:
+class Lasso(Record):
     """A run shaped as a finite prefix followed by a repeated cycle."""
 
-    prefix: tuple[int, ...]
-    cycle: tuple[int, ...]
+    __slots__ = ("prefix", "cycle")
+
+    def __init__(self, prefix: tuple[int, ...], cycle: tuple[int, ...]):
+        object.__setattr__(self, "prefix", prefix)
+        object.__setattr__(self, "cycle", cycle)
 
     def states(self):
         return self.prefix + self.cycle

@@ -39,11 +39,10 @@ a ``FlatState``, runs the same rules and decodes the result.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Optional
 
-from .constraints import InputError
+from .constraints import InputError, Record
 from .model import SBSystem, StateBudgetError
 
 Phase = tuple[str, str]  # (printed invariant, target structure state)
@@ -54,11 +53,13 @@ class PreconditionError(InputError, ValueError):
     """A root pair outside the system or violating its structure label."""
 
 
-@dataclass(frozen=True)
-class FlatState:
-    q: str
-    r: str
-    phase: Optional[Phase] = None
+class FlatState(Record):
+    __slots__ = ("q", "r", "phase")
+
+    def __init__(self, q: str, r: str, phase: Optional[Phase] = None):
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "phase", phase)
 
     @property
     def is_steady(self) -> bool:

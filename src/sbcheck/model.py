@@ -11,12 +11,13 @@ columns are file columns, and every statement or section header ends with
 its line.  A :class:`ModelError`, like every input error, carries the
 line and column of the offending token.  Each level indexes its states,
 and the structure level its phases, once, in its constructor.
+
+Rule expansion warns of each pruned firing on the ``sbcheck.model`` logger,
+which it fetches, importing ``logging``, only when a firing is pruned.
 """
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import groupby
 from operator import itemgetter
@@ -31,6 +32,7 @@ from .constraints import (
     FormulaError,
     FormulaSyntaxError,
     InputError,
+    Record,
     Signature,
     Sort,
     Token,
@@ -41,8 +43,6 @@ from .constraints import (
     sort_check,
     tokenize,
 )
-
-log = logging.getLogger(__name__)
 
 
 class ModelError(InputError):
@@ -57,12 +57,17 @@ class StateBudgetError(InputError):
         super().__init__(f"{layer} passed the state budget of {budget} {what}")
 
 
-@dataclass(eq=False)
 class BState:
-    """A behaviour state: an id plus a total observation of the signature."""
+    """A behaviour state: an id plus a total observation of the signature;
+    mutable, and equal only to itself."""
 
-    id: str
-    obs: Mapping[str, Value]
+    __slots__ = __match_args__ = ("id", "obs")
+
+    def __init__(self, id: str, obs: Mapping[str, Value]):
+        self.id = id
+        self.obs = obs
+
+    __repr__ = Record.__repr__
 
 
 class BLevel:
@@ -100,11 +105,13 @@ class BLevel:
         return tuple([tuple(map(rank, ds)) for ds in map(self._succ.__getitem__, self.ids)])
 
 
-@dataclass(frozen=True)
-class STransition:
-    source: str
-    inv: Formula
-    target: str
+class STransition(Record):
+    __slots__ = ("source", "inv", "target")
+
+    def __init__(self, source: str, inv: Formula, target: str):
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "inv", inv)
+        object.__setattr__(self, "target", target)
 
 
 class SLevel:
@@ -201,21 +208,25 @@ class SBSystem:
         return bool(self.sat_row(phi)[self.b.rank[q]])
 
 
-@dataclass(frozen=True)
-class GuardedRule:
+class GuardedRule(Record):
     """``guard -> name := expr, ...`` with all updates read off the pre-state."""
 
-    name: str
-    guard: Formula
-    updates: tuple[tuple[str, Formula], ...]
+    __slots__ = ("name", "guard", "updates")
+
+    def __init__(self, name: str, guard: Formula, updates: tuple[tuple[str, Formula], ...]):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "guard", guard)
+        object.__setattr__(self, "updates", updates)
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(Record):
     """A well-formedness error found by :func:`validate`."""
 
-    code: str
-    message: str
+    __slots__ = ("code", "message")
+
+    def __init__(self, code: str, message: str):
+        object.__setattr__(self, "code", code)
+        object.__setattr__(self, "message", message)
 
     def __str__(self):
         return f"error[{self.code}]: {self.message}"
@@ -270,7 +281,8 @@ def expand_rules(rules: Iterable[GuardedRule], sig: Signature,
             for name, expr in rule.updates:
                 v = evaluate(expr, obs)
                 if not sig.sort_of(name).contains(v):
-                    log.warning(
+                    import logging
+                    logging.getLogger(__name__).warning(
                         "rule %s at %s drives %s to %r, outside its sort; "
                         "firing pruned", rule.name, src, name, v)
                     ok = False

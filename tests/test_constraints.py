@@ -1,5 +1,5 @@
+import copy
 import random
-from dataclasses import replace
 
 import pytest
 from helpers import (
@@ -310,7 +310,7 @@ _ANY_OPS = (("+", Arith), ("*", Arith), ("==", Cmp), ("!=", Cmp), ("<", Cmp),
 def _random_tree(rng, depth):
     """A formula tree of any shape over ``DIFF_SIG``, mostly ill-sorted."""
     if depth <= 0 or rng.random() < 0.25:
-        return replace(rng.choice(_ANY_LEAVES))  # a node of its own, with its own column
+        return copy.copy(rng.choice(_ANY_LEAVES))  # a node of its own, with its own column
     if rng.random() < 0.15:
         return Not(_random_tree(rng, depth - 1))
     op, node_type = rng.choice(_ANY_OPS)

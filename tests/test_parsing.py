@@ -12,7 +12,6 @@ itself overflows the recursion limit are skipped.
 """
 
 import random
-from dataclasses import fields, is_dataclass
 
 from helpers import (
     OracleCtlParser,
@@ -34,6 +33,7 @@ from sbcheck.constraints import (
     FormulaError,
     FormulaSyntaxError,
     Not,
+    Record,
     Signature,
     Var,
     parse_with,
@@ -56,10 +56,10 @@ def _positions_agree(a, b, pos_a, pos_b) -> bool:
         x, y = stack.pop()
         if pos_a.get(id(x)) != pos_b.get(id(y)):
             return False
-        for f in fields(x):
-            child = getattr(x, f.name)
-            if is_dataclass(child):
-                stack.append((child, getattr(y, f.name)))
+        for f in x.__slots__:
+            child = getattr(x, f)
+            if isinstance(child, Record):
+                stack.append((child, getattr(y, f)))
     return True
 
 
