@@ -56,8 +56,9 @@ memo: it runs on a structure or on ``_Analysis`` tables of its own, and its
 ``strong_relation`` draws its candidate from the analysis that checks it.
 Pair facts are memoised, and so are phase facts (steady endpoints, a
 reachable dead end, a cycle) by adapting start state, each from one
-``graph.reach`` and one ``graph.cyclic_states``, and the pairs whose
-successor sets contain each pair.  Codes are decoded to id pairs, by
+``graph.reach`` pass that also finds the phase's cycle states, and the
+pairs whose successor sets contain each pair; the fixpoints read the
+memoised facts directly.  Codes are decoded to id pairs, by
 ``_Rules.pair``, only for the returned relation and for violation messages.
 The relational route builds no flat system and never calls the CTL
 checker; the CTL verdicts never call the relation code.
@@ -67,7 +68,8 @@ from __future__ import annotations
 
 import weakref
 from collections import defaultdict
-from typing import Callable, Iterable, Iterator, Literal, NamedTuple, Optional
+from itertools import chain, compress
+from typing import Iterable, Iterator, Literal, NamedTuple, Optional
 
 from .constraints import Record
 from .ctl import (
@@ -83,7 +85,7 @@ from .ctl import (
 from .flatten import PreconditionError, _Rules, build_flat  # noqa: F401  (re-exported)
 # the benchmark's tracer (perfbench/spans.py) wraps adapt.flat_successors
 from .flatten import flat_successors  # noqa: F401
-from .graph import attractor, cyclic_states, reach
+from .graph import attractor, reach
 from .kripke import to_kripke
 from .model import SBSystem
 
@@ -206,11 +208,10 @@ class _Analysis:
 
     def grid(self) -> list[int]:
         """The steady codes of the satisfaction-grid pairs (q satisfies the
-        label of r), ascending."""
-        s, steady = self.sys.s, self.rules.steady
+        label of r), ascending: the label rows read across, rank by rank."""
+        s = self.sys.s
         rows = [self.sys.sat_row(s.label(r)) for r in s.ids]
-        return [steady(q, r) for k, q in enumerate(self.sys.b.ids)
-                for r, row in zip(s.ids, rows) if row[k]]
+        return list(compress(self.rules.steady_codes(), chain.from_iterable(zip(*rows))))
 
     def sorted_pairs(self, codes) -> list[Pair]:
         return [self.rules.pair(c) for c in sorted(codes)]
@@ -238,7 +239,8 @@ class _Analysis:
             return frozenset((code,)), False, False
         hit = self._starts.get(code)
         if hit is None:
-            nodes = reach(self._adapting, (code,))
+            cycles: set[int] = set()
+            nodes = reach(self._adapting, (code,), cyclic=cycles)
             ends: set[int] = set()
             dead = False
             for x in nodes:
@@ -247,8 +249,7 @@ class _Analysis:
                     dead = True
                 elif ts[0] % self.P == 0:
                     ends.update(ts)
-            hit = self._starts[code] = (frozenset(ends), dead,
-                                        bool(cyclic_states(self._adapting, nodes)))
+            hit = self._starts[code] = frozenset(ends), dead, bool(cycles)
         return hit
 
     def facts(self, pair: int) -> _PairFacts:
@@ -259,12 +260,12 @@ class _Analysis:
         if hit is not None:
             return hit
         groups = self.rules.step(pair)
+        if groups and not groups[0][0]:
+            hit = self._facts[pair] = _PairFacts(pair, True, frozenset(groups[0][1]), ())
+            return hit
         nxt: frozenset[int] = frozenset()
         phases = []
         for p, ts in groups:
-            if p == 0:
-                nxt = frozenset(ts)
-                continue
             part_ends, dead, cycle = zip(*map(self._start, ts))
             # one union, linear in the starts' endpoints; a lone start's set is shared
             ends = part_ends[0] if len(part_ends) == 1 else frozenset().union(*part_ends)
@@ -273,20 +274,19 @@ class _Analysis:
         hit = self._facts[pair] = _PairFacts(pair, bool(groups), nxt, tuple(phases))
         return hit
 
-    def next_pairs(self, pair: int) -> frozenset[int]:
-        """The pairs ``pair`` reaches by a steady step or a completed phase."""
-        return self.facts(pair).next
-
     def index(self) -> tuple[list[int], dict[int, list[int]]]:
         """The progressing grid pairs, and for each pair the pairs whose
-        successor sets contain it; mode-free, so memoised."""
+        successor sets contain it; mode-free, so memoised.  Every grid pair
+        then has its facts in ``tables.facts``."""
         t = self.tables
         if t.index is None:
-            pairs = [pair for pair in self.grid() if self.facts(pair).progress]
+            pairs: list[int] = []
             mentioned_by: defaultdict[int, list[int]] = defaultdict(list)
-            for pair in pairs:
-                for other in self.next_pairs(pair):
-                    mentioned_by[other].append(pair)
+            for pair, progress, nxt, _ in map(self.facts, self.grid()):
+                if progress:
+                    pairs.append(pair)
+                    for other in nxt:
+                        mentioned_by[other].append(pair)
             t.index = pairs, mentioned_by
         return t.index
 
@@ -295,40 +295,37 @@ class _Analysis:
 # Relation construction
 
 
-# A clause function yields each broken clause with a function making its
-# message, so that the strong seeds and ``strong_relation``, which only ask
-# whether a pair breaks a clause, never decode or sort the pairs a message
-# names.
-Message = Callable[[], str]
-
-
-def _weak_violations(an: _Analysis, pf: _PairFacts, rel) -> Iterator[tuple[str, Message]]:
-    """Weak clause (ii) or (iii) when no successor of ``pf`` is related."""
+def _weak_violations(an: _Analysis, pf: _PairFacts, rel) -> Iterator[tuple[str, str]]:
+    """Weak clause (ii) or (iii), with its message, when no successor is related."""
     if pf.next.isdisjoint(rel):
         if pf.phases:
-            yield "iii", lambda: "no adaptation phase completes on a related pair"
+            yield "iii", "no adaptation phase completes on a related pair"
         else:
-            yield "ii", lambda: "no steady successor lands on a related pair"
+            yield "ii", "no steady successor lands on a related pair"
 
 
-def _strong_violations(an: _Analysis, pf: _PairFacts, rel) -> Iterator[tuple[str, Message]]:
-    """Strong clauses (ii) and (iii) that a pair with facts ``pf`` breaks."""
+def _strong_violations(an: _Analysis, pf: _PairFacts, rel) -> Iterator[tuple[str, str]]:
+    """Strong clauses (ii) and (iii) that ``pf`` breaks, with their messages."""
     missing = frozenset() if pf.phases else pf.next - rel
     if missing:
-        yield "ii", lambda: f"steady successors {an.sorted_pairs(missing)} unrelated"
+        yield "ii", f"steady successors {an.sorted_pairs(missing)} unrelated"
     for ph in pf.phases:
-        # the defaults bind this phase's values into each message
+        label = an.phase_label(pf, ph)
         if ph.has_dead:
-            yield "iii", lambda ph=ph: (f"phase {an.phase_label(pf, ph)} "
-                                        "can dead-end while adapting")
+            yield "iii", f"phase {label} can dead-end while adapting"
         if ph.has_cycle:
-            yield "iii", lambda ph=ph: (f"phase {an.phase_label(pf, ph)} "
-                                        "admits an infinite adaptation path")
+            yield "iii", f"phase {label} admits an infinite adaptation path"
         ends = ph.endpoints - rel
         if ends:
-            yield "iii", lambda ph=ph, ends=ends: (f"phase {an.phase_label(pf, ph)} "
-                                                   "ends on unrelated pairs "
-                                                   f"{an.sorted_pairs(ends)}")
+            yield "iii", f"phase {label} ends on unrelated pairs {an.sorted_pairs(ends)}"
+
+
+def _breaks_strong(pf: _PairFacts, rel) -> bool:
+    """Whether ``_strong_violations`` yields a clause, told without naming
+    it: an unrelated successor is an unrelated steady successor (ii) or
+    phase end (iii), and a phase can also dead-end or cycle (iii)."""
+    return not pf.next <= rel or bool(pf.phases) and any(
+        ph.has_dead or ph.has_cycle for ph in pf.phases)
 
 
 def weak_relation(sys: SBSystem, max_states: int | None = None) -> AdaptRelation:
@@ -344,10 +341,10 @@ def weak_relation(sys: SBSystem, max_states: int | None = None) -> AdaptRelation
     """
     an = _Analysis(sys, max_states)
     pairs, mentioned_by = an.index()
-    live = set(pairs)
+    live, facts = set(pairs), an.tables.facts
     # the successors that can still keep each pair; a pair leaves at none,
     # and the successors outside the progressing grid are gone from the start
-    remaining = {pair: len(an.next_pairs(pair)) for pair in pairs}
+    remaining = {pair: len(facts[pair].next) for pair in pairs}
     left = attractor(lambda pair: mentioned_by.get(pair, ()), remaining,
                      [pair for pair, n in remaining.items() if not n]
                      + [other for other in mentioned_by if other not in live])
@@ -362,8 +359,8 @@ def greatest_strong_relation(sys: SBSystem,
     an = _Analysis(sys, max_states)
     pairs, mentioned_by = an.index()
     live = set(pairs)
-    seeds = [pair for pair in pairs
-             if next(_strong_violations(an, an.facts(pair), live), None)]
+    seeds = [pf.pair for pf in map(an.tables.facts.__getitem__, pairs)
+             if _breaks_strong(pf, live)]
     live -= reach(lambda pair: mentioned_by.get(pair, ()), seeds)
     return AdaptRelation(frozenset(map(an.rules.pair, live)))
 
@@ -381,9 +378,11 @@ def strong_relation(sys: SBSystem,
     pair breaking its own label steps to nothing, so progress covers (i).
     """
     an = _Analysis(sys, max_states)
-    reached = reach(an.next_pairs, (an.rules.steady(sys.b.initial, sys.s.initial),))
-    broken = any(not pf.progress or next(_strong_violations(an, pf, reached), None)
-                 for pf in map(an.facts, reached))
+    facts = an.tables.facts
+    reached = reach(lambda pair: (facts.get(pair) or an.facts(pair)).next,
+                    (an.rules.steady(sys.b.initial, sys.s.initial),))
+    broken = any(not pf.progress or _breaks_strong(pf, reached)
+                 for pf in map(facts.__getitem__, reached))
     return None if broken else AdaptRelation(frozenset(map(an.rules.pair, reached)))
 
 
@@ -409,7 +408,7 @@ def _check(sys: SBSystem, rel: AdaptRelation, violations,
         if not pf.progress:
             found.append(Violation((q, r), "i", "no flat successor (progress fails)"))
             continue
-        found.extend(Violation((q, r), clause, message())
+        found.extend(Violation((q, r), clause, message)
                      for clause, message in violations(an, pf, codes))
     return RelationCheck(not found, tuple(found))
 

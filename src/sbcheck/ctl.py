@@ -20,9 +20,9 @@ all its successors have.  The searches walk a set they are given and label
 nothing: a counterexample is a shortest path out of it, and an EG witness a
 lasso inside it, closed by two shortest-path searches, one backward from the
 cycle head to its nearest successor and one forward from that successor back
-to the head; the region reachable from the start, and its cycle states, are
-computed only when the start lies on no cycle.  Every traversal runs through
-the primitives of ``graph``, which know nothing of CTL.
+to the head; only when the start lies on no cycle is the region reachable
+from it computed, with its cycle states, in one pass.  Every traversal runs
+through the primitives of ``graph``, which know nothing of CTL.
 
 Formulas are read by the operator-precedence parser of ``constraints``,
 from the tokens of its lexer (so ``#`` starts a comment), with the grammar
@@ -37,7 +37,7 @@ from typing import Union
 
 from .constraints import (FORMULA_GRAMMAR, BoolConst, BoolOp, FormulaSyntaxError, Grammar,
                           Group, Not, Record, Token, Var, parse_text)
-from .graph import attractor, cyclic_states, reach, shortest_path
+from .graph import attractor, reach, shortest_path
 
 AP = ("adapting", "steady", "progress")
 
@@ -252,9 +252,9 @@ def witness_eg(k: Kripke, good: frozenset[int], t: int) -> Lasso:
     parent, and the successors of ``t`` it looks for lie in the region.  The
     closing search, forward from the successor found, stays in the region
     for the same reason.  Only when ``t`` lies on no cycle is the region
-    computed, for its cycle states.  From the root of a ``to_kripke``
-    structure, which reaches every state, the backward search then stops at
-    once.
+    computed, with its cycle states, by one pass from ``t``.  From the root
+    of a ``to_kripke`` structure, which reaches every state, the backward
+    search then stops at once.
     """
     if t not in good:
         raise CtlWitnessError("state lies outside the given set")
@@ -264,8 +264,9 @@ def witness_eg(k: Kripke, good: frozenset[int], t: int) -> Lasso:
     # nearest ones
     back = shortest_path(pred, t, frozenset(k.succ[t]), within=good)
     if back is None:
-        region = reach(succ, [t], within=good)
-        path = shortest_path(succ, t, cyclic_states(succ, region), within=region)
+        cycles: set[int] = set()
+        region = reach(succ, [t], within=good, cyclic=cycles)
+        path = shortest_path(succ, t, cycles, within=region)
         if path is None:  # a state of the region has no successor in it
             raise CtlWitnessError("no cycle reachable inside the given set")
         head, prefix = path[-1], tuple(path[:-1])

@@ -167,6 +167,10 @@ class _Rules:
         """The code of the steady flat state (q, r, {})."""
         return self.sys.b.rank[q] * self.RP + self.sys.s.rank[r] * self.P
 
+    def steady_codes(self) -> range:
+        """Every steady code, ascending: by behaviour rank, then structure rank."""
+        return range(0, len(self.succ) * self.RP, self.P)
+
     def pair(self, code: int) -> tuple[str, str]:
         """The behaviour and structure ids of flat state ``code``."""
         q, rest = divmod(code, self.RP)

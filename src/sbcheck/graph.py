@@ -9,31 +9,78 @@ Every backward fixpoint of both routes is one of two primitives, run over
 the predecessor function: ``reach`` adds a node once *some* successor has
 joined (E-until, and the strong relation's drop), and ``attractor`` once
 *all* of them have, or as many as a count the caller gives (A-until, and the
-weak relation's deletion).
+weak relation's deletion).  Forward, one ``reach`` pass can also tell
+which of the nodes it reaches lie on a cycle: for the states of a phase, and
+for the region of an EG witness whose start lies on no cycle.
 """
 
 from __future__ import annotations
 
-from typing import (Callable, Collection, Container, Hashable, Iterable, MutableMapping,
+from typing import (Callable, Container, Hashable, Iterable, MutableMapping,
                     MutableSequence, Optional)
 
 Succ = Callable[[Hashable], Iterable[Hashable]]
 
 
-def reach(succ: Succ, sources: Iterable, within: Optional[Container] = None) -> set:
+def reach(succ: Succ, sources: Iterable, within: Optional[Container] = None,
+          cyclic: Optional[set] = None) -> set:
     """Nodes reachable from ``sources`` in zero or more steps.
 
     Steps enter only nodes of ``within`` when it is given; the sources
-    themselves are always included.
+    themselves are always included.  Given a set ``cyclic``, the same pass
+    adds to it the reached nodes lying on a cycle, those that reach
+    themselves in one or more steps: the search is then Tarjan's (1972,
+    iteratively), and a node is on a cycle when its strongly connected
+    component has more than one node or a self-loop into ``within``.
     """
-    seen = set(sources)
-    stack = list(seen)
-    while stack:
-        for y in succ(stack.pop()):
-            if y not in seen and (within is None or y in within):
-                seen.add(y)
-                stack.append(y)
-    return seen
+    if cyclic is None:
+        seen = set(sources)
+        stack = list(seen)
+        while stack:
+            for y in succ(stack.pop()):
+                if y not in seen and (within is None or y in within):
+                    seen.add(y)
+                    stack.append(y)
+        return seen
+    index: dict = {}
+    low: dict = {}
+    stack = []
+    on_stack: set = set()
+    for root in sources:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        work = [(root, iter(succ(root)))]
+        while work:
+            v, it = work[-1]
+            for y in it:
+                if within is not None and y not in within:
+                    continue
+                if y not in index:
+                    index[y] = low[y] = len(index)
+                    stack.append(y)
+                    on_stack.add(y)
+                    work.append((y, iter(succ(y))))
+                    break
+                if y in on_stack:
+                    low[v] = min(low[v], index[y])
+                    if y == v:  # a self-loop
+                        cyclic.add(v)
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == index[v]:
+                    comp = [stack.pop()]
+                    while comp[-1] != v:
+                        comp.append(stack.pop())
+                    on_stack.difference_update(comp)
+                    if len(comp) > 1:
+                        cyclic.update(comp)
+    return set(index)
 
 
 def attractor(pred: Succ, remaining: MutableSequence[int] | MutableMapping,
@@ -56,53 +103,6 @@ def attractor(pred: Succ, remaining: MutableSequence[int] | MutableMapping,
                 result.add(x)
                 stack.append(x)
     return result
-
-
-def cyclic_states(succ: Succ, region: Collection) -> set:
-    """Nodes of ``region`` lying on a cycle of the subgraph it induces.
-
-    A node is on a cycle when it reaches itself in one or more steps, that
-    is when its strongly connected component (Tarjan 1972, iteratively) has
-    more than one node or a self-loop.
-    """
-    index: dict = {}
-    low: dict = {}
-    stack: list = []
-    on_stack: set = set()
-    cyclic: set = set()
-    for root in region:
-        if root in index:
-            continue
-        index[root] = low[root] = len(index)
-        stack.append(root)
-        on_stack.add(root)
-        work = [(root, iter(succ(root)))]
-        while work:
-            v, it = work[-1]
-            for y in it:
-                if y not in region:
-                    continue
-                if y not in index:
-                    index[y] = low[y] = len(index)
-                    stack.append(y)
-                    on_stack.add(y)
-                    work.append((y, iter(succ(y))))
-                    break
-                if y in on_stack:
-                    low[v] = min(low[v], index[y])
-            else:
-                work.pop()
-                if work:
-                    u = work[-1][0]
-                    low[u] = min(low[u], low[v])
-                if low[v] == index[v]:
-                    comp = [stack.pop()]
-                    while comp[-1] != v:
-                        comp.append(stack.pop())
-                    on_stack.difference_update(comp)
-                    if len(comp) > 1 or v in succ(v):
-                        cyclic.update(comp)
-    return cyclic
 
 
 def shortest_path(succ: Succ, start, goal: Container,

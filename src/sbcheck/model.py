@@ -192,16 +192,12 @@ class SBSystem:
         """The distinct observations of the behaviour states, and for each
         rank the position of its state's observation among them."""
         names = self.sig.names
+        obs = [self.b.states[q].obs for q in self.b.ids]
+        # keys built column-wise, one list per observable; each new key takes the next number
         first: dict[tuple, int] = {}
-        distinct: list[Mapping[str, Value]] = []
-        of_rank = []
-        for q in self.b.ids:
-            obs = self.b.states[q].obs
-            c = first.setdefault(tuple(map(obs.__getitem__, names)), len(distinct))
-            if c == len(distinct):
-                distinct.append(obs)
-            of_rank.append(c)
-        return distinct, of_rank
+        of_rank = [first.setdefault(key, len(first))
+                   for key in zip(*[[o[name] for o in obs] for name in names])]
+        return [dict(zip(names, key)) for key in first], of_rank
 
     def sat(self, q: str, phi: Formula) -> bool:
         """Whether behaviour state ``q`` satisfies ``phi``."""

@@ -7,19 +7,23 @@ re-derives reachability with direct formula evaluation and no caching or
 canonicalisation; the relation oracle explores every pair's phases afresh
 with the flat-space oracle's successor function and deletes by whole
 sweeps; the EG witness oracle closes its lasso with one forward search per
-successor of the cycle head, after a cycle-state pass over the whole
-region.  The last two run
-their graph searches on the package's ``graph`` kernel, which
-``test_graph`` checks against brute force.  The reference parsers are
-recursive descent, one method per precedence level, where the package runs
-one table-driven operator-precedence loop for both formula languages.  The
-formula walkers (evaluation, sort checking, printing) are recursive, where
-the package walks explicit stacks, and the reference lexer reads one
-character at a time, where the package matches one regular expression.
+successor of the cycle head, after finding the cycle states of the whole
+set it searches.  The last two find regions level by level
+(``naive_closure``) and take a node to lie on a cycle when it lies in the
+closure of its own successors (``naive_cyclic``), where the package runs
+one depth-first pass for both; they run their shortest paths on the
+package's ``graph`` kernel, which ``test_graph`` checks against brute
+force.  The reference parsers are recursive descent, one method per
+precedence level, where the package runs one table-driven
+operator-precedence loop for both formula languages.  The formula walkers
+(evaluation, sort checking, printing) are recursive, where the package
+walks explicit stacks, and the reference lexer reads one character at a
+time, where the package matches one regular expression.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 
 from sbcheck.constraints import (
@@ -58,7 +62,7 @@ from sbcheck.ctl import (
     eg,
     sat_set,
 )
-from sbcheck.graph import cyclic_states, reach, shortest_path
+from sbcheck.graph import shortest_path
 from sbcheck.model import BLevel, BState, SBSystem, SLevel, STransition, parse_model
 
 
@@ -205,6 +209,24 @@ def oracle_flat(sys, root=None):
     return seen, edges
 
 
+def naive_closure(succ, sources, within=None) -> set:
+    """Everything reachable from ``sources`` in zero or more steps inside
+    ``within``, one level at a time."""
+    out = frontier = set(sources)
+    while frontier:
+        frontier = {y for x in frontier for y in succ(x)
+                    if within is None or y in within} - out
+        out = out | frontier
+    return out
+
+
+def naive_cyclic(succ, nodes, within=None) -> set:
+    """The nodes of ``nodes`` lying on a cycle inside ``within``: those in
+    the closure of their own successors there."""
+    return {v for v in nodes if v in naive_closure(
+        succ, [y for y in succ(v) if within is None or y in within], within)}
+
+
 # ---------------------------------------------------------------------------
 # Reference relation route: per-pair exploration over oracle successors
 
@@ -240,12 +262,12 @@ def oracle_pair_facts(sys):
         phases = []
         for lab in sorted(starts, key=lambda lab: (lab[3], lab[2])):
             firsts = starts[lab]
-            nodes = reach(adapting, [y for y in firsts if y[2] is not None])
+            nodes = naive_closure(adapting, [y for y in firsts if y[2] is not None])
             landed = firsts + [y for x in nodes for _lab, y in successors(x)]
             phases.append((f"{r} -> {lab[3]}",
                            frozenset((y[0], y[1]) for y in landed if y[2] is None),
                            any(not successors(x) for x in nodes),
-                           bool(cyclic_states(adapting, nodes))))
+                           bool(naive_cyclic(adapting, nodes))))
         return {"progress": bool(succs),
                 "steady_pairs": frozenset((y[0], y[1]) for lab, y in succs
                                           if lab[0] == "steady"),
@@ -917,6 +939,14 @@ def oracle_sat(k: Kripke, phi) -> frozenset[int]:
 # Reference EG witness: one forward search per successor of the cycle head
 
 
+@functools.lru_cache(maxsize=4)
+def _cyclic_inside(k: Kripke, good: frozenset[int]) -> set[int]:
+    """The states of ``good`` on a cycle inside it, once per set: a region
+    of ``good`` that holds every successor in ``good`` of its states has as
+    its cycle states the ones of ``good`` that lie in it."""
+    return naive_cyclic(k.succ.__getitem__, good, good)
+
+
 def oracle_witness(k: Kripke, good: frozenset[int], t: int) -> Lasso:
     """The lasso ``ctl.witness_eg(k, good, t)`` must return, found the
     direct way.
@@ -929,8 +959,8 @@ def oracle_witness(k: Kripke, good: frozenset[int], t: int) -> Lasso:
     if t not in good:
         raise CtlWitnessError("state lies outside the given set")
     succ = k.succ.__getitem__
-    region = reach(succ, [t], within=good)
-    prefix_path = shortest_path(succ, t, cyclic_states(succ, region), within=region)
+    region = naive_closure(succ, [t], within=good)
+    prefix_path = shortest_path(succ, t, _cyclic_inside(k, good), within=region)
     if prefix_path is None:
         raise CtlWitnessError("no cycle reachable inside the given set")
     head = prefix_path[-1]

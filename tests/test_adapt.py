@@ -385,7 +385,8 @@ def test_reached_pairs_are_the_flat_steady_pairs():
     systems += [corridor_system(n) for n in (1, 2)]
     for sys_ in systems:
         an = adapt._Analysis(sys_)
-        reached = reach(an.next_pairs, (an.rules.steady(sys_.b.initial, sys_.s.initial),))
+        reached = reach(lambda pair: an.facts(pair).next,
+                        (an.rules.steady(sys_.b.initial, sys_.s.initial),))
         pairs = frozenset(map(an.rules.pair, reached))
         flat = build_flat(sys_)
         assert pairs == steady_pairs(flat), sys_.name

@@ -3,8 +3,9 @@
 import random
 
 import pytest
+from helpers import naive_closure, naive_cyclic
 
-from sbcheck.graph import attractor, cyclic_states, reach, shortest_path
+from sbcheck.graph import attractor, reach, shortest_path
 
 
 def random_graph(rng: random.Random):
@@ -12,16 +13,6 @@ def random_graph(rng: random.Random):
     succ = [tuple(rng.sample(range(n), rng.randint(0, min(n, 3)))) for _ in range(n)]
     region = {v for v in range(n) if rng.random() < 0.7}
     return n, succ, region
-
-
-def closure(succ, sources, within):
-    """Everything reachable from ``sources`` in zero or more steps inside ``within``."""
-    out = set(sources)
-    while True:
-        more = {y for x in out for y in succ[x] if y in within} - out
-        if not more:
-            return out
-        out |= more
 
 
 def distances(succ, start, within):
@@ -45,7 +36,7 @@ def test_reach_matches_closure(restricted):
         sources = rng.sample(range(n), rng.randint(0, n))
         within = region if restricted else set(range(n))
         got = reach(succ.__getitem__, sources, within=within if restricted else None)
-        assert got == closure(succ, sources, within), seed
+        assert got == naive_closure(succ.__getitem__, sources, within), seed
 
 
 def naive_attractor(succ, count, sources, within):
@@ -98,22 +89,36 @@ def test_attractor_with_a_zero_count_joins_only_as_a_source():
 
 
 def test_cyclic_states_are_the_states_that_return_to_themselves():
+    # one pass of reach from random roots, with and without ``within``,
+    # reaches what the plain search does and finds the naive cycle states
     for seed in SEEDS:
         rng = random.Random(seed)
         n, succ, region = random_graph(rng)
-        for r in (region, set(range(n))):
-            expected = {v for v in r
-                        if v in closure(succ, [y for y in succ[v] if y in r], r)}
-            assert cyclic_states(succ.__getitem__, r) == expected, seed
+        roots = rng.sample(range(n), rng.randint(0, n))
+        for within in (region, None):
+            found = {-1}  # the pass adds to the set it is given
+            got = reach(succ.__getitem__, roots, within=within, cyclic=found)
+            assert got == reach(succ.__getitem__, roots, within=within), seed
+            assert found == naive_cyclic(succ.__getitem__, got, within) | {-1}, seed
+
+
+def cycles(succ, roots, within=None) -> set:
+    """The cycle states that one pass of ``reach`` from ``roots`` finds."""
+    found: set = set()
+    reach(succ.__getitem__, roots, within=within, cyclic=found)
+    return found
 
 
 def test_self_loop_is_a_cycle_and_a_dead_end_is_not():
     succ = [(0,), (2,), ()]
-    assert cyclic_states(succ.__getitem__, {0, 1, 2}) == {0}
+    assert cycles(succ, [0, 1]) == {0}
+    assert cycles(succ, [1]) == set()
+    # a root outside ``within`` is reached, but its self-loop is no step
+    assert cycles(succ, [0], within={1}) == set()
     # the loop 1 -> 2 -> 1 is cut when 2 leaves the region
     loop = [(1,), (2,), (1,)]
-    assert cyclic_states(loop.__getitem__, {0, 1, 2}) == {1, 2}
-    assert cyclic_states(loop.__getitem__, {0, 1}) == set()
+    assert cycles(loop, [0]) == {1, 2}
+    assert cycles(loop, [0], within={0, 1}) == set()
 
 
 @pytest.mark.parametrize("restricted", [False, True])

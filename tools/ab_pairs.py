@@ -1,22 +1,27 @@
 """Alternating A/B runs of the benchmark in two checkouts.
 
 Runs ``perfbench/run.py`` in the checkouts PARENT and CHANGE, one run at a
-time, each in its own checkout.  Pair ``k`` runs the parent first when
-``k`` is even and the change first when it is odd, so that a slow spell of
-the host does not always fall on the same side.  Prints each pair's
-metrics, then per metric the median of each side, the parent's quartiles,
-the change's median against the parent's, and the pairs the change won as
-k/N (ties count for neither).  A gain is shown when the change wins at
-least nine tenths of the pairs and the medians differ by more than the
-distance between the parent's quartiles; the last column says whether both
-hold.  Each metric's direction is read from the parent's ``BENCHMARK.json``.
+time, each in its own checkout.  Round ``k`` runs one pair per workload
+given, the workloads in the order given; each of its pairs runs the parent
+first when ``k`` is even and the change first when it is odd, so that a
+slow spell of the host does not always fall on the same side.  Prints each
+pair's metrics, then one table per workload: per metric the median of each
+side, the parent's quartiles, the change's median against the parent's, and
+the pairs the change won as k/N (ties count for neither).  A gain is shown
+when the change wins at least nine tenths of the pairs and the medians
+differ by more than the distance between the parent's quartiles; the last
+column says whether both hold.  Each metric's direction is read from the
+parent's ``BENCHMARK.json``.
 
 Usage, with two checkouts of the repository:
 
-    python tools/ab_pairs.py PARENT CHANGE --workload corridor --pairs 10 --seconds 30
+    python tools/ab_pairs.py PARENT CHANGE --workload chain --workload corridor \
+        --pairs 10 --seconds 30
 
-``--seed`` (default 1) is passed to every run; ``--trace 1`` compares the
-per-layer metrics of traced runs instead of the end-to-end ones.
+``--workload`` may be given more than once; ``--pairs`` counts the pairs of
+each workload.  ``--seed`` (default 1) is passed to every run; ``--trace
+1`` compares the per-layer metrics of traced runs instead of the end-to-end
+ones.
 """
 
 from __future__ import annotations
@@ -31,9 +36,9 @@ from pathlib import Path
 SIDES = ("parent", "change")
 
 
-def run_once(checkout: Path, args) -> dict:
-    """The metrics of one benchmark run in ``checkout``, or exit."""
-    cmd = [sys.executable, "perfbench/run.py", "--workload", args.workload,
+def run_once(checkout: Path, workload: str, args) -> dict:
+    """The metrics of one benchmark run of ``workload`` in ``checkout``, or exit."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(args.seed), "--seconds", str(args.seconds),
            "--trace", str(args.trace)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
@@ -68,30 +73,34 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent", type=Path)
     ap.add_argument("change", type=Path)
-    ap.add_argument("--workload", required=True)
+    ap.add_argument("--workload", required=True, action="append")
     ap.add_argument("--pairs", type=int, required=True)
     ap.add_argument("--seconds", type=float, required=True)
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = ap.parse_args(argv)
 
-    runs: dict[str, list[dict]] = {side: [] for side in SIDES}
+    workloads = list(dict.fromkeys(args.workload))
+    runs = {w: {side: [] for side in SIDES} for w in workloads}
     for k in range(args.pairs):
         order = SIDES if k % 2 == 0 else SIDES[::-1]
-        for side in order:
-            runs[side].append(run_once(getattr(args, side), args))
-        print(f"pair {k} ({order[0]} first): " + ", ".join(
-            f"{name} {runs['parent'][-1][name]:.6g} -> {value:.6g}"
-            for name, value in runs["change"][-1].items()), flush=True)
+        for w in workloads:
+            for side in order:
+                runs[w][side].append(run_once(getattr(args, side), w, args))
+            print(f"{w} pair {k} ({order[0]} first): " + ", ".join(
+                f"{name} {runs[w]['parent'][-1][name]:.6g} -> {value:.6g}"
+                for name, value in runs[w]["change"][-1].items()), flush=True)
 
     better = directions(args.parent)
-    print(f"\n{args.workload}, {args.pairs} pairs of {args.seconds:g}-s runs, seed {args.seed}")
-    print(f"{'metric':34} {'parent p50':>12} {'change p50':>12} {'parent q1':>12} "
-          f"{'parent q3':>12} {'ratio':>7} {'wins':>7} gain")
-    for name in runs["parent"][0]:
-        if all(name in r for side in SIDES for r in runs[side]):
-            print(summary(name, [r[name] for r in runs["parent"]],
-                          [r[name] for r in runs["change"]], better.get(name, "lower")))
+    for w in workloads:
+        print(f"\n{w}, {args.pairs} pairs of {args.seconds:g}-s runs, seed {args.seed}")
+        print(f"{'metric':34} {'parent p50':>12} {'change p50':>12} {'parent q1':>12} "
+              f"{'parent q3':>12} {'ratio':>7} {'wins':>7} gain")
+        for name in runs[w]["parent"][0]:
+            if all(name in r for side in SIDES for r in runs[w][side]):
+                print(summary(name, [r[name] for r in runs[w]["parent"]],
+                              [r[name] for r in runs[w]["change"]],
+                              better.get(name, "lower")))
     return 0
 
 
